@@ -132,3 +132,52 @@ def naive_winner_determination(
     recurse(0)
     assert best_val is not None
     return best_val, best_assign
+
+
+def naive_tie_broken_assignment(
+    tables: Sequence[Sequence[Fraction]], item_count: int, items_mask: int | None = None
+) -> tuple[Fraction, tuple[int, ...]]:
+    """Best assignment of the items in ``items_mask`` under the documented tie-break.
+
+    Scans every assignment in ascending lexicographic order (item 0 varies
+    slowest), summing ``Fraction`` values directly.  An assignment replaces
+    the incumbent when its total is higher, or when the totals tie and its
+    descending-sorted bundle-size profile is lexicographically larger; so
+    the lexicographically smallest assignment wins among full ties.
+    Returns (welfare, assignment) with -1 for items outside the mask.
+    """
+    n = len(tables)
+    if n == 0:
+        raise ValueError("need at least one bid table")
+    mask = (1 << item_count) - 1 if items_mask is None else items_mask
+    items = [i for i in range(item_count) if mask & (1 << i)]
+    if n ** len(items) > ORACLE_STEP_BUDGET:
+        raise CapacityError(
+            f"{n}^{len(items)} assignments exceed the oracle budget of {ORACLE_STEP_BUDGET}"
+        )
+    best: tuple[Fraction, list[int]] | None = None
+    best_choice: list[int] = []
+    choice = [0] * len(items)
+    while True:
+        bundles = [0] * n
+        for item, owner in zip(items, choice):
+            bundles[owner] |= 1 << item
+        total = Fraction(0)
+        for j in range(n):
+            total += tables[j][bundles[j]]
+        profile = sorted((bin(b).count("1") for b in bundles), reverse=True)
+        if best is None or (total, profile) > best:
+            best = (total, profile)
+            best_choice = list(choice)
+        # Next assignment in lexicographic order: the last item varies fastest.
+        position = len(items) - 1
+        while position >= 0 and choice[position] == n - 1:
+            choice[position] = 0
+            position -= 1
+        if position < 0:
+            break
+        choice[position] += 1
+    assignment = [-1] * item_count
+    for item, owner in zip(items, best_choice):
+        assignment[item] = owner
+    return best[0], tuple(assignment)

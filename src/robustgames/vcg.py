@@ -1,8 +1,19 @@
 """Discrete VCG combinatorial auction under false-name (Sybil) attacks.
 
-Bundles are bitmasks over item indices.  Winner determination is an
-exhaustive search over item-to-bid assignments with a documented total
+Bundles are bitmasks over item indices.  Every computation first scales
+the bid tables it works on by the least common multiple of their
+denominators, once, so searches and sums run on ``int``s; results come
+back as exact ``Fraction``s over that scale.
+
+Welfare *values* come from one max-plus subset DP over bundle masks,
+O(n·3^m) for n bids and m items (Rothkopf, Pekeč & Harstad, Mgmt. Sci.
+1998): joining the bids one at a time gives the best partition value of
+every bundle at once.  Attack classification reads all 2^m bundles from
+one such table, and the Clarke payments read every leave-one-out welfare
+from shared prefix and suffix tables.  The winning *assignment* is found
+once per mechanism run by an exhaustive search with a documented total
 tie-break order, so every result is deterministic and exactly optimal.
+
 Two payment rules are provided: the textbook Clarke pivot, and a literal
 reading of the difference-of-welfares formula where the runner-up
 welfare is an optimal re-allocation of the remaining items among all
@@ -14,12 +25,15 @@ Attack classification compares, bundle by bundle, the best internal
 partition value of the Sybil bids against the true valuation; the
 adversary constructors then build the nature states that refute
 overbidding and underbidding attacks, checking their own postconditions
-by running the mechanism.
+by running the mechanism.  Truthful utilities against a nature state are
+kept in a bounded cache, since the family scans and the adversary checks
+ask for the same ones again and again.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,7 +52,7 @@ def full_mask(item_count: int) -> int:
 
 
 def mask_items(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask & (1 << i))
+    return tuple([i for i in range(mask.bit_length()) if mask & (1 << i)])
 
 
 def bundle_label(mask: int, items: Sequence[str]) -> str:
@@ -63,12 +77,45 @@ def _check_table(item_count: int, values: Sequence[Fraction], what: str) -> tupl
     return values
 
 
+class _BundleTable:
+    """What the bundle-table types share: the table scaled to integers.
+
+    A frozen dataclass generates a hash over every field unless its own
+    body names ``__hash__``, so each subclass re-binds the one below.
+    """
+
+    values: tuple[Fraction, ...]
+
+    @functools.cached_property
+    def _integers(self) -> tuple[int, tuple[int, ...]]:
+        """The entries' common denominator and the entries as integers over it."""
+        # Lists, not generators: a tuple built from a generator is allocated
+        # at a guessed size and shrunk, and the shrunk blocks pile up on the
+        # interpreter's per-size tuple free lists over a long run.
+        denominator = math.lcm(*[v.denominator for v in self.values])
+        integers = [v.numerator * (denominator // v.denominator) for v in self.values]
+        return denominator, tuple(integers)
+
+    def __hash__(self) -> int:
+        # Equal tables have equal integers; hashing those is far cheaper
+        # than hashing every Fraction, and tables key the truthful cache.
+        return hash(self._integers)
+
+
+def _retyped(cls, table: _BundleTable):
+    """``table`` as a ``cls``, without validating it again: it already was."""
+    out = object.__new__(cls)
+    out.__dict__.update(table.__dict__)
+    return out
+
+
 @dataclass(frozen=True)
-class CombValuation:
+class CombValuation(_BundleTable):
     """True value for every bundle, indexed by bundle bitmask."""
 
     item_count: int
     values: tuple[Fraction, ...]
+    __hash__ = _BundleTable.__hash__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _check_table(self.item_count, self.values, "valuation"))
@@ -78,11 +125,12 @@ class CombValuation:
 
 
 @dataclass(frozen=True)
-class CombBid:
+class CombBid(_BundleTable):
     """Declared value for every bundle, indexed by bundle bitmask."""
 
     item_count: int
     values: tuple[Fraction, ...]
+    __hash__ = _BundleTable.__hash__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _check_table(self.item_count, self.values, "bid"))
@@ -168,7 +216,72 @@ class SybilProfile:
 
     @classmethod
     def truthful(cls, valuation: CombValuation) -> "SybilProfile":
-        return cls(valuation, (CombBid(valuation.item_count, valuation.values),))
+        return cls(valuation, (_retyped(CombBid, valuation),))
+
+
+def _scaled(tables: Sequence[_BundleTable]) -> tuple[int, list[Sequence[int]]]:
+    """The tables' common denominator, and each table as integers over it."""
+    scale = math.lcm(*[table._integers[0] for table in tables])
+    out = []
+    for table in tables:
+        denominator, integers = table._integers
+        if denominator != scale:
+            integers = [v * (scale // denominator) for v in integers]
+        out.append(integers)
+    return scale, out
+
+
+@functools.cache
+def _splits(item_count: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For every mask, each (submask, rest) pair that splits it in two."""
+    out = []
+    for mask in range(1 << item_count):
+        pairs = []
+        sub = mask
+        while True:
+            pairs.append((sub, mask ^ sub))
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+        out.append(tuple(pairs))
+    return tuple(out)
+
+
+def _join(best: Sequence[int], table: Sequence[int], item_count: int) -> list[int]:
+    """Max-plus convolution: every mask's best value once one more bid joins."""
+    return [max([best[rest] + table[sub] for sub, rest in pairs]) for pairs in _splits(item_count)]
+
+
+def _partition_table(tables: Sequence[Sequence[int]], item_count: int) -> Sequence[int]:
+    """Best value of each mask over partitions of it among the bids, one part each."""
+    best = tables[0]
+    for table in tables[1:]:
+        best = _join(best, table, item_count)
+    return best
+
+
+def _tie_broken_assignment(
+    tables: Sequence[Sequence[int]], items: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """Exhaustive search for the best owners of ``items`` in tie-break order."""
+    n = len(tables)
+    bits = [1 << i for i in items]
+    best_welfare = -1
+    best_profile: list[int] = []
+    best_choice: tuple[int, ...] = ()
+    for choice in itertools.product(range(n), repeat=len(items)):
+        bundles = [0] * n
+        for bit, owner in zip(bits, choice):
+            bundles[owner] |= bit
+        welfare = sum([table[bundle] for table, bundle in zip(tables, bundles)])
+        if welfare < best_welfare:
+            continue
+        profile = sorted([b.bit_count() for b in bundles], reverse=True)
+        if welfare > best_welfare or profile > best_profile:
+            best_welfare = welfare
+            best_profile = profile
+            best_choice = choice
+    return best_welfare, best_choice
 
 
 def winner_determination(
@@ -183,6 +296,10 @@ def winner_determination(
     bundles), then towards the lexicographically smallest assignment
     vector.  The second rule is realized by scanning assignments in
     ascending lexicographic order and keeping only strict improvements.
+    The bid tables are scaled once to integers over the LCM of their
+    denominators, the search runs on those, and the welfare is returned
+    exactly.  Callers that need only a welfare value use the subset DP
+    (``best_partition_value``) instead of this search.
     """
     if not bids:
         raise ValidationError("winner determination needs at least one bid")
@@ -198,29 +315,12 @@ def winner_determination(
         raise CapacityError(
             f"assignment space {n}^{len(items)} exceeds the search budget {SEARCH_BUDGET}"
         )
-    best_welfare: Fraction | None = None
-    best_profile: tuple[int, ...] | None = None
-    best_assignment: tuple[int, ...] | None = None
-    for choice in itertools.product(range(n), repeat=len(items)):
-        bundles = [0] * n
-        for item, owner in zip(items, choice):
-            bundles[owner] |= 1 << item
-        welfare = sum((bids[j].value(bundles[j]) for j in range(n)), Fraction(0))
-        if best_welfare is not None and welfare < best_welfare:
-            continue
-        profile = tuple(sorted((b.bit_count() for b in bundles), reverse=True))
-        if (
-            best_welfare is None
-            or welfare > best_welfare
-            or profile > best_profile
-        ):
-            best_welfare = welfare
-            best_profile = profile
-            best_assignment = choice
+    scale, tables = _scaled(bids)
+    welfare, choice = _tie_broken_assignment(tables, items)
     assignment = [-1] * item_count
-    for item, owner in zip(items, best_assignment):
+    for item, owner in zip(items, choice):
         assignment[item] = owner
-    return best_welfare, tuple(assignment)
+    return Fraction(welfare, scale), tuple(assignment)
 
 
 def assignment_bundles(assignment: tuple[int, ...], bid_count: int) -> tuple[int, ...]:
@@ -231,35 +331,48 @@ def assignment_bundles(assignment: tuple[int, ...], bid_count: int) -> tuple[int
     return tuple(bundles)
 
 
-def _optimal_welfare(bids: Sequence[CombBid], item_count: int, items_mask: int) -> Fraction:
-    if items_mask == 0 or not bids:
-        return Fraction(0)
-    return winner_determination(bids, item_count, items_mask)[0]
-
-
 class PaymentRule(enum.Enum):
     CLARKE_PIVOT = "clarke"
     PAPER_LITERAL = "paper"
 
 
 def _payments(
-    bids: Sequence[CombBid],
+    tables: Sequence[Sequence[int]],
     item_count: int,
-    welfare: Fraction,
+    welfare: int,
     bundles: tuple[int, ...],
     rule: PaymentRule,
-) -> tuple[Fraction, ...]:
-    out = []
+) -> list[int]:
+    """Each bid's payment on the scaled tables.
+
+    Clarke: the others' optimum without the bid, less their value in the
+    chosen outcome.  Every leave-one-out optimum combines the partition
+    table of the bids before it with that of the bids after it.  Literal:
+    the welfare less the optimum of all bids on the items the bid did not
+    win.
+    """
     every = full_mask(item_count)
-    for j, bid in enumerate(bids):
-        if rule is PaymentRule.CLARKE_PIVOT:
-            others = [b for t, b in enumerate(bids) if t != j]
-            without = _optimal_welfare(others, item_count, every)
-            out.append(without - (welfare - bid.value(bundles[j])))
+    if rule is PaymentRule.PAPER_LITERAL:
+        everyone = _partition_table(tables, item_count)
+        return [welfare - everyone[every & ~bundle] for bundle in bundles]
+    n = len(tables)
+    before: list[Sequence[int] | None] = [None]
+    for table in tables[:-1]:
+        before.append(table if before[-1] is None else _join(before[-1], table, item_count))
+    out = [0] * n
+    after: Sequence[int] | None = None
+    for j in reversed(range(n)):
+        prefix = before[j]
+        if prefix is None:
+            without = 0 if after is None else after[every]
+        elif after is None:
+            without = prefix[every]
         else:
-            remaining = every & ~bundles[j]
-            out.append(welfare - _optimal_welfare(bids, item_count, remaining))
-    return tuple(out)
+            without = max([prefix[rest] + after[sub] for sub, rest in _splits(item_count)[every]])
+        out[j] = without - (welfare - tables[j][bundles[j]])
+        if j:
+            after = tables[j] if after is None else _join(after, tables[j], item_count)
+    return out
 
 
 @dataclass(frozen=True)
@@ -324,33 +437,34 @@ def run_vcg(
             agent_of_bid.append(i)
     welfare, assignment = winner_determination(flat, item_count)
     bundles = assignment_bundles(assignment, len(flat))
-    observed = sum((flat[j].value(bundles[j]) for j in range(len(flat))), Fraction(0))
-    if observed != welfare:
+    scale, tables = _scaled(flat + [p.valuation for p in profiles])
+    tables, values = tables[: len(flat)], tables[len(flat):]
+    observed = sum([table[bundle] for table, bundle in zip(tables, bundles)])
+    if Fraction(observed, scale) != welfare:
         raise InternalConsistencyError("observed welfare does not match the search value")
-    payments = _payments(flat, item_count, welfare, bundles, payment_rule)
-    agent_bundles = []
-    agent_utilities = []
-    for i, p in enumerate(profiles):
-        union = 0
-        paid = Fraction(0)
-        for j, owner in enumerate(agent_of_bid):
-            if owner == i:
-                union |= bundles[j]
-                paid += payments[j]
-        agent_bundles.append(union)
-        agent_utilities.append(p.valuation.value(union) - paid)
-    real = sum((p.valuation.value(agent_bundles[i]) for i, p in enumerate(profiles)), Fraction(0))
+    payments = _payments(tables, item_count, observed, bundles, payment_rule)
+    agent_bundles = [0] * len(profiles)
+    paid = [0] * len(profiles)
+    for j, owner in enumerate(agent_of_bid):
+        agent_bundles[owner] |= bundles[j]
+        paid[owner] += payments[j]
+    real = sum([value[union] for value, union in zip(values, agent_bundles)])
     return VcgOutcome(
         item_count=item_count,
         payment_rule=payment_rule,
         assignment=assignment,
         bundles=bundles,
-        payments=payments,
-        observed_welfare=observed,
-        real_welfare=real,
+        payments=tuple([Fraction(p, scale) for p in payments]),
+        observed_welfare=welfare,
+        real_welfare=Fraction(real, scale),
         agent_of_bid=tuple(agent_of_bid),
         agent_bundles=tuple(agent_bundles),
-        agent_utilities=tuple(agent_utilities),
+        agent_utilities=tuple(
+            [
+                Fraction(value[union] - cost, scale)
+                for value, union, cost in zip(values, agent_bundles, paid)
+            ]
+        ),
     )
 
 
@@ -367,8 +481,19 @@ def utility_against(
     """
     profiles = [SybilProfile(valuation, tuple(bids))]
     for b in nature:
-        profiles.append(SybilProfile(CombValuation(b.item_count, b.values), (b,)))
+        profiles.append(SybilProfile(_retyped(CombValuation, b), (b,)))
     return run_vcg(profiles, valuation.item_count, epsilon).agent_utilities[0]
+
+
+# Room for one valuation's whole nature family plus the adversaries tried
+# against it; a larger cache only keeps more spent adversary bids alive.
+TRUTH_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=TRUTH_CACHE_SIZE)
+def _truthful_utility(valuation: CombValuation, state: CombBid) -> Fraction:
+    """Utility of bidding ``valuation`` truthfully against one nature bid."""
+    return utility_against(valuation, SybilProfile.truthful(valuation).bids, (state,))
 
 
 class AttackKind(enum.Enum):
@@ -386,7 +511,13 @@ class AttackClassification:
 
 def best_partition_value(bids: Sequence[CombBid], item_count: int, mask: int) -> Fraction:
     """Best total the Sybil bids can declare for ``mask`` via any partition."""
-    return _optimal_welfare(bids, item_count, mask)
+    if mask == 0 or not bids:
+        return Fraction(0)
+    for bid in bids:
+        if bid.item_count != item_count:
+            raise ValidationError("bid item count does not match the instance")
+    scale, tables = _scaled(bids)
+    return Fraction(_partition_table(tables, item_count)[mask], scale)
 
 
 def classify_attack(valuation: CombValuation, bids: Sequence[CombBid]) -> AttackClassification:
@@ -401,21 +532,17 @@ def classify_attack(valuation: CombValuation, bids: Sequence[CombBid]) -> Attack
     for bid in bids:
         if bid.item_count != m:
             raise ValidationError("bid item count does not match the valuation")
-    best = [Fraction(0)]
-    over: int | None = None
-    under: int | None = None
-    for mask in range(1, 1 << m):
-        value = best_partition_value(bids, m, mask)
-        best.append(value)
-        if value > valuation.value(mask) and over is None:
-            over = mask
-        if value < valuation.value(mask) and under is None:
-            under = mask
+    scale, (target, *tables) = _scaled([valuation, *bids])
+    value = _partition_table(tables, m)
+    best = tuple([Fraction(v, scale) for v in value])
+    masks = range(1, 1 << m)
+    over = next((mask for mask in masks if value[mask] > target[mask]), None)
     if over is not None:
-        return AttackClassification(AttackKind.OVERBIDDING, over, tuple(best))
+        return AttackClassification(AttackKind.OVERBIDDING, over, best)
+    under = next((mask for mask in masks if value[mask] < target[mask]), None)
     if under is not None:
-        return AttackClassification(AttackKind.UNDERBIDDING, under, tuple(best))
-    return AttackClassification(AttackKind.EXACT_BIDDING, None, tuple(best))
+        return AttackClassification(AttackKind.UNDERBIDDING, under, best)
+    return AttackClassification(AttackKind.EXACT_BIDDING, None, best)
 
 
 def snap_to_grid_between(lo: Fraction, hi: Fraction, step: Fraction) -> Fraction:
@@ -473,7 +600,7 @@ class AdversaryReport:
 
 
 def _overbidding_candidates(
-    valuation: CombValuation, bids: Sequence[CombBid], mask: int, step: Fraction
+    valuation: CombValuation, bids: Sequence[CombBid], mask: int, best: Fraction, step: Fraction
 ) -> Iterator[tuple[CombBid, Fraction, str]]:
     """Candidate single-bid adversaries for an overbidding witness bundle.
 
@@ -484,7 +611,6 @@ def _overbidding_candidates(
     as a whole instead.
     """
     m = valuation.item_count
-    best = best_partition_value(bids, m, mask)
     target = valuation.value(mask)
     bar = _adversary_ceiling(valuation, bids, step)
     outside = full_mask(m) & ~mask
@@ -534,21 +660,21 @@ def overbidding_adversary(
             if mask != cls.witness_mask and cls.best_partition[mask] > valuation.value(mask):
                 masks.append(mask)
     else:
-        if best_partition_value(bids, m, witness_mask) <= valuation.value(witness_mask):
+        if cls.best_partition[witness_mask] <= valuation.value(witness_mask):
             raise ValidationError(f"bundle {witness_mask} is not an overbidding witness")
         masks = [witness_mask]
-    truth_bids = SybilProfile.truthful(valuation).bids
     first_tilde: Fraction | None = None
     tried: list[CombBid] = []
     for mask in masks:
-        for adversary, tilde, form in _overbidding_candidates(valuation, bids, mask, step):
+        best = cls.best_partition[mask]
+        for adversary, tilde, form in _overbidding_candidates(valuation, bids, mask, best, step):
             if first_tilde is None:
                 first_tilde = tilde
             tried.append(adversary)
             attack_u = utility_against(valuation, bids, [adversary])
             if attack_u >= 0:
                 continue
-            truth_u = utility_against(valuation, truth_bids, [adversary])
+            truth_u = _truthful_utility(valuation, adversary)
             if truth_u < 0:
                 raise InternalConsistencyError(
                     f"truthful bidding went negative ({truth_u}) against {adversary.values}"
@@ -583,7 +709,7 @@ class UnderbiddingReport:
 
 
 def _underbidding_candidates(
-    valuation: CombValuation, bids: Sequence[CombBid], mask: int, step: Fraction
+    valuation: CombValuation, bids: Sequence[CombBid], mask: int, best: Fraction, step: Fraction
 ) -> Iterator[tuple[CombBid, Fraction, str]]:
     """Candidate single-bid adversaries for an underbidding witness bundle.
 
@@ -592,7 +718,6 @@ def _underbidding_candidates(
     a whole, at the midpoint or just under the true value.
     """
     m = valuation.item_count
-    best = best_partition_value(bids, m, mask)
     target = valuation.value(mask)
     bar = _adversary_ceiling(valuation, bids, step)
     tilde = snap_to_grid_between(best, target, step)
@@ -638,18 +763,18 @@ def underbidding_adversary(
     for mask in range(1, 1 << m):
         if mask not in masks and cls.best_partition[mask] < valuation.value(mask):
             masks.append(mask)
-    truth_bids = SybilProfile.truthful(valuation).bids
     first_tilde: Fraction | None = None
     tried: list[CombBid] = []
     for mask in masks:
-        for adversary, tilde, form in _underbidding_candidates(valuation, bids, mask, step):
+        best = cls.best_partition[mask]
+        for adversary, tilde, form in _underbidding_candidates(valuation, bids, mask, best, step):
             if first_tilde is None:
                 first_tilde = tilde
             tried.append(adversary)
             attack_u = utility_against(valuation, bids, [adversary])
             if attack_u != 0:
                 continue
-            truth_u = utility_against(valuation, truth_bids, [adversary])
+            truth_u = _truthful_utility(valuation, adversary)
             if truth_u > 0:
                 return UnderbiddingReport(
                     mask, tilde, adversary, attack_u, truth_u, True, form, tuple(tried)
@@ -709,7 +834,6 @@ def claim_family_check(
     truth earns 0; a zero-truth state has truth at 0 while the attack
     differs.  Both must be absent for the claim to hold on the family.
     """
-    truth_bids = SybilProfile.truthful(valuation).bids
     states = list(family) + [b for b in extra if b is not None]
     diff = 0
     truth_min: Fraction | None = None
@@ -718,7 +842,7 @@ def claim_family_check(
     zero_truth = None
     for state in states:
         u_attack = utility_against(valuation, bids, [state])
-        u_truth = utility_against(valuation, truth_bids, [state])
+        u_truth = _truthful_utility(valuation, state)
         if u_attack == u_truth:
             continue
         diff += 1
@@ -830,7 +954,6 @@ def truth_loss_averse_witnesses(
     if cls.kind is not AttackKind.EXACT_BIDDING:
         raise ValidationError(f"profile classifies as {cls.kind.value}, not exact bidding")
     m = valuation.item_count
-    truth_bids = SybilProfile.truthful(valuation).bids
     every = full_mask(m)
 
     case1_masks = [
@@ -846,7 +969,7 @@ def truth_loss_averse_witnesses(
         if adversary is None:
             continue
         attack_u = utility_against(valuation, bids, [adversary])
-        truth_u = utility_against(valuation, truth_bids, [adversary])
+        truth_u = _truthful_utility(valuation, adversary)
         if attack_u == 0 and truth_u > 0:
             return TruthCertificate(
                 mode="case-1",
@@ -868,7 +991,7 @@ def truth_loss_averse_witnesses(
         for state in family:
             u_attack = utility_against(valuation, bids, [state])
             u_single = utility_against(valuation, single, [state])
-            u_truth = utility_against(valuation, truth_bids, [state])
+            u_truth = _truthful_utility(valuation, state)
             if not u_attack <= u_single <= u_truth:
                 dominated = False
                 break

@@ -306,7 +306,7 @@ def _handle_attack(
         check = vcg.claim_family_check(valuation, bids, family, extra=report.tried)
         if check.reversal:
             return (
-                f"reversal state {check.zero_truth_state} on valuation "
+                f"reversal state {check.reversal.values} on valuation "
                 f"{valuation.values} attack {[b.values for b in bids]}"
             )
         if check.difference_states == 0:
@@ -324,7 +324,7 @@ def _handle_attack(
         check = vcg.claim_family_check(valuation, bids, family, extra=report.tried)
         if check.reversal:
             return (
-                f"reversal state {check.zero_truth_state} on valuation "
+                f"reversal state {check.reversal.values} on valuation "
                 f"{valuation.values} attack {[b.values for b in bids]}"
             )
         if report.refuted:

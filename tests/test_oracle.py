@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustgames import instances
 from robustgames.concepts import leximin_actions, loss_averse_actions, multi_leximin_actions
@@ -10,12 +12,19 @@ from robustgames.errors import CapacityError
 from robustgames.oracle import (
     naive_leximin,
     naive_loss_averse,
+    naive_tie_broken_assignment,
     naive_winner_determination,
 )
 from robustgames.vcg import (
     CombBid,
+    CombValuation,
+    PaymentRule,
+    SybilProfile,
     assignment_bundles,
+    best_partition_value,
+    classify_attack,
     enumerate_attacks,
+    run_vcg,
     winner_determination,
 )
 
@@ -75,3 +84,71 @@ def test_engine_oracle_agree_with_attacks_and_nature():
         assert welfare == naive_welfare
         count += 1
     assert count == 44  # 8 singles + 36 unordered pairs on the 0/1 grid
+
+
+# Half the cases share one small denominator, so sums tie often and the
+# tie-break order is exercised; the rest mix denominators and huge
+# numerators, which stresses the integer scaling.
+_DENOMINATORS = st.sampled_from((1, 2, 3, 7))
+_MIXED = st.builds(
+    Fraction,
+    st.one_of(st.integers(0, 3), st.integers(10**15, 10**15 + 40)),
+    _DENOMINATORS,
+)
+
+
+@st.composite
+def _bid_tables(draw):
+    item_count = draw(st.integers(1, 3))
+    bid_count = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        denominator = draw(_DENOMINATORS)
+        entries = st.integers(0, 3).map(lambda k: Fraction(k, denominator))
+    else:
+        entries = _MIXED
+    tables = [
+        (F(0),) + tuple(draw(entries) for _ in range((1 << item_count) - 1))
+        for _ in range(bid_count)
+    ]
+    return item_count, tables
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_bid_tables())
+def test_vcg_core_matches_naive_tie_broken_search(case):
+    item_count, tables = case
+    n = len(tables)
+    bids = [CombBid(item_count, table) for table in tables]
+    welfare, assignment = winner_determination(bids, item_count)
+    assert (welfare, assignment) == naive_tie_broken_assignment(tables, item_count)
+
+    partition = classify_attack(CombValuation(item_count, tables[0]), bids).best_partition
+    for mask in range(1 << item_count):
+        naive_value, _ = naive_tie_broken_assignment(tables, item_count, mask)
+        assert best_partition_value(bids, item_count, mask) == naive_value
+        assert partition[mask] == naive_value
+
+    profiles = [
+        SybilProfile(CombValuation(item_count, table), (bid,)) for table, bid in zip(tables, bids)
+    ]
+    clarke = run_vcg(profiles, item_count)
+    literal = run_vcg(profiles, item_count, payment_rule=PaymentRule.PAPER_LITERAL)
+    bundles = assignment_bundles(assignment, n)
+    every = (1 << item_count) - 1
+    for j in range(n):
+        others = tables[:j] + tables[j + 1:]
+        without = naive_tie_broken_assignment(others, item_count)[0] if others else F(0)
+        assert clarke.payments[j] == without - (welfare - tables[j][bundles[j]])
+        rest, _ = naive_tie_broken_assignment(tables, item_count, every & ~bundles[j])
+        assert literal.payments[j] == welfare - rest
+
+
+def test_naive_tie_break_prefers_concentration_then_lexicographic_order():
+    whole = (F(0), F(1), F(1), F(2))
+    welfare, assignment = naive_tie_broken_assignment([whole, whole], 2)
+    assert welfare == 2 and assignment == (0, 0)
+    flat = (F(0), F(1), F(1), F(1))
+    assert naive_tie_broken_assignment([flat, flat], 2) == (2, (0, 1))
+    assert naive_tie_broken_assignment([flat, flat], 2, 0b10) == (1, (-1, 0))
+    with pytest.raises(CapacityError):
+        naive_tie_broken_assignment([(F(0),) * 4096] * 40, 12)

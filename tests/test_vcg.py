@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from robustgames import vcg
 from robustgames.errors import CapacityError, InternalConsistencyError, ValidationError
 from robustgames.vcg import (
+    SEARCH_BUDGET,
     AttackKind,
     CombBid,
     CombValuation,
@@ -61,10 +63,24 @@ def test_bundle_helpers():
 
 
 def test_table_validation():
-    with pytest.raises(ValidationError):
-        CombValuation(2, (F(1), F(0), F(0), F(0)))  # empty bundle must be 0
-    with pytest.raises(ValidationError):
-        CombValuation(2, (F(0), F(0), F(0)))  # wrong length
+    bad_tables = [
+        (2, (1, 0, 0, 0), ValidationError),  # empty bundle must be 0
+        (2, (0, 0, 0), ValidationError),  # wrong length
+        (2, (0, 1, -1, 0), ValidationError),  # negative entry
+        (0, (0,), CapacityError),  # item count below the range
+        (9, (0,) * 512, CapacityError),  # item count above the range
+    ]
+    for table_type in (CombValuation, CombBid):
+        for item_count, values, error in bad_tables:
+            with pytest.raises(error):
+                table_type(item_count, tuple(F(v) for v in values))
+
+
+def test_winner_determination_search_budget_guard():
+    zero = CombBid(8, (F(0),) * 256)
+    assert 8**8 > SEARCH_BUDGET
+    with pytest.raises(CapacityError):
+        winner_determination([zero] * 8, 8)
 
 
 def test_xos_is_pointwise_max_of_additive():
@@ -211,6 +227,25 @@ def test_family_check_flags_reversals():
     check = claim_family_check(valuation, [_bid(0, 0, 1, 0)], family)
     assert check.reversal is None
     assert check.family_size == len(family)
+
+
+def test_family_check_does_not_depend_on_the_truthful_cache():
+    # Two valuations scanned over the same family states, in both orders
+    # from an empty cache, give the same checks as uncached mechanism runs.
+    family = nature_state_family(2, (F(0), F(1), F(2)))
+    attack = [_bid(0, 1, 0, 1), _bid(0, 0, 1, 1)]
+    first, second = _val(0, 1, 1, 2), _val(0, 1, 2, 2)
+    checks = {}
+    for order in ((first, second), (second, first)):
+        vcg._truthful_utility.cache_clear()
+        for valuation in order:
+            checks.setdefault(valuation, []).append(claim_family_check(valuation, attack, family))
+    for valuation, (one, other) in checks.items():
+        assert one == other
+        truth = SybilProfile.truthful(valuation).bids
+        for state in family:
+            direct = utility_against(valuation, truth, [state])
+            assert vcg._truthful_utility(valuation, state) == direct
 
 
 def test_exact_certificate_case_1():
