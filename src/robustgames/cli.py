@@ -69,6 +69,22 @@ def _emit(text: str, out: str | None) -> None:
     print(f"wrote {target}")
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 input file; an unreadable one is a parse error."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as error:
+        raise ParseError(f"cannot read {what} {path!r}: {error}") from None
+
+
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got {text[:40]!r}") from None
+
+
 def _parse_concepts(raw: str | None) -> tuple[Concept, ...]:
     if raw is None:
         return tuple(Concept)
@@ -135,11 +151,7 @@ class Scenario:
 
 
 def parse_scenario(path: str) -> Scenario:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as error:
-        raise ParseError(f"cannot read scenario {path!r}: {error}") from None
+    lines = _read_text(path, "scenario").splitlines()
     if not lines or lines[0] != "scenario v1":
         raise ParseError(f"{path}: first line must be 'scenario v1'")
     fields: dict[str, list[str]] = {}
@@ -181,11 +193,7 @@ def _scenario_game(scenario: Scenario) -> AgentGame:
         path = scenario.single("game-file")
         if not os.path.isabs(path):
             path = os.path.join(scenario.base_dir, path)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return parse_game(handle.read())
-        except OSError as error:
-            raise ParseError(f"cannot read game file {path!r}: {error}") from None
+        return parse_game(_read_text(path, "game file"))
     if kind == "dfpa":
         value = parse_scalar(scenario.single("value"))
         epsilon = parse_scalar(scenario.single("epsilon"))
@@ -210,12 +218,20 @@ def _scenario_game(scenario: Scenario) -> AgentGame:
     raise ValidationError(f"scenario kind {kind!r} does not describe a single game")
 
 
+def _facility_spec(agents: int, my_type: str, grid_step: str | None) -> mechanisms.FacilitySpec:
+    # The default grid step 1/(4n) is defined only once n is a valid count.
+    if agents < 2:
+        raise ValidationError(f"need at least 2 agents, got {agents}")
+    step = parse_scalar(grid_step) if grid_step else Fraction(1, 4 * agents)
+    return mechanisms.FacilitySpec(agents, parse_scalar(my_type), step)
+
+
 def _facility_spec_from(scenario: Scenario) -> mechanisms.FacilitySpec:
-    agents = int(scenario.single("agents"))
-    my_type = parse_scalar(scenario.single("type"))
-    step = scenario.optional("grid-step")
-    grid = parse_scalar(step) if step is not None else Fraction(1, 4 * agents)
-    return mechanisms.FacilitySpec(agents, my_type, grid)
+    return _facility_spec(
+        _parse_int(scenario.single("agents"), "agents"),
+        scenario.single("type"),
+        scenario.optional("grid-step"),
+    )
 
 
 def _psr_spec_from(scenario: Scenario) -> mechanisms.PsrSpec:
@@ -224,7 +240,7 @@ def _psr_spec_from(scenario: Scenario) -> mechanisms.PsrSpec:
         parse_scalar(tok) for tok in scenario.single("utilities").replace(",", " ").split()
     )
     cap = scenario.optional("tally-cap")
-    tally_cap = int(cap) if cap is not None else None
+    tally_cap = _parse_int(cap, "tally-cap") if cap is not None else None
     if rule == "plurality":
         return mechanisms.plurality_spec(len(utilities), utilities, tally_cap)
     if rule == "approval":
@@ -235,21 +251,14 @@ def _psr_spec_from(scenario: Scenario) -> mechanisms.PsrSpec:
 def _vcg_attack_from(
     scenario: Scenario,
 ) -> tuple[vcg.CombValuation, tuple[vcg.CombBid, ...], vcg.CombBid | None, Fraction | None]:
-    items = int(scenario.single("items"))
-    size = 1 << items
-    def table(raw: str, what: str) -> tuple[Fraction, ...]:
-        values = tuple(parse_scalar(tok) for tok in raw.split())
-        if len(values) != size:
-            raise ValidationError(
-                f"{what} needs {size} values (one per bundle, empty set first), got {len(values)}"
-            )
-        return values
-    valuation = vcg.CombValuation(items, table(scenario.single("valuation"), "valuation"))
-    bids = tuple(
-        vcg.CombBid(items, table(raw, "bid")) for raw in scenario.fields["bid"]
-    )
+    # The table types check the item count before the table length.
+    items = _parse_int(scenario.single("items"), "items")
+    def table(raw: str) -> tuple[Fraction, ...]:
+        return tuple(parse_scalar(tok) for tok in raw.split())
+    valuation = vcg.CombValuation(items, table(scenario.single("valuation")))
+    bids = tuple(vcg.CombBid(items, table(raw)) for raw in scenario.fields["bid"])
     nature_raw = scenario.optional("nature")
-    nature = vcg.CombBid(items, table(nature_raw, "nature")) if nature_raw else None
+    nature = vcg.CombBid(items, table(nature_raw)) if nature_raw else None
     eps_raw = scenario.optional("epsilon")
     epsilon = parse_scalar(eps_raw) if eps_raw else None
     return valuation, bids, nature, epsilon
@@ -306,11 +315,7 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
             )
         game = instances.curated_game(args.curated)
     elif args.game:
-        try:
-            with open(args.game, "r", encoding="utf-8") as handle:
-                game = parse_game(handle.read())
-        except OSError as error:
-            raise ParseError(f"cannot read game file {args.game!r}: {error}") from None
+        game = parse_game(_read_text(args.game, "game file"))
     else:
         raise ParseError("analyze needs --curated, --game, or --scenario")
     return _analyze_text(game, chosen, fmt, args.decimal)
@@ -631,10 +636,8 @@ def _verify_theorem_text(budget: str, seed: int) -> str:
 def _cmd_facility(args: argparse.Namespace) -> str:
     if args.agents is None or args.type is None:
         raise ParseError("facility needs --agents and --type")
-    agents = args.agents
-    my_type = parse_scalar(args.type)
-    step = parse_scalar(args.grid_step) if args.grid_step else Fraction(1, 4 * agents)
-    spec = mechanisms.FacilitySpec(agents, my_type, step)
+    spec = _facility_spec(args.agents, args.type, args.grid_step)
+    agents, my_type, step = spec.agent_count, spec.my_type, spec.others_grid_step
     game = mechanisms.facility_game(spec)
     closed = mechanisms.facility_loss_averse_report(my_type, agents)
     engine_la = concepts.loss_averse_actions(game)

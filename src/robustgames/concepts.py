@@ -1,11 +1,11 @@
 """Solution concepts for games against nature, computed exactly.
 
-The central family of concepts compares worst cases over *difference
-sets*: the states where two actions actually disagree.  An action is
-loss-averse against another if its worst utility over their difference
-set is at least the other action's worst utility over the same set.
-Minima over empty sets are the top element ``INF`` (two actions with
-identical rows never refute each other).
+Each concept is one pairwise inequality, written once: an action
+satisfies the concept unless a rival refutes it, and verifying a
+refutation re-derives it from the same inequality.  The central family
+compares worst cases over *difference sets*, the states where two
+actions actually disagree; minima over empty sets are the top element
+``INF``.
 
 All operations return plain data; ties inside any argmin or argmax are
 resolved towards the first-listed label so output is deterministic.
@@ -16,7 +16,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     INF,
@@ -28,7 +29,7 @@ from .core import (
     min_or_inf,
     scalar,
 )
-from .errors import InternalConsistencyError, ValidationError
+from .errors import InternalConsistencyError, UnknownLabelError, ValidationError
 
 
 class Concept(enum.Enum):
@@ -76,77 +77,237 @@ class ConceptVerdict:
     refutations: tuple[Refutation, ...]
 
 
-def _argmin_state(game: AgentGame, action: str, state_indices: Sequence[int]) -> str:
-    row = game.row(action)
-    best = min(state_indices, key=lambda j: (row[j], j))
-    return game.states[best]
+def _argmin(row: Sequence[Fraction], indices: Sequence[int]) -> int:
+    """The first of ``indices`` at which ``row`` is smallest."""
+    return min(indices, key=row.__getitem__)
 
 
-def _diff_indices(game: AgentGame, a: str, b: str) -> list[int]:
-    ra, rb = game.row(a), game.row(b)
-    return [j for j in range(len(game.states)) if ra[j] != rb[j]]
+def _loss_averse_refutation(
+    ra: Sequence[Fraction], rb: Sequence[Fraction]
+) -> tuple[int, int] | None:
+    """Where row ``ra`` fails loss aversion against row ``rb``, or None.
+
+    Over the states where the rows differ, the worst value of ``ra`` must
+    be at least that of ``rb``; identical rows never refute each other.
+    A failure is given by the first states attaining the two worst values.
+    """
+    diff = [j for j in range(len(ra)) if ra[j] != rb[j]]
+    if not diff:
+        return None
+    ja, jb = _argmin(ra, diff), _argmin(rb, diff)
+    return (ja, jb) if ra[ja] < rb[jb] else None
+
+
+class _Inequality:
+    """One concept's defining inequality, read off one game's table.
+
+    ``pair(i, k)`` is the canonical refutation of action ``i`` by rival
+    ``k``, or None when the inequality holds for that pair.  ``rivals(i)``
+    lists, in order, the rivals action ``i`` is tested against: every
+    other action in table order unless a concept says otherwise.  What a
+    concept reads from the whole table is computed once, on construction.
+    """
+
+    def __init__(self, game: AgentGame):
+        self.actions, self.states, self.rows = game.actions, game.states, game.rows
+
+    def rivals(self, i: int) -> Iterable[int | None]:
+        return (k for k in range(len(self.rows)) if k != i)
+
+    def refutation(self, i, k, states, self_value, other_value) -> Refutation:
+        """The refutation of action ``i`` by rival ``k`` at state indices ``states``."""
+        competitor = None if k is None else self.actions[k]
+        labels = tuple(self.states[j] for j in states)
+        return Refutation(self.actions[i], competitor, labels, self_value, other_value)
+
+
+class _LossAverse(_Inequality):
+    """Loss aversion between the two actions' rows."""
+
+    def pair(self, i, k):
+        ra, rb = self.rows[i], self.rows[k]
+        found = _loss_averse_refutation(ra, rb)
+        if found is None:
+            return None
+        ja, jb = found
+        return self.refutation(i, k, found, ra[ja], rb[jb])
+
+
+class _LossAverseStar(_Inequality):
+    """The action's worst utility over the states where it is strictly worse
+    is at least the rival's over the states where *that* one is (``INF``
+    over no states)."""
+
+    def pair(self, i, k):
+        ra, rb = self.rows[i], self.rows[k]
+        down_a = [j for j in range(len(ra)) if ra[j] < rb[j]]
+        down_b = [j for j in range(len(ra)) if rb[j] < ra[j]]
+        worst_self = min_or_inf(ra[j] for j in down_a)
+        worst_other = min_or_inf(rb[j] for j in down_b)
+        if worst_self >= worst_other:
+            return None
+        states = [_argmin(row, down) for row, down in ((ra, down_a), (rb, down_b)) if down]
+        return self.refutation(i, k, states, worst_self, worst_other)
+
+
+class _SafetyLevel(_Inequality):
+    """The action's worst utility is at least the safety level; the rival is
+    the first action attaining it."""
+
+    def __init__(self, game: AgentGame):
+        super().__init__(game)
+        self.worst = [min(row) for row in self.rows]
+        self.anchor = self.worst.index(max(self.worst))
+
+    def rivals(self, i):
+        return (self.anchor,)
+
+    def pair(self, i, k):
+        own, level = self.worst[i], self.worst[k]
+        if own >= level:
+            return None
+        return self.refutation(i, k, (self.rows[i].index(own),), own, level)
+
+
+class _IndividuallyRational(_Inequality):
+    """Every utility of the action is at least zero; there is no rival."""
+
+    def rivals(self, i):
+        return (None,)
+
+    def pair(self, i, k):
+        row = self.rows[i]
+        j = next((j for j, v in enumerate(row) if v < 0), None)
+        return None if j is None else self.refutation(i, None, (j,), row[j], Fraction(0))
+
+
+class _WeaklyDominant(_Inequality):
+    """The action is at least as good as the rival on every state."""
+
+    def pair(self, i, k):
+        ra, rb = self.rows[i], self.rows[k]
+        j = next((j for j in range(len(ra)) if rb[j] > ra[j]), None)
+        return None if j is None else self.refutation(i, k, (j,), ra[j], rb[j])
+
+
+class _StrictlyDominated(_WeaklyDominant):
+    """The rival is at least as good on every state and better on one.
+
+    The pair is a certificate, not a refutation: the action's refutation
+    of weak dominance by a rival that is nowhere worse.
+    """
+
+    def pair(self, i, k):
+        if any(x > y for x, y in zip(self.rows[i], self.rows[k])):
+            return None
+        return super().pair(i, k)
+
+
+class _Leximin(_Inequality):
+    """Ascending outcome sequences compared in the round-by-round
+    minimum-stripping order: at the first position where they differ the
+    larger value wins, and a sequence that is exhausted while the other
+    still has values wins (its next minimum is the top element ``INF``)."""
+
+    def __init__(self, game: AgentGame, multiset: bool = False):
+        super().__init__(game)
+        self.outcomes = [tuple(sorted(row if multiset else set(row))) for row in self.rows]
+
+    def pair(self, i, k):
+        xs, ys = self.outcomes[i], self.outcomes[k]
+        p = next((p for p, (x, y) in enumerate(zip(xs, ys)) if x != y), min(len(xs), len(ys)))
+        own = xs[p] if p < len(xs) else INF
+        other = ys[p] if p < len(ys) else INF
+        if own >= other:
+            return None
+        states = [self.rows[i].index(own)]
+        if other is not INF:
+            states.append(self.rows[k].index(other))
+        return self.refutation(i, k, states, own, other)
+
+
+class _MinMaxRegret(_Inequality):
+    """The action's max regret (largest shortfall to the per-state best
+    action) is at most the least one; the rival is the first action with it."""
+
+    def __init__(self, game: AgentGame):
+        super().__init__(game)
+        best = [max(column) for column in zip(*self.rows)]
+        self.shortfalls = [[b - u for b, u in zip(best, row)] for row in self.rows]
+        self.regrets = [max(shortfall) for shortfall in self.shortfalls]
+        self.anchor = self.regrets.index(min(self.regrets))
+
+    def rivals(self, i):
+        return (self.anchor,)
+
+    def pair(self, i, k):
+        own, floor = self.regrets[i], self.regrets[k]
+        if own <= floor:
+            return None
+        return self.refutation(i, k, (self.shortfalls[i].index(own),), own, floor)
+
+
+_INEQUALITIES: dict[Concept, Callable[[AgentGame], _Inequality]] = {
+    Concept.LOSS_AVERSE: _LossAverse,
+    Concept.LOSS_AVERSE_STAR: _LossAverseStar,
+    Concept.SAFETY_LEVEL: _SafetyLevel,
+    Concept.INDIVIDUALLY_RATIONAL: _IndividuallyRational,
+    Concept.WEAKLY_DOMINANT: _WeaklyDominant,
+    Concept.STRICTLY_DOMINATED: _StrictlyDominated,
+    Concept.LEXIMIN: _Leximin,
+    Concept.MULTI_LEXIMIN: partial(_Leximin, multiset=True),
+    Concept.MIN_MAX_REGRET: _MinMaxRegret,
+}
+
+
+def concept_verdict(game: AgentGame, concept: Concept) -> ConceptVerdict:
+    """Compute a concept's satisfying set together with witnesses.
+
+    Each action keeps its first refutation in its rival order; the actions
+    without one satisfy the concept (for ``STRICTLY_DOMINATED``, those with one).
+    """
+    inequality = _INEQUALITIES[concept](game)
+    refutations = [
+        next((ref for k in inequality.rivals(i) if (ref := inequality.pair(i, k))), None)
+        for i in range(len(game.actions))
+    ]
+    inverted = concept is Concept.STRICTLY_DOMINATED
+    satisfying = tuple(
+        a for a, ref in zip(game.actions, refutations) if (ref is not None) is inverted
+    )
+    return ConceptVerdict(concept, satisfying, tuple(ref for ref in refutations if ref))
+
+
+def verify_refutation(game: AgentGame, concept: Concept, ref: Refutation) -> bool:
+    """Re-evaluate a refutation against the raw table.
+
+    True when ``ref`` is, field for field, what the concept's inequality
+    gives for ``ref.action`` against ``ref.competitor``, and that
+    competitor is one the action is tested against.
+    """
+    inequality = _INEQUALITIES[concept](game)
+    try:
+        i = game.action_index(ref.action)
+        k = None if ref.competitor is None else game.action_index(ref.competitor)
+    except UnknownLabelError:
+        return False
+    return k in inequality.rivals(i) and inequality.pair(i, k) == ref
 
 
 def loss_averse_vs(game: AgentGame, action: str, other: str) -> tuple[bool, Refutation | None]:
     """Pairwise loss-aversion check with a refutation on failure."""
-    diff = _diff_indices(game, action, other)
-    if not diff:
-        return True, None
-    worst_self = min(game.row(action)[j] for j in diff)
-    worst_other = min(game.row(other)[j] for j in diff)
-    if worst_self >= worst_other:
-        return True, None
-    return False, Refutation(
-        action=action,
-        competitor=other,
-        states=(_argmin_state(game, action, diff), _argmin_state(game, other, diff)),
-        self_value=worst_self,
-        other_value=worst_other,
-    )
+    ref = _LossAverse(game).pair(game.action_index(action), game.action_index(other))
+    return ref is None, ref
 
 
 def loss_averse_actions(game: AgentGame) -> set[str]:
     """Actions that are loss-averse against every other action."""
-    return {
-        a
-        for a in game.actions
-        if all(loss_averse_vs(game, a, b)[0] for b in game.actions if b != a)
-    }
-
-
-def _one_sided_diff(game: AgentGame, a: str, b: str) -> list[int]:
-    """States where ``a`` is strictly worse than ``b``."""
-    ra, rb = game.row(a), game.row(b)
-    return [j for j in range(len(game.states)) if ra[j] < rb[j]]
-
-
-def _star_check(game: AgentGame, a: str, b: str) -> tuple[bool, Refutation | None]:
-    down_a = _one_sided_diff(game, a, b)
-    down_b = _one_sided_diff(game, b, a)
-    worst_self = min_or_inf(game.row(a)[j] for j in down_a)
-    worst_other = min_or_inf(game.row(b)[j] for j in down_b)
-    if worst_self >= worst_other:
-        return True, None
-    states = []
-    if down_a:
-        states.append(_argmin_state(game, a, down_a))
-    if down_b:
-        states.append(_argmin_state(game, b, down_b))
-    return False, Refutation(a, b, tuple(states), worst_self, worst_other)
+    return set(concept_verdict(game, Concept.LOSS_AVERSE).satisfying)
 
 
 def loss_averse_star_actions(game: AgentGame) -> set[str]:
-    """One-sided variant: worst case only over states where each action loses.
-
-    An action survives against another if its worst utility over the
-    states where it is strictly worse is at least the other's worst
-    utility over the states where *that* one is strictly worse.
-    """
-    return {
-        a
-        for a in game.actions
-        if all(_star_check(game, a, b)[0] for b in game.actions if b != a)
-    }
+    """One-sided variant: worst case only over states where each action loses."""
+    return set(concept_verdict(game, Concept.LOSS_AVERSE_STAR).satisfying)
 
 
 def safety_level(game: AgentGame) -> Fraction:
@@ -155,273 +316,39 @@ def safety_level(game: AgentGame) -> Fraction:
 
 
 def safety_level_actions(game: AgentGame) -> set[str]:
-    level = safety_level(game)
-    return {a for a in game.actions if min(game.row(a)) == level}
+    return set(concept_verdict(game, Concept.SAFETY_LEVEL).satisfying)
 
 
 def individually_rational_actions(game: AgentGame) -> set[str]:
-    return {a for a in game.actions if all(v >= 0 for v in game.row(a))}
+    return set(concept_verdict(game, Concept.INDIVIDUALLY_RATIONAL).satisfying)
 
 
 def weakly_dominant_actions(game: AgentGame) -> set[str]:
-    result = set()
-    for a in game.actions:
-        ra = game.row(a)
-        if all(
-            all(ra[j] >= game.row(b)[j] for j in range(len(game.states)))
-            for b in game.actions
-            if b != a
-        ):
-            result.add(a)
-    return result
+    return set(concept_verdict(game, Concept.WEAKLY_DOMINANT).satisfying)
 
 
 def strictly_dominated_actions(game: AgentGame) -> set[str]:
     """Actions some other action beats weakly everywhere and strictly somewhere."""
-    result = set()
-    for a in game.actions:
-        ra = game.row(a)
-        for b in game.actions:
-            if b == a:
-                continue
-            rb = game.row(b)
-            if all(rb[j] >= ra[j] for j in range(len(game.states))) and any(
-                rb[j] > ra[j] for j in range(len(game.states))
-            ):
-                result.add(a)
-                break
-    return result
-
-
-def _leximin_sequence(game: AgentGame, action: str, with_multiplicities: bool) -> tuple[Fraction, ...]:
-    row = game.row(action)
-    values = sorted(row) if with_multiplicities else sorted(set(row))
-    return tuple(values)
-
-
-def _sequence_compare(x: tuple[Fraction, ...], y: tuple[Fraction, ...]) -> int:
-    """Lexicographic comparison of ascending outcome sequences.
-
-    Encodes the round-by-round minimum-stripping order: at the first
-    position where the sequences differ the larger value wins, and a
-    sequence that is exhausted while the other still has values wins
-    (its next minimum is the top element).
-    """
-    for vx, vy in zip(x, y):
-        if vx != vy:
-            return 1 if vx > vy else -1
-    if len(x) == len(y):
-        return 0
-    return 1 if len(x) < len(y) else -1
-
-
-def _leximin_set(game: AgentGame, with_multiplicities: bool) -> set[str]:
-    seqs = {a: _leximin_sequence(game, a, with_multiplicities) for a in game.actions}
-    return {
-        a
-        for a in game.actions
-        if all(_sequence_compare(seqs[a], seqs[b]) >= 0 for b in game.actions if b != a)
-    }
+    return set(concept_verdict(game, Concept.STRICTLY_DOMINATED).satisfying)
 
 
 def leximin_actions(game: AgentGame) -> set[str]:
     """Leximin over the set of distinct outcome values of each action."""
-    return _leximin_set(game, with_multiplicities=False)
+    return set(concept_verdict(game, Concept.LEXIMIN).satisfying)
 
 
 def multi_leximin_actions(game: AgentGame) -> set[str]:
     """Leximin over the full outcome multiset (one entry per state)."""
-    return _leximin_set(game, with_multiplicities=True)
+    return set(concept_verdict(game, Concept.MULTI_LEXIMIN).satisfying)
 
 
 def max_regret(game: AgentGame, action: str) -> Fraction:
     """Worst-case shortfall of ``action`` against the per-state best action."""
-    best = [max(row[j] for row in game.rows) for j in range(len(game.states))]
-    ra = game.row(action)
-    return max(best[j] - ra[j] for j in range(len(game.states)))
+    return _MinMaxRegret(game).regrets[game.action_index(action)]
 
 
 def min_max_regret_actions(game: AgentGame) -> set[str]:
-    regrets = {a: max_regret(game, a) for a in game.actions}
-    floor = min(regrets.values())
-    return {a for a, r in regrets.items() if r == floor}
-
-
-def _ordered(game: AgentGame, actions: set[str]) -> tuple[str, ...]:
-    return tuple(a for a in game.actions if a in actions)
-
-
-def concept_verdict(game: AgentGame, concept: Concept) -> ConceptVerdict:
-    """Compute a concept's satisfying set together with witnesses."""
-    refutations: list[Refutation] = []
-
-    if concept is Concept.LOSS_AVERSE:
-        satisfying = loss_averse_actions(game)
-        for a in game.actions:
-            if a in satisfying:
-                continue
-            for b in game.actions:
-                if b == a:
-                    continue
-                ok, ref = loss_averse_vs(game, a, b)
-                if not ok:
-                    refutations.append(ref)
-                    break
-    elif concept is Concept.LOSS_AVERSE_STAR:
-        satisfying = loss_averse_star_actions(game)
-        for a in game.actions:
-            if a in satisfying:
-                continue
-            for b in game.actions:
-                if b == a:
-                    continue
-                ok, ref = _star_check(game, a, b)
-                if not ok:
-                    refutations.append(ref)
-                    break
-    elif concept is Concept.SAFETY_LEVEL:
-        satisfying = safety_level_actions(game)
-        level = safety_level(game)
-        anchor = next(a for a in game.actions if a in satisfying)
-        for a in game.actions:
-            if a in satisfying:
-                continue
-            worst = min(game.row(a))
-            refutations.append(
-                Refutation(a, anchor, (_argmin_state(game, a, range(len(game.states))),), worst, level)
-            )
-    elif concept is Concept.INDIVIDUALLY_RATIONAL:
-        satisfying = individually_rational_actions(game)
-        for a in game.actions:
-            if a in satisfying:
-                continue
-            j = next(j for j, v in enumerate(game.row(a)) if v < 0)
-            refutations.append(Refutation(a, None, (game.states[j],), game.row(a)[j], Fraction(0)))
-    elif concept is Concept.WEAKLY_DOMINANT:
-        satisfying = weakly_dominant_actions(game)
-        for a in game.actions:
-            if a in satisfying:
-                continue
-            found = next(
-                (b, j)
-                for b in game.actions
-                if b != a
-                for j in range(len(game.states))
-                if game.row(b)[j] > game.row(a)[j]
-            )
-            b, j = found
-            refutations.append(Refutation(a, b, (game.states[j],), game.row(a)[j], game.row(b)[j]))
-    elif concept is Concept.STRICTLY_DOMINATED:
-        satisfying = strictly_dominated_actions(game)
-        for a in game.actions:
-            if a not in satisfying:
-                continue
-            for b in game.actions:
-                if b == a:
-                    continue
-                rb, ra = game.row(b), game.row(a)
-                if all(rb[j] >= ra[j] for j in range(len(game.states))):
-                    strict = next((j for j in range(len(game.states)) if rb[j] > ra[j]), None)
-                    if strict is not None:
-                        refutations.append(
-                            Refutation(a, b, (game.states[strict],), ra[strict], rb[strict])
-                        )
-                        break
-    elif concept in (Concept.LEXIMIN, Concept.MULTI_LEXIMIN):
-        multi = concept is Concept.MULTI_LEXIMIN
-        seqs = {a: _leximin_sequence(game, a, multi) for a in game.actions}
-        satisfying = _leximin_set(game, multi)
-        for a in game.actions:
-            if a in satisfying:
-                continue
-            b = next(b for b in game.actions if b != a and _sequence_compare(seqs[a], seqs[b]) < 0)
-            sa, sb = seqs[a], seqs[b]
-            pos = next(
-                (i for i in range(min(len(sa), len(sb))) if sa[i] != sb[i]),
-                min(len(sa), len(sb)),
-            )
-            self_value: ExtendedScalar = sa[pos] if pos < len(sa) else INF
-            other_value: ExtendedScalar = sb[pos] if pos < len(sb) else INF
-            states = []
-            if self_value is not INF:
-                states.append(game.states[game.row(a).index(self_value)])
-            if other_value is not INF:
-                states.append(game.states[game.row(b).index(other_value)])
-            refutations.append(Refutation(a, b, tuple(states), self_value, other_value))
-    elif concept is Concept.MIN_MAX_REGRET:
-        satisfying = min_max_regret_actions(game)
-        floor = min(max_regret(game, a) for a in game.actions)
-        anchor = next(a for a in game.actions if a in satisfying)
-        best = [max(row[j] for row in game.rows) for j in range(len(game.states))]
-        for a in game.actions:
-            if a in satisfying:
-                continue
-            ra = game.row(a)
-            j = max(range(len(game.states)), key=lambda j: (best[j] - ra[j], -j))
-            refutations.append(Refutation(a, anchor, (game.states[j],), best[j] - ra[j], floor))
-    else:  # pragma: no cover - exhaustive enum
-        raise ValidationError(f"unknown concept {concept!r}")
-
-    return ConceptVerdict(concept, _ordered(game, satisfying), tuple(refutations))
-
-
-def verify_refutation(game: AgentGame, concept: Concept, ref: Refutation) -> bool:
-    """Re-evaluate a refutation against the raw table.
-
-    Returns True when the recorded values are reproduced exactly and
-    constitute a genuine violation of the concept's defining inequality.
-    """
-    if concept is Concept.LOSS_AVERSE:
-        diff = _diff_indices(game, ref.action, ref.competitor)
-        if not diff:
-            return False
-        lo_self = min(game.row(ref.action)[j] for j in diff)
-        lo_other = min(game.row(ref.competitor)[j] for j in diff)
-        return lo_self == ref.self_value and lo_other == ref.other_value and lo_self < lo_other
-    if concept is Concept.LOSS_AVERSE_STAR:
-        lo_self = min_or_inf(
-            game.row(ref.action)[j] for j in _one_sided_diff(game, ref.action, ref.competitor)
-        )
-        lo_other = min_or_inf(
-            game.row(ref.competitor)[j] for j in _one_sided_diff(game, ref.competitor, ref.action)
-        )
-        return lo_self == ref.self_value and lo_other == ref.other_value and lo_self < lo_other
-    if concept is Concept.SAFETY_LEVEL:
-        return (
-            min(game.row(ref.action)) == ref.self_value
-            and safety_level(game) == ref.other_value
-            and ref.self_value < ref.other_value
-        )
-    if concept is Concept.INDIVIDUALLY_RATIONAL:
-        return game.utility(ref.action, ref.states[0]) == ref.self_value and ref.self_value < 0
-    if concept is Concept.WEAKLY_DOMINANT:
-        j = game.state_index(ref.states[0])
-        return (
-            game.row(ref.action)[j] == ref.self_value
-            and game.row(ref.competitor)[j] == ref.other_value
-            and ref.other_value > ref.self_value
-        )
-    if concept is Concept.STRICTLY_DOMINATED:
-        ra, rb = game.row(ref.action), game.row(ref.competitor)
-        j = game.state_index(ref.states[0])
-        return (
-            all(rb[k] >= ra[k] for k in range(len(game.states)))
-            and rb[j] > ra[j]
-            and ra[j] == ref.self_value
-            and rb[j] == ref.other_value
-        )
-    if concept in (Concept.LEXIMIN, Concept.MULTI_LEXIMIN):
-        multi = concept is Concept.MULTI_LEXIMIN
-        cmp = _sequence_compare(
-            _leximin_sequence(game, ref.action, multi),
-            _leximin_sequence(game, ref.competitor, multi),
-        )
-        return cmp < 0 and ref.self_value < ref.other_value
-    if concept is Concept.MIN_MAX_REGRET:
-        own = max_regret(game, ref.action)
-        floor = min(max_regret(game, a) for a in game.actions)
-        return own == ref.self_value and floor == ref.other_value and own > floor
-    raise ValidationError(f"unknown concept {concept!r}")
+    return set(concept_verdict(game, Concept.MIN_MAX_REGRET).satisfying)
 
 
 # Implications that must hold on every game.  Violations are engine bugs.
@@ -465,14 +392,8 @@ class HierarchyReport:
 
 def hierarchy_report(game: AgentGame) -> HierarchyReport:
     """Compute the reported concept sets and check every implication arrow."""
-    computed = {
-        Concept.WEAKLY_DOMINANT: weakly_dominant_actions(game),
-        Concept.LOSS_AVERSE: loss_averse_actions(game),
-        Concept.SAFETY_LEVEL: safety_level_actions(game),
-        Concept.LEXIMIN: leximin_actions(game),
-        Concept.MULTI_LEXIMIN: multi_leximin_actions(game),
-        Concept.MIN_MAX_REGRET: min_max_regret_actions(game),
-    }
+    ordered = {c: concept_verdict(game, c).satisfying for c in _REPORT_CONCEPTS}
+    computed = {c: set(members) for c, members in ordered.items()}
     for src, dst in _HIERARCHY_ARROWS:
         if not computed[src] <= computed[dst]:
             raise InternalConsistencyError(
@@ -488,7 +409,7 @@ def hierarchy_report(game: AgentGame) -> HierarchyReport:
             if not computed[src] <= computed[dst]:
                 noninclusions.append((src, dst))
     return HierarchyReport(
-        sets=tuple((c, _ordered(game, computed[c])) for c in _REPORT_CONCEPTS),
+        sets=tuple(ordered.items()),
         arrows=_HIERARCHY_ARROWS,
         noninclusions=tuple(noninclusions),
     )
@@ -529,20 +450,17 @@ def mixed_loss_averse_falsify(
     cand_u = [mixed_utility(game, candidate, s) for s in game.states]
     for dev in deviations:
         dev_u = [mixed_utility(game, dev, s) for s in game.states]
-        diff = [j for j in range(len(game.states)) if cand_u[j] != dev_u[j]]
-        if not diff:
-            continue
-        lo_c = min(cand_u[j] for j in diff)
-        lo_d = min(dev_u[j] for j in diff)
-        if lo_c < lo_d:
+        found = _loss_averse_refutation(cand_u, dev_u)
+        if found is not None:
+            jc, jd = found
             return FalsifyResult(
                 verdict=FalsifyVerdict.FALSIFIED,
                 deviations_checked=len(deviations),
                 deviation=dev,
-                candidate_min=lo_c,
-                deviation_min=lo_d,
-                candidate_state=game.states[min(j for j in diff if cand_u[j] == lo_c)],
-                deviation_state=game.states[min(j for j in diff if dev_u[j] == lo_d)],
+                candidate_min=cand_u[jc],
+                deviation_min=dev_u[jd],
+                candidate_state=game.states[jc],
+                deviation_state=game.states[jd],
             )
     return FalsifyResult(FalsifyVerdict.SURVIVED_FAMILY, len(deviations))
 
@@ -618,26 +536,6 @@ def mixed_safety_value(game: AgentGame) -> tuple[Fraction, MixedAction]:
 
     assert best_value is not None and best_mix is not None
     return best_value, best_mix
-
-
-@dataclass(frozen=True)
-class MixedSafetyVerdict:
-    candidate: MixedAction
-    guarantee: Fraction
-    value: Fraction
-    achieves_value: bool
-
-
-def mixed_safety_level_verdicts(
-    game: AgentGame, candidates: Sequence[MixedAction]
-) -> tuple[MixedSafetyVerdict, ...]:
-    """For each candidate: does it guarantee the mixed max-min value everywhere?"""
-    value, _ = mixed_safety_value(game)
-    out = []
-    for cand in candidates:
-        guarantee = min(mixed_utility(game, cand, s) for s in game.states)
-        out.append(MixedSafetyVerdict(cand, guarantee, value, guarantee == value))
-    return tuple(out)
 
 
 def mixed_safety_level_solve_2x2(game: AgentGame) -> MixedAction:

@@ -53,12 +53,14 @@ def parse_scalar(text: str) -> Fraction:
     """Parse ``p/q`` or integer text into a Fraction."""
     if not _SCALAR_RE.match(text):
         raise ParseError(f"not a rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or "1")
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"rational literal of {len(text)} characters is too long") from None
+    if den == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def format_scalar(value: Fraction) -> str:

@@ -42,6 +42,88 @@ def naive_loss_averse(game: AgentGame) -> set[str]:
     return result
 
 
+def naive_loss_averse_star(game: AgentGame) -> set[str]:
+    """Pure loss-averse-star actions, by the literal one-sided definition.
+
+    Against every other action, the worst utility over the states where
+    the action is strictly worse is at least the other's worst utility
+    over the states where the other is strictly worse.  A side that is
+    never strictly worse has the top element as its worst case.
+    """
+    result = set()
+    for a in game.actions:
+        ok = True
+        for b in game.actions:
+            if a == b:
+                continue
+            a_loses = [
+                game.utility(a, s) for s in game.states if game.utility(a, s) < game.utility(b, s)
+            ]
+            b_loses = [
+                game.utility(b, s) for s in game.states if game.utility(b, s) < game.utility(a, s)
+            ]
+            if not a_loses:
+                continue  # a's worst case is the top element
+            if not b_loses or min(a_loses) < min(b_loses):
+                ok = False
+                break
+        if ok:
+            result.add(a)
+    return result
+
+
+def naive_safety_level(game: AgentGame) -> set[str]:
+    """Actions whose worst utility is the largest worst utility of any action."""
+    worst = {a: min(game.utility(a, s) for s in game.states) for a in game.actions}
+    level = max(worst.values())
+    return {a for a in game.actions if worst[a] == level}
+
+
+def naive_individually_rational(game: AgentGame) -> set[str]:
+    """Actions with a non-negative utility against every state."""
+    return {a for a in game.actions if all(game.utility(a, s) >= 0 for s in game.states)}
+
+
+def naive_weakly_dominant(game: AgentGame) -> set[str]:
+    """Actions at least as good as every other action on every state."""
+    return {
+        a
+        for a in game.actions
+        if all(
+            game.utility(a, s) >= game.utility(b, s)
+            for b in game.actions
+            for s in game.states
+        )
+    }
+
+
+def naive_strictly_dominated(game: AgentGame) -> set[str]:
+    """Actions some other action beats weakly everywhere and strictly somewhere."""
+    result = set()
+    for a in game.actions:
+        for b in game.actions:
+            if b == a:
+                continue
+            weakly = all(game.utility(b, s) >= game.utility(a, s) for s in game.states)
+            strictly = any(game.utility(b, s) > game.utility(a, s) for s in game.states)
+            if weakly and strictly:
+                result.add(a)
+    return result
+
+
+def naive_min_max_regret(game: AgentGame) -> set[str]:
+    """Actions whose largest shortfall to the per-state best is smallest."""
+    regret = {}
+    for a in game.actions:
+        shortfalls = []
+        for s in game.states:
+            best = max(game.utility(b, s) for b in game.actions)
+            shortfalls.append(best - game.utility(a, s))
+        regret[a] = max(shortfalls)
+    floor = min(regret.values())
+    return {a for a in game.actions if regret[a] == floor}
+
+
 def _strip_compare(xs: list[Fraction], ys: list[Fraction], one_copy: bool) -> int:
     """Compare two outcome collections by repeated minimum-stripping.
 

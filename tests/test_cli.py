@@ -168,6 +168,76 @@ def test_scenario_dispatch_and_error_codes(tmp_path, capsys):
     assert run(capsys, "vcg", "run", "--scenario", wrong_command)[0] == 3
 
 
+_NOT_UTF8 = b"scenario v1\nkind: curated\nname: \xff\xfe\n"
+
+
+def _case(name, scenario, *args, code):
+    return pytest.param(scenario, args, code, id=name)
+
+
+@pytest.mark.parametrize(
+    "scenario, args, expected",
+    [
+        _case("game-file-is-a-directory", None, "analyze", "--game", "{tmp}", code=2),
+        _case("scenario-not-utf8", _NOT_UTF8, "analyze", "--scenario", "{scn}", code=2),
+        _case("game-file-not-utf8", _NOT_UTF8, "analyze", "--game", "{scn}", code=2),
+        _case(
+            "raw-game-file-not-utf8",
+            "kind: raw-game\ngame-file: bad.game\n",
+            "analyze", "--scenario", "{scn}",
+            code=2,
+        ),
+        _case(
+            "scenario-agents-not-an-integer",
+            "kind: facility\nagents: two\ntype: 1/2\n",
+            "analyze", "--scenario", "{scn}",
+            code=2,
+        ),
+        _case(
+            "scenario-zero-agents",
+            "kind: facility\nagents: 0\ntype: 1/2\n",
+            "export", "--scenario", "{scn}",
+            code=3,
+        ),
+        _case(
+            "scenario-items-not-an-integer",
+            "kind: vcg-attack\nitems: x\nvaluation: 0 1\nbid: 0 1\n",
+            "vcg", "run", "--scenario", "{scn}",
+            code=2,
+        ),
+        _case(
+            "scenario-negative-items",
+            "kind: vcg-attack\nitems: -1\nvaluation: 0 1\nbid: 0 1\n",
+            "vcg", "classify", "--scenario", "{scn}",
+            code=4,
+        ),
+        _case(
+            "scenario-tally-cap-not-an-integer",
+            "kind: voting\nrule: plurality\nutilities: 1 0\ntally-cap: many\n",
+            "analyze", "--scenario", "{scn}",
+            code=2,
+        ),
+        _case(
+            "literal-beyond-int-digit-limit",
+            None,
+            "auction", "dfpa", "--value", "1" + "0" * 5000, "--epsilon", "1/2",
+            code=2,
+        ),
+        _case("flag-zero-agents", None, "facility", "--agents", "0", "--type", "1/2", code=3),
+    ],
+)
+def test_input_errors_exit_with_their_code(tmp_path, capsys, scenario, args, expected):
+    (tmp_path / "bad.game").write_bytes(b"agentgame v1\ntype \xff\n")
+    path = tmp_path / "case.scn"
+    if isinstance(scenario, str):
+        path.write_text("scenario v1\n" + scenario)
+    elif scenario is not None:
+        path.write_bytes(scenario)
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path, scn=path) for a in args))
+    assert (code, out) == (expected, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_scenario_curated_and_voting_kinds(tmp_path, capsys):
     curated = _write_scenario(
         tmp_path, "scenario v1\nkind: curated\nname: minmaxreg-safety\nconcepts: min-max-regret\n"

@@ -1,5 +1,6 @@
 """Solution concept solvers, refutations, hierarchy, and mixed machinery."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from robustgames.concepts import (
     verify_refutation,
     weakly_dominant_actions,
 )
-from robustgames.core import AgentGame, MixedAction
+from robustgames.core import INF, AgentGame, MixedAction
 from robustgames.errors import ValidationError
 
 
@@ -111,17 +112,50 @@ def test_max_regret_and_min_max_regret():
     assert min_max_regret_actions(game) == {"b"}
 
 
-def test_concept_verdicts_carry_verifiable_refutations():
+def _verdicts():
+    """Every concept's verdict on the curated games and 40 seeded random ones."""
     rng = random.Random(7)
     games = [instances.curated_game(name) for name in sorted(instances.CURATED_GAMES)]
     games += [instances.random_game(rng) for _ in range(40)]
     for game in games:
         for concept in Concept:
-            verdict = concept_verdict(game, concept)
-            text = format_verdict(game, verdict)
-            assert text.startswith(f"verdict v1\nconcept {concept.value}\n")
-            for refutation in verdict.refutations:
-                assert verify_refutation(game, concept, refutation)
+            yield game, concept_verdict(game, concept)
+
+
+def test_concept_verdicts_carry_verifiable_refutations():
+    for game, verdict in _verdicts():
+        text = format_verdict(game, verdict)
+        assert text.startswith(f"verdict v1\nconcept {verdict.concept.value}\n")
+        for refutation in verdict.refutations:
+            assert verify_refutation(game, verdict.concept, refutation)
+
+
+def _bumped(value):
+    return Fraction(0) if value is INF else value + 1
+
+
+def _tampered(game, ref):
+    """Refutations that differ from ``ref`` in one field."""
+    yield replace(ref, states=())
+    if len(game.states) > 1:
+        shifted = game.states[(game.state_index(ref.states[0]) + 1) % len(game.states)]
+        yield replace(ref, states=(shifted,) + ref.states[1:])
+    yield replace(ref, self_value=_bumped(ref.self_value))
+    yield replace(ref, other_value=_bumped(ref.other_value))
+    yield replace(ref, competitor=ref.action)
+    yield replace(ref, competitor=None if ref.competitor else game.actions[0])
+    yield replace(ref, competitor="no-such-action")
+
+
+def test_tampered_refutations_do_not_verify():
+    checked = 0
+    for game, verdict in _verdicts():
+        for refutation in verdict.refutations:
+            for tampered in _tampered(game, refutation):
+                assert tampered != refutation
+                assert verify_refutation(game, verdict.concept, tampered) is False, tampered
+                checked += 1
+    assert checked > 1000
 
 
 def test_hierarchy_arrows_on_random_games():

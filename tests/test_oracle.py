@@ -6,8 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustgames import instances
-from robustgames.concepts import leximin_actions, loss_averse_actions, multi_leximin_actions
+from robustgames import concepts, instances, oracle
+from robustgames.concepts import (
+    Concept,
+    concept_verdict,
+    hierarchy_report,
+    leximin_actions,
+    loss_averse_actions,
+    multi_leximin_actions,
+    verify_refutation,
+)
+from robustgames.core import AgentGame
 from robustgames.errors import CapacityError
 from robustgames.oracle import (
     naive_leximin,
@@ -44,6 +53,66 @@ def test_concept_solvers_match_naive_search():
         assert loss_averse_actions(game) == naive_loss_averse(game)
         assert leximin_actions(game) == naive_leximin(game, with_multiplicities=False)
         assert multi_leximin_actions(game) == naive_leximin(game, with_multiplicities=True)
+
+
+# Each concept's engine set function and its naive oracle.
+_CONCEPT_ROUTES = {
+    Concept.LOSS_AVERSE: (concepts.loss_averse_actions, oracle.naive_loss_averse),
+    Concept.LOSS_AVERSE_STAR: (concepts.loss_averse_star_actions, oracle.naive_loss_averse_star),
+    Concept.SAFETY_LEVEL: (concepts.safety_level_actions, oracle.naive_safety_level),
+    Concept.INDIVIDUALLY_RATIONAL: (
+        concepts.individually_rational_actions,
+        oracle.naive_individually_rational,
+    ),
+    Concept.WEAKLY_DOMINANT: (concepts.weakly_dominant_actions, oracle.naive_weakly_dominant),
+    Concept.STRICTLY_DOMINATED: (
+        concepts.strictly_dominated_actions,
+        oracle.naive_strictly_dominated,
+    ),
+    Concept.LEXIMIN: (concepts.leximin_actions, lambda g: naive_leximin(g, False)),
+    Concept.MULTI_LEXIMIN: (concepts.multi_leximin_actions, lambda g: naive_leximin(g, True)),
+    Concept.MIN_MAX_REGRET: (concepts.min_max_regret_actions, oracle.naive_min_max_regret),
+}
+
+
+@st.composite
+def _small_games(draw):
+    """Games of at most 5 x 5 over five values, so rows and minima tie often."""
+    n_actions = draw(st.integers(1, 5))
+    n_states = draw(st.integers(1, 5))
+    values = st.sampled_from((F(-1), F(0), F(1, 2), F(1), F(2)))
+    rows = tuple(
+        tuple(draw(values) for _ in range(n_states)) for _ in range(n_actions)
+    )
+    actions = tuple(f"a{i}" for i in range(n_actions))
+    states = tuple(f"s{j}" for j in range(n_states))
+    return AgentGame("generated", actions, states, rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_small_games())
+def test_every_concept_matches_its_oracle(game):
+    assert set(_CONCEPT_ROUTES) == set(Concept)
+    sets = {}
+    for concept, (engine_set, naive_set) in _CONCEPT_ROUTES.items():
+        verdict = concept_verdict(game, concept)
+        satisfying = set(verdict.satisfying)
+        assert satisfying == naive_set(game) == engine_set(game)
+        refuted = [ref.action for ref in verdict.refutations]
+        expected = (
+            satisfying
+            if concept is Concept.STRICTLY_DOMINATED
+            else set(game.actions) - satisfying
+        )
+        assert len(refuted) == len(set(refuted)) and set(refuted) == expected
+        for ref in verdict.refutations:
+            assert verify_refutation(game, concept, ref)
+        sets[concept] = satisfying
+    report = hierarchy_report(game)
+    for concept, members in report.sets:
+        assert set(members) == sets[concept]
+    for src, dst in report.arrows:
+        assert sets[src] <= sets[dst]
 
 
 def test_winner_determination_matches_naive_welfare():
