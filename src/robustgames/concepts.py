@@ -5,7 +5,9 @@ satisfies the concept unless a rival refutes it, and verifying a
 refutation re-derives it from the same inequality.  The central family
 compares worst cases over *difference sets*, the states where two
 actions actually disagree; minima over empty sets are the top element
-``INF``.
+``INF``.  Every comparison runs on the game's rows scaled to integers
+(``AgentGame.scaled``); the values a refutation reports are read back
+from the rational table at the states it names.
 
 All operations return plain data; ties inside any argmin or argmax are
 resolved towards the first-listed label so output is deterministic.
@@ -26,7 +28,6 @@ from .core import (
     MixedAction,
     format_extended,
     mixed_utility,
-    min_or_inf,
     scalar,
 )
 from .errors import InternalConsistencyError, UnknownLabelError, ValidationError
@@ -77,14 +78,12 @@ class ConceptVerdict:
     refutations: tuple[Refutation, ...]
 
 
-def _argmin(row: Sequence[Fraction], indices: Sequence[int]) -> int:
+def _argmin(row: Sequence, indices: Sequence[int]) -> int:
     """The first of ``indices`` at which ``row`` is smallest."""
     return min(indices, key=row.__getitem__)
 
 
-def _loss_averse_refutation(
-    ra: Sequence[Fraction], rb: Sequence[Fraction]
-) -> tuple[int, int] | None:
+def _loss_averse_refutation(ra: Sequence, rb: Sequence) -> tuple[int, int] | None:
     """Where row ``ra`` fails loss aversion against row ``rb``, or None.
 
     Over the states where the rows differ, the worst value of ``ra`` must
@@ -106,10 +105,13 @@ class _Inequality:
     lists, in order, the rivals action ``i`` is tested against: every
     other action in table order unless a concept says otherwise.  What a
     concept reads from the whole table is computed once, on construction.
+    ``rows`` are the integer-scaled rows every comparison reads; ``values``
+    is the rational table the reported values come from.
     """
 
     def __init__(self, game: AgentGame):
-        self.actions, self.states, self.rows = game.actions, game.states, game.rows
+        self.actions, self.states, self.values = game.actions, game.states, game.rows
+        self.denominator, self.rows = game.scaled
 
     def rivals(self, i: int) -> Iterable[int | None]:
         return (k for k in range(len(self.rows)) if k != i)
@@ -125,12 +127,11 @@ class _LossAverse(_Inequality):
     """Loss aversion between the two actions' rows."""
 
     def pair(self, i, k):
-        ra, rb = self.rows[i], self.rows[k]
-        found = _loss_averse_refutation(ra, rb)
+        found = _loss_averse_refutation(self.rows[i], self.rows[k])
         if found is None:
             return None
         ja, jb = found
-        return self.refutation(i, k, found, ra[ja], rb[jb])
+        return self.refutation(i, k, found, self.values[i][ja], self.values[k][jb])
 
 
 class _LossAverseStar(_Inequality):
@@ -141,13 +142,16 @@ class _LossAverseStar(_Inequality):
     def pair(self, i, k):
         ra, rb = self.rows[i], self.rows[k]
         down_a = [j for j in range(len(ra)) if ra[j] < rb[j]]
-        down_b = [j for j in range(len(ra)) if rb[j] < ra[j]]
-        worst_self = min_or_inf(ra[j] for j in down_a)
-        worst_other = min_or_inf(rb[j] for j in down_b)
-        if worst_self >= worst_other:
+        if not down_a:
             return None
-        states = [_argmin(row, down) for row, down in ((ra, down_a), (rb, down_b)) if down]
-        return self.refutation(i, k, states, worst_self, worst_other)
+        ja = _argmin(ra, down_a)
+        down_b = [j for j in range(len(ra)) if rb[j] < ra[j]]
+        if not down_b:
+            return self.refutation(i, k, (ja,), self.values[i][ja], INF)
+        jb = _argmin(rb, down_b)
+        if ra[ja] >= rb[jb]:
+            return None
+        return self.refutation(i, k, (ja, jb), self.values[i][ja], self.values[k][jb])
 
 
 class _SafetyLevel(_Inequality):
@@ -156,17 +160,18 @@ class _SafetyLevel(_Inequality):
 
     def __init__(self, game: AgentGame):
         super().__init__(game)
-        self.worst = [min(row) for row in self.rows]
-        self.anchor = self.worst.index(max(self.worst))
+        self.worst_at = [row.index(min(row)) for row in self.rows]
+        levels = [row[j] for row, j in zip(self.rows, self.worst_at)]
+        self.anchor = levels.index(max(levels))
 
     def rivals(self, i):
         return (self.anchor,)
 
     def pair(self, i, k):
-        own, level = self.worst[i], self.worst[k]
-        if own >= level:
+        ji, jk = self.worst_at[i], self.worst_at[k]
+        if self.rows[i][ji] >= self.rows[k][jk]:
             return None
-        return self.refutation(i, k, (self.rows[i].index(own),), own, level)
+        return self.refutation(i, k, (ji,), self.values[i][ji], self.values[k][jk])
 
 
 class _IndividuallyRational(_Inequality):
@@ -176,9 +181,8 @@ class _IndividuallyRational(_Inequality):
         return (None,)
 
     def pair(self, i, k):
-        row = self.rows[i]
-        j = next((j for j, v in enumerate(row) if v < 0), None)
-        return None if j is None else self.refutation(i, None, (j,), row[j], Fraction(0))
+        j = next((j for j, v in enumerate(self.rows[i]) if v < 0), None)
+        return None if j is None else self.refutation(i, None, (j,), self.values[i][j], Fraction(0))
 
 
 class _WeaklyDominant(_Inequality):
@@ -187,7 +191,9 @@ class _WeaklyDominant(_Inequality):
     def pair(self, i, k):
         ra, rb = self.rows[i], self.rows[k]
         j = next((j for j in range(len(ra)) if rb[j] > ra[j]), None)
-        return None if j is None else self.refutation(i, k, (j,), ra[j], rb[j])
+        if j is None:
+            return None
+        return self.refutation(i, k, (j,), self.values[i][j], self.values[k][j])
 
 
 class _StrictlyDominated(_WeaklyDominant):
@@ -220,10 +226,11 @@ class _Leximin(_Inequality):
         other = ys[p] if p < len(ys) else INF
         if own >= other:
             return None
-        states = [self.rows[i].index(own)]
-        if other is not INF:
-            states.append(self.rows[k].index(other))
-        return self.refutation(i, k, states, own, other)
+        ja = self.rows[i].index(own)
+        if other is INF:
+            return self.refutation(i, k, (ja,), self.values[i][ja], INF)
+        jb = self.rows[k].index(other)
+        return self.refutation(i, k, (ja, jb), self.values[i][ja], self.values[k][jb])
 
 
 class _MinMaxRegret(_Inequality):
@@ -244,7 +251,13 @@ class _MinMaxRegret(_Inequality):
         own, floor = self.regrets[i], self.regrets[k]
         if own <= floor:
             return None
-        return self.refutation(i, k, (self.shortfalls[i].index(own),), own, floor)
+        return self.refutation(
+            i, k, (self.shortfalls[i].index(own),), self.value(own), self.value(floor)
+        )
+
+    def value(self, scaled: int) -> Fraction:
+        """A regret read back over the table's denominator."""
+        return Fraction(scaled, self.denominator)
 
 
 _INEQUALITIES: dict[Concept, Callable[[AgentGame], _Inequality]] = {
@@ -344,7 +357,8 @@ def multi_leximin_actions(game: AgentGame) -> set[str]:
 
 def max_regret(game: AgentGame, action: str) -> Fraction:
     """Worst-case shortfall of ``action`` against the per-state best action."""
-    return _MinMaxRegret(game).regrets[game.action_index(action)]
+    inequality = _MinMaxRegret(game)
+    return inequality.value(inequality.regrets[game.action_index(action)])
 
 
 def min_max_regret_actions(game: AgentGame) -> set[str]:

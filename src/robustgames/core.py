@@ -2,6 +2,8 @@
 
 All quantities are arbitrary-precision rationals (``fractions.Fraction``);
 floats are rejected everywhere so results are reproducible bit for bit.
+Hot comparisons run on the same quantities scaled to integers over their
+least common denominator (``scale_rows``), which orders them identically.
 
 A game is serialized to a small line-oriented text document::
 
@@ -22,11 +24,12 @@ reproduces ``g`` exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError, UnknownLabelError, ValidationError
 
@@ -111,17 +114,25 @@ INF = _Infinite()
 ExtendedScalar = Fraction | _Infinite
 
 
-def min_or_inf(values: Iterable[Fraction]) -> ExtendedScalar:
-    """Minimum of an iterable of rationals; ``INF`` if it is empty."""
-    best: Fraction | None = None
-    for v in values:
-        if best is None or v < best:
-            best = v
-    return INF if best is None else best
-
-
 def format_extended(value: ExtendedScalar) -> str:
     return "inf" if isinstance(value, _Infinite) else format_scalar(value)
+
+
+def scale_rows(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The entries' least common denominator, and each row as integers over it.
+
+    Scaling by a positive constant keeps every order and equality, so the
+    integer rows compare exactly as the rational ones do.
+    """
+    denominator = math.lcm(*[v.denominator for row in rows for v in row])
+    # Lists, not generators: a tuple built from a generator is allocated
+    # at a guessed size and shrunk, and the shrunk blocks pile up on the
+    # interpreter's per-size tuple free lists over a long run.
+    return denominator, tuple(
+        [tuple([v.numerator * (denominator // v.denominator) for v in row]) for row in rows]
+    )
 
 
 def _check_labels(kind: str, labels: Sequence[str]) -> None:
@@ -174,6 +185,12 @@ class AgentGame:
     @cached_property
     def _state_index(self) -> dict[str, int]:
         return {s: j for j, s in enumerate(self.states)}
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The table's least common denominator and ``rows`` as integers
+        over it (see ``scale_rows``), computed once per game."""
+        return scale_rows(self.rows)
 
     def action_index(self, action: str) -> int:
         try:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import scalar
+from .core import scalar, scale_rows
 from .errors import CapacityError, InternalConsistencyError, ValidationError
 
 MAX_ITEMS = 8
@@ -89,12 +89,8 @@ class _BundleTable:
     @functools.cached_property
     def _integers(self) -> tuple[int, tuple[int, ...]]:
         """The entries' common denominator and the entries as integers over it."""
-        # Lists, not generators: a tuple built from a generator is allocated
-        # at a guessed size and shrunk, and the shrunk blocks pile up on the
-        # interpreter's per-size tuple free lists over a long run.
-        denominator = math.lcm(*[v.denominator for v in self.values])
-        integers = [v.numerator * (denominator // v.denominator) for v in self.values]
-        return denominator, tuple(integers)
+        denominator, (integers,) = scale_rows([self.values])
+        return denominator, integers
 
     def __hash__(self) -> int:
         # Equal tables have equal integers; hashing those is far cheaper

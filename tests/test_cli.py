@@ -1,10 +1,14 @@
 """Command line surface: reports, scenario files, exit codes, output files."""
+import hashlib
 import os
+import random
+from fractions import Fraction
 
 import pytest
 
+from robustgames import mechanisms, singleitem
 from robustgames.cli import main
-from robustgames.core import format_game, parse_game
+from robustgames.core import AgentGame, format_game, parse_game
 from robustgames.instances import curated_game
 
 
@@ -293,3 +297,56 @@ def test_byte_stable_reports(capsys):
     first = run(capsys, "analyze", "--curated", "safety-wrong-monotone")[1]
     second = run(capsys, "analyze", "--curated", "safety-wrong-monotone")[1]
     assert first == second
+
+
+def _golden_games():
+    """One game per denominator regime: a shared denominator with values
+    off the grid, mixed denominators, and large integers."""
+    value, epsilon = 1 + Fraction(1, 3) * Fraction(1, 19), Fraction(1, 19)
+    dfpa = singleitem.dfpa_game(singleitem.default_dfpa_spec(value, epsilon))
+    facility = mechanisms.facility_game(
+        mechanisms.FacilitySpec(3, Fraction(5, 12), Fraction(1, 24))
+    )
+    rng = random.Random(4)
+    rows = tuple(
+        tuple(Fraction(rng.randint(-10**6, 10**6)) for _ in range(12)) for _ in range(12)
+    )
+    table = AgentGame(
+        "random", tuple(f"a{i}" for i in range(12)), tuple(f"s{j}" for j in range(12)), rows
+    )
+    return {"dfpa": dfpa, "facility": facility, "random": table}
+
+
+# sha256 of `analyze --game FILE --format FORMAT` stdout, recorded before the
+# concept layer moved to integer-scaled rows.
+_GOLDEN_ANALYZE = {
+    ("dfpa", "structured"):
+        "dc0c55a9d74b40a5dfb8e56528b0fc5695c9c6deabf50b2bb7d036abb9b00e60",
+    ("dfpa", "csv"):
+        "54ed38343ac53e9aacddbe5c7d8c1cb2f8a6b8146752f50d072dc37732c009e6",
+    ("dfpa", "table"):
+        "788540710e9b5290325afdc721639876bab478ed7428f7bbf3e29d7068c7edfa",
+    ("facility", "structured"):
+        "1090affefc67cb1152a31ecc4a5e8099563652103d094d9d121d9400d3f8bc9d",
+    ("facility", "csv"):
+        "7101ac6908910ce4519fedf3edfd481f3fb6cdad52961ab332929ab4da78871f",
+    ("facility", "table"):
+        "6048b6a5616f31d21753250fb9a55513a28a8f0152bad4b7baddc3587a50ffbf",
+    ("random", "structured"):
+        "39eb064939eb713b1f1427228e90c0978a4648b3abd9ad2d4021e40f35b3d6a9",
+    ("random", "csv"):
+        "65bc8c6034b086779b21982aea9c62d1621593899ec31cb5b9f3150a1b93ffe2",
+    ("random", "table"):
+        "42e07c2a6a22fc201314286dafdf538b27031e9bcbce3199bcde93d810994a6b",
+}
+
+
+def test_analyze_reports_match_their_recorded_digests(tmp_path, capsys):
+    games = _golden_games()
+    assert len(games["dfpa"].actions) == 20
+    for (name, fmt), expected in _GOLDEN_ANALYZE.items():
+        path = tmp_path / f"{name}.game"
+        path.write_text(format_game(games[name]))
+        code, out, _ = run(capsys, "analyze", "--game", str(path), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, (name, fmt)

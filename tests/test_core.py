@@ -1,4 +1,6 @@
 """Exact scalars, game tables, serialization, and mixed actions."""
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,6 @@ from robustgames.core import (
     format_scalar,
     game_from_function,
     game_from_table,
-    min_or_inf,
     mixed_utility,
     parse_game,
     parse_scalar,
@@ -51,9 +52,7 @@ def test_parse_scalar_rejects_whitespace():
         parse_scalar(" 1/2")
 
 
-def test_min_or_inf_empty_is_top_element():
-    assert min_or_inf([]) is INF
-    assert min_or_inf([Fraction(2), Fraction(-1)]) == Fraction(-1)
+def test_inf_is_the_top_element():
     assert INF > Fraction(10**9)
     assert not INF < INF
     assert format_extended(INF) == "inf"
@@ -106,6 +105,42 @@ def test_difference_set_is_ordered_and_exact():
     assert difference_set(game, "a", "b") == ("x", "y")
     same = AgentGame("t", ("a", "b"), ("x",), ((Fraction(1),), (Fraction(1),)))
     assert difference_set(same, "a", "b") == ()
+
+
+def _mixed_denominator_game(seed: int) -> AgentGame:
+    """A 6 x 7 table over a pool of eight values, so cells tie often, with
+    denominators 1, 2, 3, 7 and 10**9 + 7 and numerators up to 10**15."""
+    rng = random.Random(seed)
+    pool = [
+        Fraction(rng.choice((rng.randint(-3, 3), rng.randint(-10**15, 10**15))),
+                 rng.choice((1, 2, 3, 7, 10**9 + 7)))
+        for _ in range(8)
+    ]
+    rows = tuple(tuple(rng.choice(pool) for _ in range(7)) for _ in range(6))
+    return AgentGame("t", tuple(f"a{i}" for i in range(6)), tuple(f"s{j}" for j in range(7)), rows)
+
+
+def test_scaled_table_orders_like_the_rational_table():
+    for seed in range(20):
+        game = _mixed_denominator_game(seed)
+        denominator, rows = game.scaled
+        cells = [v for row in game.rows for v in row]
+        assert denominator == math.lcm(*[v.denominator for v in cells])
+        scaled = [x for row in rows for x in row]
+        assert all(type(x) is int for x in scaled)
+        assert [Fraction(x, denominator) for x in scaled] == cells
+        for a, x in zip(cells, scaled):
+            for b, y in zip(cells, scaled):
+                assert (a < b, a == b) == (x < y, x == y)
+
+
+def test_scaled_table_leaves_equality_hash_and_round_trip_alone():
+    game = _mixed_denominator_game(0)
+    twin = AgentGame(game.type_label, game.actions, game.states, game.rows)
+    assert game.scaled  # fill the cache on one of the two
+    assert game == twin and hash(game) == hash(twin)
+    assert parse_game(format_game(game)) == game
+    assert parse_game(format_game(game)).scaled == game.scaled
 
 
 def test_game_document_round_trip():

@@ -1,4 +1,5 @@
 """Brute-force oracle agreement with the engine implementations."""
+import math
 import random
 from fractions import Fraction
 
@@ -75,12 +76,22 @@ _CONCEPT_ROUTES = {
 }
 
 
+# Values mix denominators 1, 2, 3 and 7 with numerators up to 10**15 in
+# size, so only the true common denominator scales them without error.
+_GAME_VALUES = st.builds(
+    Fraction,
+    st.one_of(st.integers(-3, 3), st.integers(-10**15, 10**15)),
+    st.sampled_from((1, 2, 3, 7)),
+)
+
+
 @st.composite
 def _small_games(draw):
-    """Games of at most 5 x 5 over five values, so rows and minima tie often."""
+    """Games of at most 5 x 5 over a pool of at most five values, so rows
+    and minima tie often."""
     n_actions = draw(st.integers(1, 5))
     n_states = draw(st.integers(1, 5))
-    values = st.sampled_from((F(-1), F(0), F(1, 2), F(1), F(2)))
+    values = st.sampled_from(draw(st.lists(_GAME_VALUES, min_size=1, max_size=5)))
     rows = tuple(
         tuple(draw(values) for _ in range(n_states)) for _ in range(n_actions)
     )
@@ -92,6 +103,31 @@ def _small_games(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_small_games())
 def test_every_concept_matches_its_oracle(game):
+    _assert_matches_the_oracle(game)
+
+
+def test_table_over_forty_primes_matches_the_oracle():
+    """Cells +-1/p for the first 40 primes p: the common denominator is their
+    product, and a scale that leaves out any of them merges or reorders cells."""
+    primes = [p for p in range(2, 174) if all(p % q for q in range(2, p))]
+    assert len(primes) == 40
+    rng = random.Random(3)
+    cells = [F(rng.choice((-1, 1)), p) for p in primes]
+    rng.shuffle(cells)
+    rows = tuple(tuple(cells[5 * i:5 * i + 5]) for i in range(8))
+    # A copy of the first row with one cell changed: two rows that differ
+    # on one state only.
+    rows += (rows[0][:4] + (rows[1][0],),)
+    game = AgentGame(
+        "primes", tuple(f"a{i}" for i in range(9)), tuple(f"s{j}" for j in range(5)), rows
+    )
+    assert game.scaled[0] == math.prod(primes)
+    _assert_matches_the_oracle(game)
+
+
+def _assert_matches_the_oracle(game):
+    """Every concept's verdict, set function and hierarchy entry equal the
+    oracle's set, and every refutation verifies."""
     assert set(_CONCEPT_ROUTES) == set(Concept)
     sets = {}
     for concept, (engine_set, naive_set) in _CONCEPT_ROUTES.items():
