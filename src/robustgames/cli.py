@@ -234,24 +234,28 @@ def _facility_spec_from(scenario: Scenario) -> mechanisms.FacilitySpec:
     )
 
 
-def _psr_spec_from(scenario: Scenario) -> mechanisms.PsrSpec:
-    rule = scenario.single("rule")
-    utilities = tuple(
-        parse_scalar(tok) for tok in scenario.single("utilities").replace(",", " ").split()
-    )
-    cap = scenario.optional("tally-cap")
-    tally_cap = _parse_int(cap, "tally-cap") if cap is not None else None
+def _psr_spec(rule: str, utilities: str, tally_cap: int | None) -> mechanisms.PsrSpec:
+    values = tuple(parse_scalar(tok) for tok in utilities.replace(",", " ").split())
     if rule == "plurality":
-        return mechanisms.plurality_spec(len(utilities), utilities, tally_cap)
+        return mechanisms.plurality_spec(len(values), values, tally_cap)
     if rule == "approval":
-        return mechanisms.approval_spec(len(utilities), utilities, tally_cap)
+        return mechanisms.approval_spec(len(values), values, tally_cap)
     raise ValidationError(f"unknown voting rule {rule!r}; known: plurality, approval")
+
+
+def _psr_spec_from(scenario: Scenario) -> mechanisms.PsrSpec:
+    cap = scenario.optional("tally-cap")
+    return _psr_spec(
+        scenario.single("rule"),
+        scenario.single("utilities"),
+        _parse_int(cap, "tally-cap") if cap is not None else None,
+    )
 
 
 def _vcg_attack_from(
     scenario: Scenario,
 ) -> tuple[vcg.CombValuation, tuple[vcg.CombBid, ...], vcg.CombBid | None, Fraction | None]:
-    # The table types check the item count before the table length.
+    # The bundle table checks the item count before the table length.
     items = _parse_int(scenario.single("items"), "items")
     def table(raw: str) -> tuple[Fraction, ...]:
         return tuple(parse_scalar(tok) for tok in raw.split())
@@ -498,7 +502,7 @@ def _vcg_run_scenario_text(scenario: Scenario, rule_name: str, decimal: int | No
     )
     profiles = [vcg.SybilProfile(valuation, bids)]
     if nature is not None:
-        profiles.append(vcg.SybilProfile(vcg.CombValuation(valuation.item_count, nature.values), (nature,)))
+        profiles.append(vcg.SybilProfile(nature, (nature,)))
     outcome = vcg.run_vcg(profiles, valuation.item_count, epsilon=epsilon, payment_rule=rule)
     items = tuple(chr(ord("a") + i) for i in range(valuation.item_count))
     classification = vcg.classify_attack(valuation, bids)
@@ -660,14 +664,8 @@ def _cmd_facility(args: argparse.Namespace) -> str:
 def _cmd_voting(args: argparse.Namespace) -> str:
     if args.utilities is None:
         raise ParseError("voting needs --utilities")
-    utilities = tuple(parse_scalar(tok) for tok in args.utilities.replace(",", " ").split())
-    cap = args.tally_cap
-    if args.rule == "plurality":
-        spec = mechanisms.plurality_spec(len(utilities), utilities, cap)
-    elif args.rule == "approval":
-        spec = mechanisms.approval_spec(len(utilities), utilities, cap)
-    else:
-        raise ValidationError(f"unknown voting rule {args.rule!r}; known: plurality, approval")
+    spec = _psr_spec(args.rule, args.utilities, args.tally_cap)
+    utilities = spec.cardinal_utilities
     game = mechanisms.psr_game(spec)
     frontier = mechanisms.voting_pareto_frontier_loss_averse(spec)
     engine_la = concepts.loss_averse_actions(game)

@@ -308,13 +308,6 @@ def mixed_utility(game: AgentGame, mixed: MixedAction, state: str) -> Fraction:
     return total
 
 
-def difference_set(game: AgentGame, action: str, other: str) -> tuple[str, ...]:
-    """States on which the two actions' utilities differ, in state order."""
-    ra = game.row(action)
-    rb = game.row(other)
-    return tuple(s for j, s in enumerate(game.states) if ra[j] != rb[j])
-
-
 def format_game(game: AgentGame) -> str:
     """Serialize a game to the canonical text document."""
     lines = [

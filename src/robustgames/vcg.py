@@ -21,13 +21,14 @@ bids.  The claim-certification helpers always run on the Clarke rule;
 the literal rule degenerates for single-bid profiles (it charges the
 whole welfare).
 
-Attack classification compares, bundle by bundle, the best internal
-partition value of the Sybil bids against the true valuation; the
-adversary constructors then build the nature states that refute
-overbidding and underbidding attacks, checking their own postconditions
-by running the mechanism.  Truthful utilities against a nature state are
-kept in a bounded cache, since the family scans and the adversary checks
-ask for the same ones again and again.
+Valuations and bids share one bundle-table type.  Attack classification
+compares, bundle by bundle, the best internal partition value of the
+Sybil bids against the true valuation; one refutation loop then builds
+the nature states that refute overbidding and underbidding attacks,
+checking its own postconditions by running the mechanism.  Truthful
+utilities against a nature state are kept in a bounded cache, since the
+family scans and the adversary checks ask for the same ones again and
+again.
 """
 
 from __future__ import annotations
@@ -61,30 +62,41 @@ def bundle_label(mask: int, items: Sequence[str]) -> str:
     return ",".join(items[i] for i in mask_items(mask))
 
 
-def _check_table(item_count: int, values: Sequence[Fraction], what: str) -> tuple[Fraction, ...]:
+def _check_table(item_count: int, values: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if not 1 <= item_count <= MAX_ITEMS:
-        raise CapacityError(f"{what} item count {item_count} outside 1..{MAX_ITEMS}")
+        raise CapacityError(f"bundle table item count {item_count} outside 1..{MAX_ITEMS}")
     values = tuple(scalar(v) for v in values)
     if len(values) != 1 << item_count:
         raise ValidationError(
-            f"{what} table has {len(values)} entries, needs {1 << item_count}"
+            f"bundle table has {len(values)} entries, needs {1 << item_count}"
         )
     if values[0] != 0:
-        raise ValidationError(f"{what} must assign 0 to the empty bundle, got {values[0]}")
+        raise ValidationError(
+            f"bundle table must assign 0 to the empty bundle, got {values[0]}"
+        )
     bad = next((v for v in values if v < 0), None)
     if bad is not None:
-        raise ValidationError(f"{what} has a negative entry {bad}")
+        raise ValidationError(f"bundle table has a negative entry {bad}")
     return values
 
 
-class _BundleTable:
-    """What the bundle-table types share: the table scaled to integers.
+@dataclass(frozen=True)
+class BundleTable:
+    """A value for every bundle, indexed by bundle bitmask.
 
-    A frozen dataclass generates a hash over every field unless its own
-    body names ``__hash__``, so each subclass re-binds the one below.
+    One type serves as a true valuation and as a declared bid, since a
+    bid is a declared valuation: bidding truthfully submits the valuation
+    itself.  ``CombValuation`` and ``CombBid`` both name this class.
     """
 
+    item_count: int
     values: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", _check_table(self.item_count, self.values))
+
+    def value(self, mask: int) -> Fraction:
+        return self.values[mask]
 
     @functools.cached_property
     def _integers(self) -> tuple[int, tuple[int, ...]]:
@@ -98,57 +110,22 @@ class _BundleTable:
         return hash(self._integers)
 
 
-def _retyped(cls, table: _BundleTable):
-    """``table`` as a ``cls``, without validating it again: it already was."""
-    out = object.__new__(cls)
-    out.__dict__.update(table.__dict__)
-    return out
-
-
-@dataclass(frozen=True)
-class CombValuation(_BundleTable):
-    """True value for every bundle, indexed by bundle bitmask."""
-
-    item_count: int
-    values: tuple[Fraction, ...]
-    __hash__ = _BundleTable.__hash__
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _check_table(self.item_count, self.values, "valuation"))
-
-    def value(self, mask: int) -> Fraction:
-        return self.values[mask]
-
-
-@dataclass(frozen=True)
-class CombBid(_BundleTable):
-    """Declared value for every bundle, indexed by bundle bitmask."""
-
-    item_count: int
-    values: tuple[Fraction, ...]
-    __hash__ = _BundleTable.__hash__
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _check_table(self.item_count, self.values, "bid"))
-
-    def value(self, mask: int) -> Fraction:
-        return self.values[mask]
-
-
-def additive_table(per_item: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    per_item = tuple(scalar(v) for v in per_item)
-    m = len(per_item)
-    return tuple(
-        sum((per_item[i] for i in mask_items(mask)), Fraction(0)) for mask in range(1 << m)
-    )
-
-
-def additive_valuation(per_item: Sequence[Fraction]) -> CombValuation:
-    return CombValuation(len(per_item), additive_table(per_item))
+CombValuation = CombBid = BundleTable
 
 
 def additive_bid(per_item: Sequence[Fraction]) -> CombBid:
-    return CombBid(len(per_item), additive_table(per_item))
+    """The table whose value of a bundle is the sum of its items' values."""
+    per_item = tuple(scalar(v) for v in per_item)
+    return CombBid(
+        len(per_item),
+        tuple(
+            sum((per_item[i] for i in mask_items(mask)), Fraction(0))
+            for mask in range(1 << len(per_item))
+        ),
+    )
+
+
+additive_valuation = additive_bid
 
 
 def single_minded_bid(item_count: int, mask: int, amount: Fraction) -> CombBid:
@@ -212,10 +189,10 @@ class SybilProfile:
 
     @classmethod
     def truthful(cls, valuation: CombValuation) -> "SybilProfile":
-        return cls(valuation, (_retyped(CombBid, valuation),))
+        return cls(valuation, (valuation,))
 
 
-def _scaled(tables: Sequence[_BundleTable]) -> tuple[int, list[Sequence[int]]]:
+def _scaled(tables: Sequence[BundleTable]) -> tuple[int, list[Sequence[int]]]:
     """The tables' common denominator, and each table as integers over it."""
     scale = math.lcm(*[table._integers[0] for table in tables])
     out = []
@@ -477,7 +454,7 @@ def utility_against(
     """
     profiles = [SybilProfile(valuation, tuple(bids))]
     for b in nature:
-        profiles.append(SybilProfile(_retyped(CombValuation, b), (b,)))
+        profiles.append(SybilProfile(b, (b,)))
     return run_vcg(profiles, valuation.item_count, epsilon).agent_utilities[0]
 
 
@@ -575,14 +552,21 @@ def _adversary_ceiling(
 
 @dataclass(frozen=True)
 class AdversaryReport:
-    """Refutation outcome for an overbidding attack.
+    """Refutation outcome for an overbidding or an underbidding attack.
 
-    ``refuted`` means a nature bid was found giving the attack strictly
-    negative utility while truth stays non-negative.  Overbids that are
-    shadowed everywhere by the attack's own better sub-bundle bids never
-    engage, so no such nature bid exists; those carry no adversary and
-    ``refuted`` is False, with equivalence checked over the supplied
-    family plus the tried candidates.
+    ``refuted`` means a single nature bid was found, and certified by
+    running the mechanism, under which
+    - an overbidding attack earns strictly negative utility while truth
+      stays non-negative (truth going negative is a violated theorem);
+    - an underbidding attack earns exactly 0 while truth earns strictly
+      more.
+    An attack that deviates only on bundles shadowed everywhere by its
+    own better bids never engages there, so no such nature bid exists and
+    the attack can be outcome-equivalent to truth.  Those reports carry no
+    adversary, ``refuted`` is False and the form is "none"; equivalence
+    is then checked over a nature family plus the ``tried`` candidates.
+    ``witness_mask`` and ``tilde`` are the refuting bundle and amount, or
+    the first ones tried when unrefuted.
     """
 
     witness_mask: int
@@ -595,46 +579,100 @@ class AdversaryReport:
     tried: tuple[CombBid, ...] = ()
 
 
-def _overbidding_candidates(
-    valuation: CombValuation, bids: Sequence[CombBid], mask: int, best: Fraction, step: Fraction
-) -> Iterator[tuple[CombBid, Fraction, str]]:
-    """Candidate single-bid adversaries for an overbidding witness bundle.
+def _candidate_forms(
+    kind: AttackKind, target: Fraction, best: Fraction, step: Fraction
+) -> list[tuple[Fraction, str]]:
+    """The (tilde, form) candidates for a bundle worth ``target`` under v.
 
-    The literal construction prices witness items additively at the
-    midpoint split.  When the witness bundle hides a profitable
-    sub-bundle the Sybils can dodge the additive prices by winning only
-    that part, so the bundle form concedes the witness bundle strictly
-    as a whole instead.
+    Each tilde lies strictly between v and the attack's best partition
+    value ``best`` of the bundle; the first is the midpoint, snapped to
+    the bid grid where a grid point fits.  An overbid also tries one grid
+    step inside either end, in both forms; an underbid tries one step
+    under the true value in the bundle form only.
     """
-    m = valuation.item_count
-    target = valuation.value(mask)
-    bar = _adversary_ceiling(valuation, bids, step)
-    outside = full_mask(m) & ~mask
-    size = len(mask_items(mask))
-    tildes = [snap_to_grid_between(target, best, step)]
-    for extra in (target + step, best - step):
-        if target < extra < best and extra not in tildes:
+    over = kind is AttackKind.OVERBIDDING
+    lo, hi = (target, best) if over else (best, target)
+    tildes = [snap_to_grid_between(lo, hi, step)]
+    for extra in (lo + step, hi - step) if over else (hi - step,):
+        if lo < extra < hi and extra not in tildes:
             tildes.append(extra)
-    for tilde, label in [(t, "additive") for t in tildes] + [(t, "bundle") for t in tildes]:
-        if label == "additive":
-            per_item = [bar] * m
-            for i in mask_items(mask):
-                per_item[i] = tilde / size
-            yield additive_bid(per_item), tilde, label
-        else:
-            values = tuple(
-                bar * (code & outside).bit_count()
-                + (tilde if code & mask == mask else Fraction(0))
-                for code in range(1 << m)
-            )
-            yield CombBid(m, values), tilde, label
+    additive = tildes if over else tildes[:1]
+    return [(t, "additive") for t in additive] + [(t, "bundle") for t in tildes]
+
+
+def _adversary_bid(
+    item_count: int, mask: int, tilde: Fraction, form: str, bar: Fraction
+) -> CombBid:
+    """Nature bid asking ``tilde`` for ``mask`` and ``bar`` for every other item.
+
+    The additive form prices the items of ``mask`` at an equal share of
+    ``tilde`` each.  The bundle form asks ``tilde`` only for ``mask`` as a
+    whole, so Sybils that win a profitable part of the bundle cannot dodge
+    it.
+    """
+    if form == "additive":
+        share = tilde / mask.bit_count()
+        return additive_bid([share if mask >> i & 1 else bar for i in range(item_count)])
+    outside = full_mask(item_count) & ~mask
+    return CombBid(
+        item_count,
+        tuple(
+            bar * (code & outside).bit_count() + (tilde if code & mask == mask else Fraction(0))
+            for code in range(1 << item_count)
+        ),
+    )
+
+
+def _refute(
+    valuation: CombValuation,
+    bids: Sequence[CombBid],
+    kind: AttackKind,
+    epsilon: Fraction | None,
+) -> AdversaryReport:
+    """The refutation loop of both adversaries.
+
+    Every bundle the attack over- or underbids (by ``kind``), in ascending
+    mask order, gets each candidate of ``_candidate_forms``; the first one
+    the mechanism certifies is reported.
+    """
+    cls = classify_attack(valuation, bids)
+    if cls.kind is not kind:
+        raise ValidationError(f"profile classifies as {cls.kind.value}, not {kind.value}")
+    m = valuation.item_count
+    step = bid_grid_step(Fraction(1) if epsilon is None else scalar(epsilon), m)
+    bar = _adversary_ceiling(valuation, bids, step)
+    over = kind is AttackKind.OVERBIDDING
+    best = cls.best_partition
+    masks = [
+        mask
+        for mask in range(1, 1 << m)
+        if (best[mask] > valuation.value(mask) if over else best[mask] < valuation.value(mask))
+    ]
+    tried: list[CombBid] = []
+    first_tilde: Fraction | None = None
+    for mask in masks:
+        for tilde, form in _candidate_forms(kind, valuation.value(mask), best[mask], step):
+            adversary = _adversary_bid(m, mask, tilde, form, bar)
+            if first_tilde is None:
+                first_tilde = tilde
+            tried.append(adversary)
+            attack_u = utility_against(valuation, bids, [adversary])
+            if (attack_u >= 0) if over else (attack_u != 0):
+                continue
+            truth_u = _truthful_utility(valuation, adversary)
+            if over and truth_u < 0:
+                raise InternalConsistencyError(
+                    f"truthful bidding went negative ({truth_u}) against {adversary.values}"
+                )
+            if over or truth_u > 0:
+                return AdversaryReport(
+                    mask, tilde, adversary, attack_u, truth_u, True, form, tuple(tried)
+                )
+    return AdversaryReport(masks[0], first_tilde, None, None, None, False, "none", tuple(tried))
 
 
 def overbidding_adversary(
-    valuation: CombValuation,
-    bids: Sequence[CombBid],
-    witness_mask: int | None = None,
-    epsilon: Fraction | None = None,
+    valuation: CombValuation, bids: Sequence[CombBid], epsilon: Fraction | None = None
 ) -> AdversaryReport:
     """Nature bid under which the attack pays dearly for its overbid.
 
@@ -645,103 +683,12 @@ def overbidding_adversary(
     pins the bid grid the adversary's amounts are snapped to; without it
     the unit-grid step is used.
     """
-    cls = classify_attack(valuation, bids)
-    if cls.kind is not AttackKind.OVERBIDDING:
-        raise ValidationError(f"profile classifies as {cls.kind.value}, not overbidding")
-    m = valuation.item_count
-    step = bid_grid_step(Fraction(1) if epsilon is None else scalar(epsilon), m)
-    if witness_mask is None:
-        masks = [cls.witness_mask]
-        for mask in range(1, 1 << m):
-            if mask != cls.witness_mask and cls.best_partition[mask] > valuation.value(mask):
-                masks.append(mask)
-    else:
-        if cls.best_partition[witness_mask] <= valuation.value(witness_mask):
-            raise ValidationError(f"bundle {witness_mask} is not an overbidding witness")
-        masks = [witness_mask]
-    first_tilde: Fraction | None = None
-    tried: list[CombBid] = []
-    for mask in masks:
-        best = cls.best_partition[mask]
-        for adversary, tilde, form in _overbidding_candidates(valuation, bids, mask, best, step):
-            if first_tilde is None:
-                first_tilde = tilde
-            tried.append(adversary)
-            attack_u = utility_against(valuation, bids, [adversary])
-            if attack_u >= 0:
-                continue
-            truth_u = _truthful_utility(valuation, adversary)
-            if truth_u < 0:
-                raise InternalConsistencyError(
-                    f"truthful bidding went negative ({truth_u}) against {adversary.values}"
-                )
-            return AdversaryReport(
-                mask, tilde, adversary, attack_u, truth_u, True, form, tuple(tried)
-            )
-    return AdversaryReport(
-        masks[0], first_tilde, None, None, None, False, "none", tuple(tried)
-    )
-
-
-@dataclass(frozen=True)
-class UnderbiddingReport:
-    """Refutation outcome for an underbidding attack.
-
-    ``refuted`` means a nature bid was found giving the attack exactly 0
-    while truth earns strictly more.  Attacks that underbid only on
-    bundles shadowed by strictly better alternatives can be outcome
-    equivalent to truth; those carry no adversary and ``refuted`` is
-    False, with equivalence checked over the supplied family.
-    """
-
-    witness_mask: int
-    tilde: Fraction
-    adversary: CombBid | None
-    attack_utility: Fraction | None
-    truth_utility: Fraction | None
-    refuted: bool
-    form: str
-    tried: tuple[CombBid, ...] = ()
-
-
-def _underbidding_candidates(
-    valuation: CombValuation, bids: Sequence[CombBid], mask: int, best: Fraction, step: Fraction
-) -> Iterator[tuple[CombBid, Fraction, str]]:
-    """Candidate single-bid adversaries for an underbidding witness bundle.
-
-    The literal construction prices witness items additively at the
-    midpoint split; the bundle form concedes the witness bundle only as
-    a whole, at the midpoint or just under the true value.
-    """
-    m = valuation.item_count
-    target = valuation.value(mask)
-    bar = _adversary_ceiling(valuation, bids, step)
-    tilde = snap_to_grid_between(best, target, step)
-    size = len(mask_items(mask))
-    per_item = [bar] * m
-    for i in mask_items(mask):
-        per_item[i] = tilde / size
-    yield additive_bid(per_item), tilde, "additive"
-
-    outside = additive_table([Fraction(0) if (1 << i) & mask else bar for i in range(m)])
-    betas = [tilde]
-    just_under = target - step
-    if just_under > best and just_under != tilde:
-        betas.append(just_under)
-    for beta in betas:
-        values = tuple(
-            outside[code] + (beta if code & mask == mask else Fraction(0))
-            for code in range(1 << m)
-        )
-        yield CombBid(m, values), beta, "bundle"
+    return _refute(valuation, bids, AttackKind.OVERBIDDING, epsilon)
 
 
 def underbidding_adversary(
-    valuation: CombValuation,
-    bids: Sequence[CombBid],
-    witness_mask: int | None = None,
-    epsilon: Fraction | None = None,
-) -> UnderbiddingReport:
+    valuation: CombValuation, bids: Sequence[CombBid], epsilon: Fraction | None = None
+) -> AdversaryReport:
     """Nature bid under which the attack earns 0 but truth earns more.
 
     Tries each candidate construction on each underbidding bundle and
@@ -750,34 +697,7 @@ def underbidding_adversary(
     pins the bid grid the adversary's amounts are snapped to; without
     it the unit-grid step is used.
     """
-    cls = classify_attack(valuation, bids)
-    if cls.kind is not AttackKind.UNDERBIDDING:
-        raise ValidationError(f"profile classifies as {cls.kind.value}, not underbidding")
-    m = valuation.item_count
-    step = bid_grid_step(Fraction(1) if epsilon is None else scalar(epsilon), m)
-    masks = [cls.witness_mask if witness_mask is None else witness_mask]
-    for mask in range(1, 1 << m):
-        if mask not in masks and cls.best_partition[mask] < valuation.value(mask):
-            masks.append(mask)
-    first_tilde: Fraction | None = None
-    tried: list[CombBid] = []
-    for mask in masks:
-        best = cls.best_partition[mask]
-        for adversary, tilde, form in _underbidding_candidates(valuation, bids, mask, best, step):
-            if first_tilde is None:
-                first_tilde = tilde
-            tried.append(adversary)
-            attack_u = utility_against(valuation, bids, [adversary])
-            if attack_u != 0:
-                continue
-            truth_u = _truthful_utility(valuation, adversary)
-            if truth_u > 0:
-                return UnderbiddingReport(
-                    mask, tilde, adversary, attack_u, truth_u, True, form, tuple(tried)
-                )
-    return UnderbiddingReport(
-        masks[0], first_tilde, None, None, None, False, "none", tuple(tried)
-    )
+    return _refute(valuation, bids, AttackKind.UNDERBIDDING, epsilon)
 
 
 def nature_state_family(
@@ -1168,7 +1088,7 @@ def build_singleton_split_instance(epsilon: Fraction) -> SingletonSplitReport:
     classification = classify_attack(valuation, attack_bids)
     attack_profiles = [SybilProfile(valuation, attack_bids)]
     truth_profiles = [SybilProfile.truthful(valuation)]
-    nature_profile = SybilProfile(CombValuation(3, nature.values), (nature,))
+    nature_profile = SybilProfile(nature, (nature,))
     attack_run = run_vcg(attack_profiles + [nature_profile], 3, eps)
     truth_run = run_vcg(truth_profiles + [nature_profile], 3, eps)
     return SingletonSplitReport(

@@ -290,32 +290,35 @@ def _handle_attack(
     epsilon: Fraction,
     family: tuple[vcg.CombBid, ...],
     tally: Counter,
-) -> str | None:
-    """Run the classification-specific certificate; a string is a failure."""
+) -> tuple[vcg.AttackKind, str | None]:
+    """Run the classification-specific certificate.
+
+    Returns the attack's kind and a failure message, or None on success.
+    """
     kind = vcg.classify_attack(valuation, bids).kind
     if kind is vcg.AttackKind.OVERBIDDING:
         report = vcg.overbidding_adversary(valuation, bids, epsilon=epsilon)
         if report.refuted:
             if not (report.attack_utility < 0 <= report.truth_utility):
-                return (
+                return kind, (
                     f"punishment pair ({report.attack_utility}, {report.truth_utility}) "
                     "is not (<0, >=0)"
                 )
             tally["overbidding-punished"] += 1
-            return None
+            return kind, None
         check = vcg.claim_family_check(valuation, bids, family, extra=report.tried)
         if check.reversal:
-            return (
+            return kind, (
                 f"reversal state {check.reversal.values} on valuation "
                 f"{valuation.values} attack {[b.values for b in bids]}"
             )
         if check.difference_states == 0:
             tally["overbidding-equivalent"] += 1
-            return None
+            return kind, None
         if check.truth_min is not None and check.truth_min >= check.attack_min:
             tally["overbidding-dominated"] += 1
-            return None
-        return (
+            return kind, None
+        return kind, (
             f"unpunished overbid with truth min {check.truth_min} below attack min "
             f"{check.attack_min}: valuation {valuation.values} attack {[b.values for b in bids]}"
         )
@@ -323,28 +326,30 @@ def _handle_attack(
         report = vcg.underbidding_adversary(valuation, bids, epsilon=epsilon)
         check = vcg.claim_family_check(valuation, bids, family, extra=report.tried)
         if check.reversal:
-            return (
+            return kind, (
                 f"reversal state {check.reversal.values} on valuation "
                 f"{valuation.values} attack {[b.values for b in bids]}"
             )
         if report.refuted:
             if not (report.attack_utility == 0 and report.truth_utility > 0):
-                return f"witness pair ({report.attack_utility}, {report.truth_utility}) is not (0, >0)"
+                return kind, (
+                    f"witness pair ({report.attack_utility}, {report.truth_utility}) is not (0, >0)"
+                )
             tally["underbidding-refuted"] += 1
-            return None
+            return kind, None
         if check.difference_states == 0:
             tally["underbidding-equivalent"] += 1
-            return None
+            return kind, None
         if check.truth_min is not None and check.truth_min >= check.attack_min:
             tally["underbidding-dominated"] += 1
-            return None
-        return (
+            return kind, None
+        return kind, (
             f"unrefuted underbid with truth min {check.truth_min} below attack min "
             f"{check.attack_min}: valuation {valuation.values} attack {[b.values for b in bids]}"
         )
     certificate = vcg.truth_loss_averse_witnesses(valuation, bids, family)
     tally[f"exact-{certificate.mode}"] += 1
-    return None
+    return kind, None
 
 
 def _random_m3_instance(
@@ -389,10 +394,10 @@ def check_vcg_attack_properties(budget: str = "default", seed: int = 0) -> Check
         attacks = tuple(vcg.enumerate_attacks(item_count, epsilon, 2, 2))
         for valuation in valuations:
             for bids in attacks:
-                failure = _handle_attack(valuation, bids, epsilon, family, tally)
+                kind, failure = _handle_attack(valuation, bids, epsilon, family, tally)
                 if failure:
                     return _fail(name, failure)
-                if vcg.classify_attack(valuation, bids).kind is vcg.AttackKind.EXACT_BIDDING:
+                if kind is vcg.AttackKind.EXACT_BIDDING:
                     profile = vcg.SybilProfile(valuation, bids)
                     vcg.verify_exact_bidding_optimal([profile], item_count, epsilon=epsilon)
                     exact_pool.append((item_count, profile))
@@ -412,7 +417,7 @@ def check_vcg_attack_properties(budget: str = "default", seed: int = 0) -> Check
     family3 = _core_family(3)
     for i in range(_counts(budget)["vcg_random"]):
         valuation, bids = _random_m3_instance(rng, i % 3)
-        failure = _handle_attack(valuation, bids, epsilon, family3, tally)
+        _, failure = _handle_attack(valuation, bids, epsilon, family3, tally)
         if failure:
             return _fail(name, failure)
         tally["random-m3"] += 1

@@ -350,3 +350,124 @@ def test_analyze_reports_match_their_recorded_digests(tmp_path, capsys):
         code, out, _ = run(capsys, "analyze", "--game", str(path), "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == expected, (name, fmt)
+
+
+# One vcg-attack scenario per adversary branch: (valuation, bids, nature,
+# epsilon).  The underbid is the three-item singleton split at 1/10; the
+# attack that overbids every bundle pins the ascending order of the bundles
+# the adversary tries.
+_VCG_SCENARIOS = {
+    "overbid-additive": ("0 1 1 2", ("0 2 0 2",), "0 1 1 2", "1"),
+    "overbid-bundle": ("0 0 1 0", ("0 0 1 1",), "0 1 1 2", "1"),
+    "overbid-shadowed": ("0 0 2 0", ("0 0 2 1",), None, "1"),
+    "overbid-every-bundle": ("0 1 1 1", ("0 2 2 2",), "0 1 1 2", "1"),
+    "underbid-refuted": (
+        "0 1 1 2 1 11/10 11/10 21/10",
+        ("0 1 0 1 0 1 0 1", "0 0 1 1 0 0 1 1", "0 0 0 0 1/10 1/10 1/10 1/10"),
+        "0 0 0 19/10 1000 1000 1000 10019/10",
+        "1/10",
+    ),
+    "underbid-shadowed": ("0 0 1 1", ("0 0 1 0",), "0 1 0 1", "1"),
+    "exact-case-1": ("0 1 1 2", ("0 1 0 1", "0 0 1 1"), "0 0 0 1", "1"),
+}
+
+# sha256 of the stdout of `vcg ACTION --scenario FILE` per scenario above,
+# and of `voting` reports, recorded before the bundle-table and adversary
+# types were merged.
+_GOLDEN_VCG = {
+    ("overbid-additive", "classify"):
+        "309f994583d5677829d7668316888349fc79b063eab273bfbbd3d4208ed8a527",
+    ("overbid-additive", "adversary"):
+        "3cae359a217cdae20e338bf8ff227070f15225d75096b6f1af8bd2caedc6605c",
+    ("overbid-additive", "run"):
+        "e08e0c5a17401ef4917fbc64a41f7a30f4a87c177f3599dbd7f1a0adac36bfa1",
+    ("overbid-bundle", "classify"):
+        "817d75855222f513db910c34db7633e9d2091120a5f29143978e544240959a5b",
+    ("overbid-bundle", "adversary"):
+        "e04786e2009750ecc1fc7582db912bd3869db5db1c22c1748f947b2448449dda",
+    ("overbid-bundle", "run"):
+        "e42052bb38c0ff3d448ca8d3845c48e818a684e61cf79b6e95ca44245cc7cfd9",
+    ("overbid-shadowed", "classify"):
+        "e08b7a0915eeef99a7a5bf2c9d97deda454493fc11aaada9cb0346b51b670784",
+    ("overbid-shadowed", "adversary"):
+        "868b9a48b6670bbb35db262860fd923f3fcf236b0a9772243165dd9e1a54ce43",
+    ("overbid-shadowed", "run"):
+        "c6b4c79b915f9b5861f0dd561fbc4798df1a88188c9d0cbb5aacff732fe42723",
+    ("overbid-every-bundle", "classify"):
+        "211aa8e51a41663ec9df3826e99e7aa75c62bdc2eeed7119016496b16e549911",
+    ("overbid-every-bundle", "adversary"):
+        "681b1423b2fbe4a65b93b26968dca3e5cc50b9e4779f10cd2d87e9ac840b225d",
+    ("overbid-every-bundle", "run"):
+        "e08e0c5a17401ef4917fbc64a41f7a30f4a87c177f3599dbd7f1a0adac36bfa1",
+    ("underbid-refuted", "classify"):
+        "680ac8a59be97cfa310b04ac74df323191a995dcd78523751509ba9c9dd15e84",
+    ("underbid-refuted", "adversary"):
+        "c83ed105525802bc5228b78dad03621c64ff1989a9f216bfa453d50431d1eabc",
+    ("underbid-refuted", "run"):
+        "efb9cffb4f5a88ef7dd058a68fdecf1a00e2883bc7f3e23ece996d8dd1aa179a",
+    ("underbid-shadowed", "classify"):
+        "07a124338c1e5ada084ce2eec4d9dd405421e7cfb1ab55588cef257aa7c78eb2",
+    ("underbid-shadowed", "adversary"):
+        "4e66f7dc11653a070a397edc7398c8083c982bd2ec2d6493b8ccbfb25c6ef590",
+    ("underbid-shadowed", "run"):
+        "24c2f43c3df83e33f9cfd41134068f1f17a6cbdcb6beb1e9ac2e131b4e378ec9",
+    ("exact-case-1", "classify"):
+        "611c0e26c30a8c89d70a7a990a1c99ecfd4a6dd8aa96a402cbb9156bd11af57f",
+    ("exact-case-1", "adversary"):
+        "be3df131b7d62152090c70c95937a58837c17d7cb14294db2174add5f87a8d58",
+    ("exact-case-1", "run"):
+        "c15beaa26a9553022e56e880a3a030745ab2aa3b873b3137ea42cad714b517ec",
+}
+_GOLDEN_VOTING = {
+    "plurality": "9f5cdba2030c89e8802a912197280bdb52d4a2a1adfcb06565515ce47393a7a3",
+    "plurality-cap": "18738868a9cc3f254396052c7fb426db42d8b8f573e0da563c0874e6bfd1d9aa",
+    "approval": "6da03d453fad9e88337aab4f15d1b2ba1342294ece43788e091e51c15f5f6616",
+    "approval-cap": "5616ac853ba7bbe5ed56a756a6abda275c4b3b2fd409ce369f2bdfa31ffe3d4e",
+}
+_VOTING_ARGS = {
+    "plurality": ("--rule", "plurality", "--utilities", "1,1/2,0"),
+    "plurality-cap": ("--rule", "plurality", "--utilities", "1,1/2,0", "--tally-cap", "3"),
+    "approval": ("--rule", "approval", "--utilities", "1,9/10,1/10,0"),
+    "approval-cap": ("--rule", "approval", "--utilities", "1,9/10,1/10,0", "--tally-cap", "1"),
+}
+
+
+def _vcg_scenario_text(valuation, bids, nature, epsilon):
+    items = len(valuation.split()).bit_length() - 1
+    lines = ["scenario v1", "kind: vcg-attack", f"items: {items}", f"epsilon: {epsilon}"]
+    lines.append(f"valuation: {valuation}")
+    lines += [f"bid: {bid}" for bid in bids]
+    if nature is not None:
+        lines.append(f"nature: {nature}")
+    return "\n".join(lines) + "\n"
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_vcg_reports_match_their_recorded_digests(tmp_path, capsys):
+    for name, fields in _VCG_SCENARIOS.items():
+        path = tmp_path / f"{name}.scn"
+        path.write_text(_vcg_scenario_text(*fields))
+        for action in ("classify", "adversary", "run"):
+            code, out, _ = run(capsys, "vcg", action, "--scenario", str(path))
+            assert code == 0
+            assert _sha(out) == _GOLDEN_VCG[name, action], (name, action)
+
+
+def test_voting_reports_match_their_recorded_digests_and_scenarios(tmp_path, capsys):
+    for name, args in _VOTING_ARGS.items():
+        code, report, _ = run(capsys, "voting", *args)
+        assert code == 0
+        assert _sha(report) == _GOLDEN_VOTING[name], name
+        fields = dict(zip(args[::2], args[1::2]))
+        text = f"scenario v1\nkind: voting\nrule: {fields['--rule']}\n"
+        text += f"utilities: {fields['--utilities']}\n"
+        if "--tally-cap" in fields:
+            text += f"tally-cap: {fields['--tally-cap']}\n"
+        path = tmp_path / f"{name}.scn"
+        path.write_text(text)
+        code, game, _ = run(capsys, "export", "--scenario", str(path))
+        assert code == 0
+        assert report.endswith("\n" + game)

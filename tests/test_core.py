@@ -10,7 +10,6 @@ from robustgames.core import (
     AgentGame,
     MixedAction,
     convex_combination,
-    difference_set,
     format_extended,
     format_game,
     format_scalar,
@@ -98,13 +97,6 @@ def test_game_builders_convert_scalars():
     assert game_from_table("t", ["a"], ["x", "y"], table).utility("a", "y") == Fraction(2, 3)
     with pytest.raises(ValidationError):
         game_from_table("t", ["a"], ["x", "y"], {("a", "x"): 1})
-
-
-def test_difference_set_is_ordered_and_exact():
-    game = _toy()
-    assert difference_set(game, "a", "b") == ("x", "y")
-    same = AgentGame("t", ("a", "b"), ("x",), ((Fraction(1),), (Fraction(1),)))
-    assert difference_set(same, "a", "b") == ()
 
 
 def _mixed_denominator_game(seed: int) -> AgentGame:

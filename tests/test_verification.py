@@ -21,12 +21,11 @@ def test_reversal_failure_names_the_reversal_state(monkeypatch, valuation, attac
     zero_truth = vcg.CombBid(2, (F(0), F(3), F(3), F(5)))
     check = vcg.FamilyCheck(10, 1, F(0), F(1), reversal, zero_truth)
     monkeypatch.setattr(vcg, "claim_family_check", lambda *args, **kwargs: check)
-    failure = verification._handle_attack(
-        vcg.CombValuation(2, tuple(F(v) for v in valuation)),
-        (vcg.CombBid(2, tuple(F(v) for v in attack)),),
-        F(1),
-        vcg.nature_state_family(2, (F(0), F(1))),
-        Counter(),
+    table = vcg.CombValuation(2, tuple(F(v) for v in valuation))
+    bids = (vcg.CombBid(2, tuple(F(v) for v in attack)),)
+    kind, failure = verification._handle_attack(
+        table, bids, F(1), vcg.nature_state_family(2, (F(0), F(1))), Counter()
     )
+    assert kind is vcg.classify_attack(table, bids).kind
     assert failure.startswith(f"reversal state {reversal.values} on valuation")
     assert str(zero_truth.values) not in failure
