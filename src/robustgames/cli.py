@@ -195,13 +195,9 @@ def _scenario_game(scenario: Scenario) -> AgentGame:
             path = os.path.join(scenario.base_dir, path)
         return parse_game(_read_text(path, "game file"))
     if kind == "dfpa":
-        value = parse_scalar(scenario.single("value"))
-        epsilon = parse_scalar(scenario.single("epsilon"))
-        cap = scenario.optional("cap")
-        if cap is None:
-            spec = singleitem.default_dfpa_spec(value, epsilon)
-        else:
-            spec = singleitem.DfpaSpec(value, epsilon, parse_scalar(cap))
+        spec = _dfpa_spec(
+            scenario.single("value"), scenario.single("epsilon"), scenario.optional("cap")
+        )
         return singleitem.dfpa_game(spec)
     if kind == "all-pay":
         return singleitem.all_pay_game(
@@ -216,6 +212,13 @@ def _scenario_game(scenario: Scenario) -> AgentGame:
     if kind == "curated":
         return instances.curated_game(scenario.single("name"))
     raise ValidationError(f"scenario kind {kind!r} does not describe a single game")
+
+
+def _dfpa_spec(value: str, epsilon: str, cap: str | None) -> singleitem.DfpaSpec:
+    value, epsilon = parse_scalar(value), parse_scalar(epsilon)
+    if not cap:
+        return singleitem.default_dfpa_spec(value, epsilon)
+    return singleitem.DfpaSpec(value, epsilon, parse_scalar(cap))
 
 
 def _facility_spec(agents: int, my_type: str, grid_step: str | None) -> mechanisms.FacilitySpec:
@@ -250,6 +253,14 @@ def _psr_spec_from(scenario: Scenario) -> mechanisms.PsrSpec:
         scenario.single("utilities"),
         _parse_int(cap, "tally-cap") if cap is not None else None,
     )
+
+
+def _payment_rule(name: str) -> vcg.PaymentRule:
+    try:
+        return vcg.PaymentRule(name)
+    except ValueError:
+        known = ", ".join(rule.value for rule in vcg.PaymentRule)
+        raise ValidationError(f"unknown payment rule {name!r}; known: {known}") from None
 
 
 def _vcg_attack_from(
@@ -329,11 +340,8 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
 # auctions
 
 
-def _dfpa_text(value: Fraction, epsilon: Fraction, cap: Fraction | None, decimal: int | None) -> str:
-    if cap is None:
-        spec = singleitem.default_dfpa_spec(value, epsilon)
-    else:
-        spec = singleitem.DfpaSpec(value, epsilon, cap)
+def _dfpa_text(spec: singleitem.DfpaSpec, decimal: int | None) -> str:
+    value, epsilon = spec.value, spec.epsilon
     game = singleitem.dfpa_game(spec)
     la_bid = singleitem.dfpa_loss_averse_bid(value, epsilon)
     regret_set = singleitem.dfpa_min_max_regret_set(value, epsilon)
@@ -410,8 +418,7 @@ def _cmd_auction(args: argparse.Namespace) -> str:
     if args.mechanism == "dfpa":
         if args.value is None or args.epsilon is None:
             raise ParseError("auction dfpa needs --value and --epsilon")
-        cap = parse_scalar(args.cap) if args.cap else None
-        return _dfpa_text(parse_scalar(args.value), parse_scalar(args.epsilon), cap, args.decimal)
+        return _dfpa_text(_dfpa_spec(args.value, args.epsilon, args.cap), args.decimal)
     if args.mechanism == "allpay":
         if args.value is None or args.epsilon is None or args.cap is None:
             raise ParseError("auction allpay needs --value, --epsilon, and --cap")
@@ -470,10 +477,9 @@ def _split_pair_text(epsilon: Fraction, rule: vcg.PaymentRule, decimal: int | No
         f"classification-witness {vcg.bundle_label(report.classification.witness_mask, report.items)}",
     ]
     lines += _outcome_lines(outcome, labels, report.items, decimal)
-    lines.append(f"truthful-welfare {_scalar_cell(report.truthful_welfare, decimal)}")
-    lines.append(
-        f"truthful-agent-utility A {_scalar_cell(report.truthful_agent_utility, decimal)}"
-    )
+    truth = report.truthful_outcome
+    lines.append(f"truthful-welfare {_scalar_cell(truth.observed_welfare, decimal)}")
+    lines.append(f"truthful-agent-utility A {_scalar_cell(truth.agent_utilities[0], decimal)}")
     for note in report.discrepancies:
         lines.append(f"source-discrepancy {note}")
     return "\n".join(lines) + "\n"
@@ -490,16 +496,17 @@ def _singleton_split_text(epsilon: Fraction, decimal: int | None) -> str:
         f"classification-witness {vcg.bundle_label(report.classification.witness_mask, report.items)}",
     ]
     lines += _outcome_lines(report.attack_outcome, labels, report.items, decimal)
-    lines.append(f"attack-utility {_scalar_cell(report.attack_utility, decimal)}")
-    lines.append(f"truth-utility {_scalar_cell(report.truth_utility, decimal)}")
+    attack_utility = report.attack_outcome.agent_utilities[0]
+    lines.append(f"attack-utility {_scalar_cell(attack_utility, decimal)}")
+    truth_utility = report.truthful_outcome.agent_utilities[0]
+    lines.append(f"truth-utility {_scalar_cell(truth_utility, decimal)}")
     return "\n".join(lines) + "\n"
 
 
 def _vcg_run_scenario_text(scenario: Scenario, rule_name: str, decimal: int | None) -> str:
+    # The scenario's rule overrides the flag, as its format and concepts do.
+    rule = _payment_rule(scenario.optional("payment-rule", rule_name))
     valuation, bids, nature, epsilon = _vcg_attack_from(scenario)
-    rule = (
-        vcg.PaymentRule.CLARKE_PIVOT if rule_name == "clarke" else vcg.PaymentRule.PAPER_LITERAL
-    )
     profiles = [vcg.SybilProfile(valuation, bids)]
     if nature is not None:
         profiles.append(vcg.SybilProfile(nature, (nature,)))
@@ -525,12 +532,7 @@ def _cmd_vcg(args: argparse.Namespace) -> str:
     epsilon = parse_scalar(args.epsilon) if args.epsilon else Fraction(1, 10)
     if args.action == "run":
         if args.curated == "example-e1":
-            rule = (
-                vcg.PaymentRule.CLARKE_PIVOT
-                if args.payment_rule == "clarke"
-                else vcg.PaymentRule.PAPER_LITERAL
-            )
-            return _split_pair_text(epsilon, rule, args.decimal)
+            return _split_pair_text(epsilon, _payment_rule(args.payment_rule), args.decimal)
         if args.curated == "example-e2":
             return _singleton_split_text(epsilon, args.decimal)
         if args.curated:

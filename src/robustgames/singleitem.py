@@ -65,6 +65,8 @@ def default_dfpa_spec(value: Fraction, epsilon: Fraction) -> DfpaSpec:
     above every feasible bid is all the arguments use.
     """
     value, epsilon = scalar(value), scalar(epsilon)
+    if epsilon <= 0:  # checked here too: the cap below divides by it
+        raise ValidationError(f"grid step must be positive, got {epsilon}")
     raw = value + 2 * epsilon
     cap = epsilon * (-((-raw) / epsilon).__floor__())
     return DfpaSpec(value, epsilon, cap)

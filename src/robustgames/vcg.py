@@ -238,6 +238,10 @@ def _tie_broken_assignment(
 ) -> tuple[int, tuple[int, ...]]:
     """Exhaustive search for the best owners of ``items`` in tie-break order."""
     n = len(tables)
+    if n ** len(items) > SEARCH_BUDGET:
+        raise CapacityError(
+            f"assignment space {n}^{len(items)} exceeds the search budget {SEARCH_BUDGET}"
+        )
     bits = [1 << i for i in items]
     best_welfare = -1
     best_profile: list[int] = []
@@ -283,11 +287,6 @@ def winner_determination(
             raise ValidationError("bid item count does not match the instance")
     mask = full_mask(item_count) if items_mask is None else items_mask
     items = mask_items(mask)
-    n = len(bids)
-    if n ** len(items) > SEARCH_BUDGET:
-        raise CapacityError(
-            f"assignment space {n}^{len(items)} exceeds the search budget {SEARCH_BUDGET}"
-        )
     scale, tables = _scaled(bids)
     welfare, choice = _tie_broken_assignment(tables, items)
     assignment = [-1] * item_count
@@ -381,8 +380,11 @@ def run_vcg(
 ) -> VcgOutcome:
     """Flatten all Sybil bids, allocate, charge, and score welfare.
 
-    When ``epsilon`` is given, valuations are checked against its grid
-    and bids against the finer bid grid.
+    The bids and the valuations are scaled once, onto one denominator;
+    the items go to the bids by the tie-broken search that
+    ``winner_determination`` documents.  When ``epsilon`` is given,
+    valuations are checked against its grid and bids against the finer
+    bid grid.
     """
     if not profiles:
         raise ValidationError("need at least one agent profile")
@@ -408,12 +410,12 @@ def run_vcg(
         for bid in p.bids:
             flat.append(bid)
             agent_of_bid.append(i)
-    welfare, assignment = winner_determination(flat, item_count)
-    bundles = assignment_bundles(assignment, len(flat))
     scale, tables = _scaled(flat + [p.valuation for p in profiles])
     tables, values = tables[: len(flat)], tables[len(flat):]
+    welfare, assignment = _tie_broken_assignment(tables, mask_items(full_mask(item_count)))
+    bundles = assignment_bundles(assignment, len(flat))
     observed = sum([table[bundle] for table, bundle in zip(tables, bundles)])
-    if Fraction(observed, scale) != welfare:
+    if observed != welfare:
         raise InternalConsistencyError("observed welfare does not match the search value")
     payments = _payments(tables, item_count, observed, bundles, payment_rule)
     agent_bundles = [0] * len(profiles)
@@ -428,7 +430,7 @@ def run_vcg(
         assignment=assignment,
         bundles=bundles,
         payments=tuple([Fraction(p, scale) for p in payments]),
-        observed_welfare=welfare,
+        observed_welfare=Fraction(observed, scale),
         real_welfare=Fraction(real, scale),
         agent_of_bid=tuple(agent_of_bid),
         agent_bundles=tuple(agent_bundles),
@@ -445,7 +447,6 @@ def utility_against(
     valuation: CombValuation,
     bids: Sequence[CombBid],
     nature: Sequence[CombBid],
-    epsilon: Fraction | None = None,
 ) -> Fraction:
     """The attacking agent's utility when facing the given nature bids.
 
@@ -455,7 +456,7 @@ def utility_against(
     profiles = [SybilProfile(valuation, tuple(bids))]
     for b in nature:
         profiles.append(SybilProfile(b, (b,)))
-    return run_vcg(profiles, valuation.item_count, epsilon).agent_utilities[0]
+    return run_vcg(profiles, valuation.item_count).agent_utilities[0]
 
 
 # Room for one valuation's whole nature family plus the adversaries tried
@@ -466,7 +467,7 @@ TRUTH_CACHE_SIZE = 256
 @functools.lru_cache(maxsize=TRUTH_CACHE_SIZE)
 def _truthful_utility(valuation: CombValuation, state: CombBid) -> Fraction:
     """Utility of bidding ``valuation`` truthfully against one nature bid."""
-    return utility_against(valuation, SybilProfile.truthful(valuation).bids, (state,))
+    return utility_against(valuation, (valuation,), (state,))
 
 
 class AttackKind(enum.Enum):
@@ -700,9 +701,7 @@ def underbidding_adversary(
     return _refute(valuation, bids, AttackKind.UNDERBIDDING, epsilon)
 
 
-def nature_state_family(
-    item_count: int, levels: Sequence[Fraction], include_single_minded: bool = True
-) -> tuple[CombBid, ...]:
+def nature_state_family(item_count: int, levels: Sequence[Fraction]) -> tuple[CombBid, ...]:
     """Deterministic family of single-bid nature states for family checks.
 
     Additive bids over all per-item combinations of ``levels``, plus
@@ -712,13 +711,12 @@ def nature_state_family(
     out: list[CombBid] = []
     for combo in itertools.product(levels, repeat=item_count):
         out.append(additive_bid(combo))
-    if include_single_minded:
-        for mask in range(1, 1 << item_count):
-            if mask.bit_count() < 2:
-                continue  # singletons are covered by the additive combos
-            for level in levels:
-                if level > 0:
-                    out.append(single_minded_bid(item_count, mask, level))
+    for mask in range(1, 1 << item_count):
+        if mask.bit_count() < 2:
+            continue  # singletons are covered by the additive combos
+        for level in levels:
+            if level > 0:
+                out.append(single_minded_bid(item_count, mask, level))
     return tuple(out)
 
 
@@ -750,7 +748,7 @@ def claim_family_check(
     truth earns 0; a zero-truth state has truth at 0 while the attack
     differs.  Both must be absent for the claim to hold on the family.
     """
-    states = list(family) + [b for b in extra if b is not None]
+    states = [*family, *extra]
     diff = 0
     truth_min: Fraction | None = None
     attack_min: Fraction | None = None
@@ -932,24 +930,18 @@ class SplitPairReport:
 
     The additive agent values only the last two items, yet its two
     high additive Sybil bids sweep all four items away from the two
-    unit-demand-like agents.  Source figures that disagree with the
-    recomputed exact values are listed in ``discrepancies``.
+    unit-demand-like agents.  The exact values are read from the three
+    outcomes; the ``stated_*`` fields are the source's figures, and those
+    that disagree with the exact values are listed in ``discrepancies``.
     """
 
     epsilon: Fraction
     items: tuple[str, ...]
     attack_profiles: tuple[SybilProfile, ...]
-    truthful_profiles: tuple[SybilProfile, ...]
     classification: AttackClassification
     attack_outcome: VcgOutcome
     attack_outcome_literal: VcgOutcome
     truthful_outcome: VcgOutcome
-    attack_bundles: tuple[int, int]
-    attack_real_welfare: Fraction
-    clarke_payments: tuple[Fraction, Fraction]
-    literal_payments: tuple[Fraction, Fraction]
-    truthful_welfare: Fraction
-    truthful_agent_utility: Fraction
     stated_optimal_welfare: Fraction
     stated_payment: Fraction
     stated_attack_utility: Fraction
@@ -982,7 +974,7 @@ def build_split_pair_instance(epsilon: Fraction) -> SplitPairReport:
         SybilProfile.truthful(val_b),
         SybilProfile.truthful(val_c),
     )
-    truthful = tuple(SybilProfile.truthful(p.valuation) for p in attack)
+    truthful = [SybilProfile.truthful(p.valuation) for p in attack]
     classification = classify_attack(val_a, attack[0].bids)
     attack_run = run_vcg(attack, 4, eps, PaymentRule.CLARKE_PIVOT)
     attack_literal = run_vcg(attack, 4, eps, PaymentRule.PAPER_LITERAL)
@@ -1014,17 +1006,10 @@ def build_split_pair_instance(epsilon: Fraction) -> SplitPairReport:
         epsilon=eps,
         items=items,
         attack_profiles=attack,
-        truthful_profiles=truthful,
         classification=classification,
         attack_outcome=attack_run,
         attack_outcome_literal=attack_literal,
         truthful_outcome=truth_run,
-        attack_bundles=(attack_run.bundles[0], attack_run.bundles[1]),
-        attack_real_welfare=attack_run.real_welfare,
-        clarke_payments=(attack_run.payments[0], attack_run.payments[1]),
-        literal_payments=(attack_literal.payments[0], attack_literal.payments[1]),
-        truthful_welfare=truth_run.observed_welfare,
-        truthful_agent_utility=truth_run.agent_utilities[0],
         stated_optimal_welfare=stated_optimal,
         stated_payment=stated_payment,
         stated_attack_utility=stated_attack_utility,
@@ -1049,8 +1034,6 @@ class SingletonSplitReport:
     classification: AttackClassification
     attack_outcome: VcgOutcome
     truthful_outcome: VcgOutcome
-    attack_utility: Fraction
-    truth_utility: Fraction
 
 
 def build_singleton_split_instance(epsilon: Fraction) -> SingletonSplitReport:
@@ -1100,8 +1083,6 @@ def build_singleton_split_instance(epsilon: Fraction) -> SingletonSplitReport:
         classification=classification,
         attack_outcome=attack_run,
         truthful_outcome=truth_run,
-        attack_utility=attack_run.agent_utilities[0],
-        truth_utility=truth_run.agent_utilities[0],
     )
 
 

@@ -8,6 +8,7 @@ details carry instance counts so a run can be compared byte for byte.
 """
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -58,8 +59,27 @@ class CheckResult:
     detail: str
 
 
-def _fail(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, False, detail)
+class _Failure(str):
+    """The detail line of a failed check; a check passes with a plain ``str``."""
+
+
+def _check(name: str):
+    """Give a check its ``verify-all`` name, on its result and as ``.name``.
+
+    The decorated body returns its detail line; ``run_all`` reads the
+    name when the body raises instead.
+    """
+
+    def named(body):
+        @functools.wraps(body)
+        def check(budget: str = "default", seed: int = 0) -> CheckResult:
+            detail = body(budget, seed)
+            return CheckResult(name, not isinstance(detail, _Failure), str(detail))
+
+        check.name = name
+        return check
+
+    return named
 
 
 def dfpa_test_grid() -> tuple[tuple[Fraction, Fraction], ...]:
@@ -94,8 +114,8 @@ def dfpa_test_grid() -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(pairs)
 
 
-def check_dfpa_loss_averse_closed_form(budget: str = "default", seed: int = 0) -> CheckResult:
-    name = "dfpa-loss-averse-closed-form"
+@_check("dfpa-loss-averse-closed-form")
+def check_dfpa_loss_averse_closed_form(budget: str, seed: int) -> str:
     branches = Counter()
     pairs = dfpa_test_grid()
     for value, eps in pairs:
@@ -103,10 +123,7 @@ def check_dfpa_loss_averse_closed_form(budget: str = "default", seed: int = 0) -
         game = singleitem.dfpa_game(singleitem.default_dfpa_spec(value, eps))
         got = concepts.loss_averse_actions(game)
         if got != {format_scalar(want)}:
-            return _fail(
-                name,
-                f"value {value} step {eps}: engine {sorted(got)} vs formula {want}",
-            )
+            return _Failure(f"value {value} step {eps}: engine {sorted(got)} vs formula {want}")
         if value == 0:
             branches["zero"] += 1
         elif singleitem.eps_net(value, eps) == value:
@@ -114,17 +131,16 @@ def check_dfpa_loss_averse_closed_form(budget: str = "default", seed: int = 0) -
         else:
             branches["off-grid"] += 1
     if not all(branches.values()):
-        return _fail(name, f"grid misses a branch: {dict(branches)}")
-    detail = (
+        return _Failure(f"grid misses a branch: {dict(branches)}")
+    return (
         f"{len(pairs)} pairs, singleton match on all; branches "
         f"zero={branches['zero']} on-grid={branches['on-grid']} "
         f"off-grid={branches['off-grid']}"
     )
-    return CheckResult(name, True, detail)
 
 
-def check_fpa_witness_battery(budget: str = "default", seed: int = 0) -> CheckResult:
-    name = "fpa-witness-battery"
+@_check("fpa-witness-battery")
+def check_fpa_witness_battery(budget: str, seed: int) -> str:
     n = _counts(budget)["fpa_bids"]
     total = 0
     for value in (Fraction(1), Fraction(7, 3)):
@@ -132,13 +148,13 @@ def check_fpa_witness_battery(budget: str = "default", seed: int = 0) -> CheckRe
             bid = value * Fraction(k, n)
             witness = singleitem.fpa_no_loss_averse_witness(value, bid)
             if not singleitem.verify_fpa_witness(witness):
-                return _fail(name, f"witness fails re-derivation at value {value} bid {bid}")
+                return _Failure(f"witness fails re-derivation at value {value} bid {bid}")
             total += 1
-    return CheckResult(name, True, f"{total} bids, every witness re-derived strictly")
+    return f"{total} bids, every witness re-derived strictly"
 
 
-def check_hierarchy_and_counterexamples(budget: str = "default", seed: int = 0) -> CheckResult:
-    name = "hierarchy-arrows-and-counterexamples"
+@_check("hierarchy-arrows-and-counterexamples")
+def check_hierarchy_and_counterexamples(budget: str, seed: int) -> str:
     n = _counts(budget)["random_games"]
     rng = random.Random(seed)
     observed = set()
@@ -148,63 +164,61 @@ def check_hierarchy_and_counterexamples(budget: str = "default", seed: int = 0) 
 
     game = instances.leximin_proof_game()
     if concepts.loss_averse_actions(game) != {"a", "b"}:
-        return _fail(name, "leximin-proof-game loss-averse set is not {a, b}")
+        return _Failure("leximin-proof-game loss-averse set is not {a, b}")
     if concepts.multi_leximin_actions(game) != {"b"}:
-        return _fail(name, "leximin-proof-game multi-leximin set is not {b}")
+        return _Failure("leximin-proof-game multi-leximin set is not {b}")
 
     game = instances.dominant_leximin_game()
     if concepts.weakly_dominant_actions(game) != {"a"}:
-        return _fail(name, "dominant-leximin game dominant set is not {a}")
+        return _Failure("dominant-leximin game dominant set is not {a}")
     if concepts.leximin_actions(game) != {"b"}:
-        return _fail(name, "dominant-leximin game leximin set is not {b}")
+        return _Failure("dominant-leximin game leximin set is not {b}")
 
     game = instances.minmaxreg_safety_game()
     if concepts.min_max_regret_actions(game) != {"b"}:
-        return _fail(name, "minmaxreg-safety game regret set is not {b}")
+        return _Failure("minmaxreg-safety game regret set is not {b}")
     if concepts.safety_level_actions(game) != {"a"}:
-        return _fail(name, "minmaxreg-safety game safety set is not {a}")
+        return _Failure("minmaxreg-safety game safety set is not {a}")
 
     game = instances.safety_wrong_monotone_game()
     value, mixture = concepts.mixed_safety_value(game)
     if value != Fraction(3, 4):
-        return _fail(name, f"mixed safety value {value} is not 3/4")
+        return _Failure(f"mixed safety value {value} is not 3/4")
     solved = concepts.mixed_safety_level_solve_2x2(game)
     want = MixedAction.from_mapping({"a": Fraction(3, 4), "b": Fraction(1, 4)})
     if solved != want or mixture != want:
-        return _fail(name, f"mixed safety optimum {solved} is not (a: 3/4, b: 1/4)")
+        return _Failure(f"mixed safety optimum {solved} is not (a: 3/4, b: 1/4)")
 
     grid = concepts.loss_averse_actions(instances.aim_big_grid_game())
     exact = instances.aim_big_exact_verdicts()
     if grid != {"S"} or set(exact.loss_averse) != {"B", "S"}:
-        return _fail(
-            name,
+        return _Failure(
             f"grid loss-averse {sorted(grid)} vs closed form "
             f"{sorted(exact.loss_averse)}: expected {{S}} vs {{B, S}}",
         )
-    detail = (
+    return (
         f"{n} random games, zero arrow violations, "
         f"{len(observed)} permitted non-inclusions observed; "
         "5 curated separations reproduced"
     )
-    return CheckResult(name, True, detail)
 
 
-def check_multi_leximin_existence(budget: str = "default", seed: int = 0) -> CheckResult:
-    name = "multi-leximin-existence"
+@_check("multi-leximin-existence")
+def check_multi_leximin_existence(budget: str, seed: int) -> str:
     n = _counts(budget)["random_games"]
     rng = random.Random(seed + 1)
     for i in range(n):
         game = instances.random_game(rng)
         found = concepts.multi_leximin_actions(game)
         if not found:
-            return _fail(name, f"empty multi-leximin set on random game #{i}")
+            return _Failure(f"empty multi-leximin set on random game #{i}")
         if not found <= concepts.loss_averse_actions(game):
-            return _fail(name, f"multi-leximin escapes loss-averse on random game #{i}")
-    return CheckResult(name, True, f"{n} random games, multi-leximin nonempty on all")
+            return _Failure(f"multi-leximin escapes loss-averse on random game #{i}")
+    return f"{n} random games, multi-leximin nonempty on all"
 
 
-def check_dfpa_min_max_regret(budget: str = "default", seed: int = 0) -> CheckResult:
-    name = "dfpa-min-max-regret"
+@_check("dfpa-min-max-regret")
+def check_dfpa_min_max_regret(budget: str, seed: int) -> str:
     pairs = dfpa_test_grid()
     ties = 0
     for value, eps in pairs:
@@ -212,53 +226,48 @@ def check_dfpa_min_max_regret(budget: str = "default", seed: int = 0) -> CheckRe
         game = singleitem.dfpa_game(singleitem.default_dfpa_spec(value, eps))
         got = concepts.min_max_regret_actions(game)
         if got != {format_scalar(b) for b in want}:
-            return _fail(
-                name, f"value {value} step {eps}: engine {sorted(got)} vs formula {want}"
+            return _Failure(
+                f"value {value} step {eps}: engine {sorted(got)} vs formula {want}"
             )
         if singleitem.dfpa_min_max_regret_bid(value, eps) not in want:
-            return _fail(name, f"value {value} step {eps}: balance bid missing from {want}")
+            return _Failure(f"value {value} step {eps}: balance bid missing from {want}")
         if len(want) == 2:
             ties += 1
-    return CheckResult(
-        name,
-        True,
+    return (
         f"{len(pairs)} pairs match the argmin set exactly; "
-        f"{ties} exhibit the documented half-value tie",
+        f"{ties} exhibit the documented half-value tie"
     )
 
 
-def check_safety_collapse_family(budget: str = "default", seed: int = 0) -> CheckResult:
-    name = "safety-collapse-family"
+@_check("safety-collapse-family")
+def check_safety_collapse_family(budget: str, seed: int) -> str:
     n = _counts(budget)["collapse_cases"]
     for k in range(1, n + 1):
         game, augmentation = instances.collapse_demo_game(k)
         if set(augmentation.epsilons) != {Fraction(1, 10), Fraction(1, 100)}:
-            return _fail(name, f"k={k}: unexpected mixture weights {augmentation.epsilons}")
+            return _Failure(f"k={k}: unexpected mixture weights {augmentation.epsilons}")
         before_la = concepts.loss_averse_actions(game)
         before_sl = concepts.safety_level_actions(game)
         if before_la == before_sl:
-            return _fail(name, f"k={k}: sets already coincide before augmentation")
+            return _Failure(f"k={k}: sets already coincide before augmentation")
         augmented = concepts.augment_with_mixed_nature(game, augmentation)
         after_la = concepts.loss_averse_actions(augmented)
         after_sl = concepts.safety_level_actions(augmented)
         if after_la != after_sl:
-            return _fail(
-                name,
+            return _Failure(
                 f"k={k}: augmented loss-averse {sorted(after_la)} differs from "
                 f"safety {sorted(after_sl)}",
             )
-    return CheckResult(
-        name, True, f"{n} family members collapse to the safety set under both weights"
-    )
+    return f"{n} family members collapse to the safety set under both weights"
 
 
-def check_aim_big_and_star_exclusions(budget: str = "default", seed: int = 0) -> CheckResult:
-    name = "aim-big-and-star-exclusions"
+@_check("aim-big-and-star-exclusions")
+def check_aim_big_and_star_exclusions(budget: str, seed: int) -> str:
     verdicts = instances.aim_big_exact_verdicts()
     if set(verdicts.loss_averse) != {"B", "S"}:
-        return _fail(name, f"closed-form loss-averse {sorted(verdicts.loss_averse)} is not {{B, S}}")
+        return _Failure(f"closed-form loss-averse {sorted(verdicts.loss_averse)} is not {{B, S}}")
     if set(verdicts.loss_averse_star) != {"S"}:
-        return _fail(name, f"closed-form one-sided set {sorted(verdicts.loss_averse_star)} is not {{S}}")
+        return _Failure(f"closed-form one-sided set {sorted(verdicts.loss_averse_star)} is not {{S}}")
     n = _counts(budget)["exclusion_games"]
     rng = random.Random(seed + 2)
     for i in range(n):
@@ -267,12 +276,10 @@ def check_aim_big_and_star_exclusions(budget: str = "default", seed: int = 0) ->
         starred = concepts.loss_averse_star_actions(game)
         overlap = dominated & starred
         if overlap:
-            return _fail(
-                name, f"random game #{i}: strictly dominated {sorted(overlap)} passed the one-sided test"
+            return _Failure(
+                f"random game #{i}: strictly dominated {sorted(overlap)} passed the one-sided test"
             )
-    return CheckResult(
-        name, True, f"closed forms match; {n} random games, no dominated action slips through"
-    )
+    return f"closed forms match; {n} random games, no dominated action slips through"
 
 
 def _core_family(item_count: int) -> tuple[vcg.CombBid, ...]:
@@ -293,63 +300,50 @@ def _handle_attack(
 ) -> tuple[vcg.AttackKind, str | None]:
     """Run the classification-specific certificate.
 
-    Returns the attack's kind and a failure message, or None on success.
+    An over- or underbid goes to its adversary.  A refuted overbid is
+    done; an underbid is always scanned over the family, so a reversal
+    fails it even when refuted.  An unrefuted attack stands when the scan
+    finds no reversal and it is outcome-equivalent to truth or dominated
+    by it in the worst case.  Returns the attack's kind and a failure
+    message, or None on success.
     """
     kind = vcg.classify_attack(valuation, bids).kind
-    if kind is vcg.AttackKind.OVERBIDDING:
-        report = vcg.overbidding_adversary(valuation, bids, epsilon=epsilon)
-        if report.refuted:
-            if not (report.attack_utility < 0 <= report.truth_utility):
-                return kind, (
-                    f"punishment pair ({report.attack_utility}, {report.truth_utility}) "
-                    "is not (<0, >=0)"
-                )
-            tally["overbidding-punished"] += 1
-            return kind, None
+    if kind is vcg.AttackKind.EXACT_BIDDING:
+        certificate = vcg.truth_loss_averse_witnesses(valuation, bids, family)
+        tally[f"exact-{certificate.mode}"] += 1
+        return kind, None
+    over = kind is vcg.AttackKind.OVERBIDDING
+    adversary = vcg.overbidding_adversary if over else vcg.underbidding_adversary
+    report = adversary(valuation, bids, epsilon=epsilon)
+    if not (over and report.refuted):
         check = vcg.claim_family_check(valuation, bids, family, extra=report.tried)
         if check.reversal:
             return kind, (
-                f"reversal state {check.reversal.values} on valuation "
-                f"{valuation.values} attack {[b.values for b in bids]}"
+                f"reversal state {check.reversal.values} on {_attack_text(valuation, bids)}"
             )
-        if check.difference_states == 0:
-            tally["overbidding-equivalent"] += 1
-            return kind, None
-        if check.truth_min is not None and check.truth_min >= check.attack_min:
-            tally["overbidding-dominated"] += 1
-            return kind, None
-        return kind, (
-            f"unpunished overbid with truth min {check.truth_min} below attack min "
-            f"{check.attack_min}: valuation {valuation.values} attack {[b.values for b in bids]}"
-        )
-    if kind is vcg.AttackKind.UNDERBIDDING:
-        report = vcg.underbidding_adversary(valuation, bids, epsilon=epsilon)
-        check = vcg.claim_family_check(valuation, bids, family, extra=report.tried)
-        if check.reversal:
-            return kind, (
-                f"reversal state {check.reversal.values} on valuation "
-                f"{valuation.values} attack {[b.values for b in bids]}"
-            )
-        if report.refuted:
-            if not (report.attack_utility == 0 and report.truth_utility > 0):
-                return kind, (
-                    f"witness pair ({report.attack_utility}, {report.truth_utility}) is not (0, >0)"
-                )
-            tally["underbidding-refuted"] += 1
-            return kind, None
-        if check.difference_states == 0:
-            tally["underbidding-equivalent"] += 1
-            return kind, None
-        if check.truth_min is not None and check.truth_min >= check.attack_min:
-            tally["underbidding-dominated"] += 1
-            return kind, None
-        return kind, (
-            f"unrefuted underbid with truth min {check.truth_min} below attack min "
-            f"{check.attack_min}: valuation {valuation.values} attack {[b.values for b in bids]}"
-        )
-    certificate = vcg.truth_loss_averse_witnesses(valuation, bids, family)
-    tally[f"exact-{certificate.mode}"] += 1
-    return kind, None
+    if report.refuted:
+        pair = f"({report.attack_utility}, {report.truth_utility})"
+        if over and not report.attack_utility < 0 <= report.truth_utility:
+            return kind, f"punishment pair {pair} is not (<0, >=0)"
+        if not over and not (report.attack_utility == 0 and report.truth_utility > 0):
+            return kind, f"witness pair {pair} is not (0, >0)"
+        tally["overbidding-punished" if over else "underbidding-refuted"] += 1
+        return kind, None
+    if check.difference_states == 0:
+        tally[f"{kind.value}-equivalent"] += 1
+        return kind, None
+    if check.truth_min is not None and check.truth_min >= check.attack_min:
+        tally[f"{kind.value}-dominated"] += 1
+        return kind, None
+    attempt = "unpunished overbid" if over else "unrefuted underbid"
+    return kind, (
+        f"{attempt} with truth min {check.truth_min} below attack min "
+        f"{check.attack_min}: {_attack_text(valuation, bids)}"
+    )
+
+
+def _attack_text(valuation: vcg.CombValuation, bids: tuple[vcg.CombBid, ...]) -> str:
+    return f"valuation {valuation.values} attack {[b.values for b in bids]}"
 
 
 def _random_m3_instance(
@@ -382,8 +376,8 @@ def _random_m3_instance(
     return valuation, attack
 
 
-def check_vcg_attack_properties(budget: str = "default", seed: int = 0) -> CheckResult:
-    name = "vcg-attack-properties"
+@_check("vcg-attack-properties")
+def check_vcg_attack_properties(budget: str, seed: int) -> str:
     tally: Counter = Counter()
     epsilon = Fraction(1)
     exact_pool: list[tuple[int, vcg.SybilProfile]] = []
@@ -396,7 +390,7 @@ def check_vcg_attack_properties(budget: str = "default", seed: int = 0) -> Check
             for bids in attacks:
                 kind, failure = _handle_attack(valuation, bids, epsilon, family, tally)
                 if failure:
-                    return _fail(name, failure)
+                    return _Failure(failure)
                 if kind is vcg.AttackKind.EXACT_BIDDING:
                     profile = vcg.SybilProfile(valuation, bids)
                     vcg.verify_exact_bidding_optimal([profile], item_count, epsilon=epsilon)
@@ -419,7 +413,7 @@ def check_vcg_attack_properties(budget: str = "default", seed: int = 0) -> Check
         valuation, bids = _random_m3_instance(rng, i % 3)
         _, failure = _handle_attack(valuation, bids, epsilon, family3, tally)
         if failure:
-            return _fail(name, failure)
+            return _Failure(failure)
         tally["random-m3"] += 1
 
     needed = (
@@ -432,62 +426,56 @@ def check_vcg_attack_properties(budget: str = "default", seed: int = 0) -> Check
     )
     missing = [key for key in needed if not tally[key]]
     if missing:
-        return _fail(name, f"suite never exercised: {', '.join(missing)}")
-    ordered = ", ".join(f"{key}={tally[key]}" for key in sorted(tally))
-    return CheckResult(name, True, ordered)
+        return _Failure(f"suite never exercised: {', '.join(missing)}")
+    return ", ".join(f"{key}={tally[key]}" for key in sorted(tally))
 
 
-def check_split_pair_instance(budget: str = "default", seed: int = 0) -> CheckResult:
-    name = "vcg-split-pair-instance"
+@_check("vcg-split-pair-instance")
+def check_split_pair_instance(budget: str, seed: int) -> str:
     for eps in (Fraction(1, 10), Fraction(1, 100)):
         report = vcg.build_split_pair_instance(eps)
-        items = report.items
-        got = tuple(
-            vcg.bundle_label(mask, items) for mask in report.attack_bundles
-        )
+        attack, truth = report.attack_outcome, report.truthful_outcome
+        got = tuple(vcg.bundle_label(mask, report.items) for mask in attack.bundles[:2])
         if got != ("a,b", "c,d"):
-            return _fail(name, f"eps {eps}: attack bundles {got}")
-        if report.attack_real_welfare != 6 * eps:
-            return _fail(name, f"eps {eps}: real welfare {report.attack_real_welfare}")
-        if report.clarke_payments != (Fraction(18), Fraction(18)):
-            return _fail(name, f"eps {eps}: pivot payments {report.clarke_payments}")
-        if report.literal_payments != (Fraction(20), Fraction(20)):
-            return _fail(name, f"eps {eps}: literal payments {report.literal_payments}")
-        if report.truthful_welfare != 18 + 6 * eps:
-            return _fail(name, f"eps {eps}: truthful optimum {report.truthful_welfare}")
-        if report.truthful_agent_utility != 4 * eps:
-            return _fail(name, f"eps {eps}: truthful utility {report.truthful_agent_utility}")
+            return _Failure(f"eps {eps}: attack bundles {got}")
+        if attack.real_welfare != 6 * eps:
+            return _Failure(f"eps {eps}: real welfare {attack.real_welfare}")
+        clarke, literal = attack.payments[:2], report.attack_outcome_literal.payments[:2]
+        if clarke != (Fraction(18), Fraction(18)):
+            return _Failure(f"eps {eps}: pivot payments {clarke}")
+        if literal != (Fraction(20), Fraction(20)):
+            return _Failure(f"eps {eps}: literal payments {literal}")
+        if truth.observed_welfare != 18 + 6 * eps:
+            return _Failure(f"eps {eps}: truthful optimum {truth.observed_welfare}")
+        if truth.agent_utilities[0] != 4 * eps:
+            return _Failure(f"eps {eps}: truthful utility {truth.agent_utilities[0]}")
         if report.classification.kind is not vcg.AttackKind.OVERBIDDING:
-            return _fail(name, f"eps {eps}: classified {report.classification.kind.value}")
+            return _Failure(f"eps {eps}: classified {report.classification.kind.value}")
         if len(report.discrepancies) != 4:
-            return _fail(name, f"eps {eps}: {len(report.discrepancies)} discrepancy flags")
-    return CheckResult(
-        name,
-        True,
+            return _Failure(f"eps {eps}: {len(report.discrepancies)} discrepancy flags")
+    return (
         "both grid steps: bundles a,b / c,d, welfare 6*step, payments "
-        "(18, 18) pivot and (20, 20) literal, 4 source discrepancies flagged",
+        "(18, 18) pivot and (20, 20) literal, 4 source discrepancies flagged"
     )
 
 
-def check_singleton_split_instance(budget: str = "default", seed: int = 0) -> CheckResult:
-    name = "vcg-singleton-split-instance"
+@_check("vcg-singleton-split-instance")
+def check_singleton_split_instance(budget: str, seed: int) -> str:
     eps = Fraction(1, 10)
     report = vcg.build_singleton_split_instance(eps)
     if report.classification.kind is not vcg.AttackKind.UNDERBIDDING:
-        return _fail(name, f"classified {report.classification.kind.value}")
-    if report.truth_utility != eps:
-        return _fail(name, f"truthful utility {report.truth_utility} is not {eps}")
-    if report.attack_utility != 2 * eps:
-        return _fail(name, f"attack utility {report.attack_utility} is not {2 * eps}")
-    return CheckResult(
-        name,
-        True,
-        "underbidding classification, truth earns step, attack earns twice that",
-    )
+        return _Failure(f"classified {report.classification.kind.value}")
+    truth_utility = report.truthful_outcome.agent_utilities[0]
+    attack_utility = report.attack_outcome.agent_utilities[0]
+    if truth_utility != eps:
+        return _Failure(f"truthful utility {truth_utility} is not {eps}")
+    if attack_utility != 2 * eps:
+        return _Failure(f"attack utility {attack_utility} is not {2 * eps}")
+    return "underbidding classification, truth earns step, attack earns twice that"
 
 
-def check_facility_location(budget: str = "default", seed: int = 0) -> CheckResult:
-    name = "facility-location-closed-forms"
+@_check("facility-location-closed-forms")
+def check_facility_location(budget: str, seed: int) -> str:
     pairs = 0
     for n in range(2, 6):
         for k in range(0, 4 * n + 1):
@@ -499,8 +487,7 @@ def check_facility_location(budget: str = "default", seed: int = 0) -> CheckResu
             la = concepts.loss_averse_actions(game)
             sl = concepts.safety_level_actions(game)
             if la != {want} or sl != {want}:
-                return _fail(
-                    name,
+                return _Failure(
                     f"n={n} theta={theta}: formula {want}, engine loss-averse "
                     f"{sorted(la)}, safety {sorted(sl)}",
                 )
@@ -509,12 +496,10 @@ def check_facility_location(budget: str = "default", seed: int = 0) -> CheckResu
         demo = mechanisms.facility_welfare_loss_demo(n)
         want_loss = (Fraction(1, 2) - Fraction(1, 2 * n)) * n
         if demo.welfare_loss != want_loss:
-            return _fail(name, f"n={n}: welfare loss {demo.welfare_loss} is not {want_loss}")
-    return CheckResult(
-        name,
-        True,
+            return _Failure(f"n={n}: welfare loss {demo.welfare_loss} is not {want_loss}")
+    return (
         f"{pairs} aligned (type, n) pairs match the formula; "
-        "welfare-loss demo exact for n = 2..10",
+        "welfare-loss demo exact for n = 2..10"
     )
 
 
@@ -525,8 +510,8 @@ _VOTING_UTILITIES = {
 }
 
 
-def check_voting_rules(budget: str = "default", seed: int = 0) -> CheckResult:
-    name = "voting-rules"
+@_check("voting-rules")
+def check_voting_rules(budget: str, seed: int) -> str:
     for n, f in _VOTING_UTILITIES.items():
         for spec in (mechanisms.plurality_spec(n, f), mechanisms.approval_spec(n, f)):
             mechanisms.voting_pareto_frontier_loss_averse(spec)
@@ -539,7 +524,7 @@ def check_voting_rules(budget: str = "default", seed: int = 0) -> CheckResult:
         equalization = mechanisms.plurality_mixed_equalization(f)
         weights = sum(1 / x for x in f[:-1])
         if equalization.level != 1 / weights:
-            return _fail(name, f"f={f}: pivotal level {equalization.level}")
+            return _Failure(f"f={f}: pivotal level {equalization.level}")
         mechanisms.plurality_min_max_regret(f)
 
     rng = random.Random(seed + 4)
@@ -560,16 +545,16 @@ def check_voting_rules(budget: str = "default", seed: int = 0) -> CheckResult:
         candidate = MixedAction.from_mapping(entries)
         result = concepts.mixed_loss_averse_falsify(game, candidate, [good])
         if result.verdict is not FalsifyVerdict.FALSIFIED:
-            return _fail(name, f"perturbation #{i} of {source} survived against the optimum")
+            return _Failure(f"perturbation #{i} of {source} survived against the optimum")
         falsified += 1
 
     if mechanisms.approval_min_max_regret_top_k((Fraction(1), Fraction(0))) != 1:
-        return _fail(name, "two candidates: top-k is not 1")
+        return _Failure("two candidates: top-k is not 1")
     k = mechanisms.approval_min_max_regret_top_k(
         (Fraction(1), Fraction(9, 10), Fraction(1, 10), Fraction(0))
     )
     if k != 2:
-        return _fail(name, f"regression constant moved: top-k {k} is not 2")
+        return _Failure(f"regression constant moved: top-k {k} is not 2")
 
     aspec = mechanisms.approval_spec(3, _VOTING_UTILITIES[3])
     game = mechanisms.psr_game(aspec)
@@ -582,13 +567,11 @@ def check_voting_rules(budget: str = "default", seed: int = 0) -> CheckResult:
             game, MixedAction.pure(ballot), [deviation]
         )
         if result.verdict is not FalsifyVerdict.FALSIFIED:
-            return _fail(name, f"approval ballot {ballot} survived the all-but-worst test")
+            return _Failure(f"approval ballot {ballot} survived the all-but-worst test")
 
-    return CheckResult(
-        name,
-        True,
+    return (
         f"frontier lemma holds for both rules at 3 sizes; equalization exact; "
-        f"{falsified} perturbed mixtures falsified; top-k regression stable",
+        f"{falsified} perturbed mixtures falsified; top-k regression stable"
     )
 
 
@@ -619,16 +602,16 @@ def _oracle_game_pool(budget: str, seed: int) -> list[AgentGame]:
     return games
 
 
-def check_oracle_equivalence(budget: str = "default", seed: int = 0) -> CheckResult:
-    name = "oracle-equivalence"
+@_check("oracle-equivalence")
+def check_oracle_equivalence(budget: str, seed: int) -> str:
     games = _oracle_game_pool(budget, seed)
     for game in games:
         if oracle.naive_loss_averse(game) != concepts.loss_averse_actions(game):
-            return _fail(name, f"loss-averse mismatch on a {game.type_label} game")
+            return _Failure(f"loss-averse mismatch on a {game.type_label} game")
         if oracle.naive_leximin(game, False) != concepts.leximin_actions(game):
-            return _fail(name, f"leximin mismatch on a {game.type_label} game")
+            return _Failure(f"leximin mismatch on a {game.type_label} game")
         if oracle.naive_leximin(game, True) != concepts.multi_leximin_actions(game):
-            return _fail(name, f"multi-leximin mismatch on a {game.type_label} game")
+            return _Failure(f"multi-leximin mismatch on a {game.type_label} game")
 
     compared = 0
     for item_count in (1, 2):
@@ -643,8 +626,7 @@ def check_oracle_equivalence(budget: str = "default", seed: int = 0) -> CheckRes
                 )
                 naive_welfare, _ = oracle.naive_winner_determination(tables, item_count)
                 if welfare != naive_welfare:
-                    return _fail(
-                        name,
+                    return _Failure(
                         f"welfare mismatch {welfare} vs {naive_welfare} on {tables}",
                     )
                 compared += 1
@@ -659,14 +641,12 @@ def check_oracle_equivalence(budget: str = "default", seed: int = 0) -> CheckRes
             [b.values for b in bids], item_count
         )
         if welfare != naive_welfare:
-            return _fail(name, "welfare mismatch on a curated auction instance")
+            return _Failure("welfare mismatch on a curated auction instance")
         compared += 1
 
-    return CheckResult(
-        name,
-        True,
+    return (
         f"{len(games)} games agree on three concepts; "
-        f"{compared} winner determinations agree with the naive search",
+        f"{compared} winner determinations agree with the naive search"
     )
 
 
@@ -695,6 +675,5 @@ def run_all(budget: str = "default", seed: int = 0) -> tuple[CheckResult, ...]:
         try:
             results.append(check(budget, seed))
         except Exception as error:  # noqa: BLE001 - report, never hide
-            name = check.__name__.removeprefix("check_").replace("_", "-")
-            results.append(CheckResult(name, False, f"raised {error!r}"))
+            results.append(CheckResult(check.name, False, f"raised {error!r}"))
     return tuple(results)

@@ -228,6 +228,13 @@ def _case(name, scenario, *args, code):
             code=2,
         ),
         _case("flag-zero-agents", None, "facility", "--agents", "0", "--type", "1/2", code=3),
+        _case("flag-zero-dfpa-step", None, "auction", "dfpa", "--value", "1", "--epsilon", "0", code=3),
+        _case(
+            "scenario-zero-dfpa-step",
+            "kind: dfpa\nvalue: 1\nepsilon: 0\n",
+            "analyze", "--scenario", "{scn}",
+            code=3,
+        ),
     ],
 )
 def test_input_errors_exit_with_their_code(tmp_path, capsys, scenario, args, expected):
@@ -471,3 +478,58 @@ def test_voting_reports_match_their_recorded_digests_and_scenarios(tmp_path, cap
         code, game, _ = run(capsys, "export", "--scenario", str(path))
         assert code == 0
         assert report.endswith("\n" + game)
+
+
+# sha256 of `vcg run --curated NAME --epsilon STEP --payment-rule RULE` stdout,
+# recorded before `run_vcg` stopped calling `winner_determination` and the
+# worked-instance reports stopped copying their outcomes' values.
+_GOLDEN_CURATED = {
+    ("example-e1", "1/10", "clarke"):
+        "32cb9365b5b10481c070bccce4b74b45a91aac614479ad821072a25f1e26ccca",
+    ("example-e1", "1/10", "paper"):
+        "8a5c7763c24643b44baf9e865846620352fc39cb502e4e192b3d580afd37eee2",
+    ("example-e1", "1/100", "clarke"):
+        "67747f0f1ddfc12885f8d79d3c4be75fb2920542d86009cc7cb53a19de56541e",
+    ("example-e1", "1/100", "paper"):
+        "1d1ad5354c5b02612a9c6ea8616bd729aede2fed580c067a776bccf9f13f266b",
+    ("example-e2", "1/10", "clarke"):
+        "4d6b45c8e74947b16dd7164326c4ef0c0cfb944a522e1e47b11deec88277c4ad",
+    ("example-e2", "1/100", "clarke"):
+        "fed56f07da7374ee1688c764e18fa67c644b3d080282e5147461b91cba525dfc",
+}
+
+
+def test_curated_vcg_runs_match_their_recorded_digests(capsys):
+    for (name, step, rule), expected in _GOLDEN_CURATED.items():
+        args = ("vcg", "run", "--curated", name, "--epsilon", step, "--payment-rule", rule)
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert _sha(out) == expected, (name, step, rule)
+
+
+def test_scenario_payment_rule_overrides_the_flag(tmp_path, capsys):
+    fields = _VCG_SCENARIOS["overbid-additive"]
+    text = _vcg_scenario_text(*fields)
+    plain = _write_scenario(tmp_path, text)
+    paper = str(tmp_path / "paper.scn")
+    with open(paper, "w") as handle:
+        handle.write(text + "payment-rule: paper\n")
+    flag_paper = run(capsys, "vcg", "run", "--scenario", plain, "--payment-rule", "paper")[1]
+    code, out, _ = run(capsys, "vcg", "run", "--scenario", paper)
+    assert code == 0 and "payment-rule paper\n" in out
+    assert out == flag_paper
+    code, out, _ = run(capsys, "analyze", "--scenario", paper)
+    assert code == 0 and out == flag_paper
+    clarke = str(tmp_path / "clarke.scn")
+    with open(clarke, "w") as handle:
+        handle.write(text + "payment-rule: clarke\n")
+    code, out, _ = run(capsys, "vcg", "run", "--scenario", clarke, "--payment-rule", "paper")
+    assert code == 0 and _sha(out) == _GOLDEN_VCG["overbid-additive", "run"]
+
+
+@pytest.mark.parametrize("command", [("vcg", "run"), ("analyze",)])
+def test_unknown_scenario_payment_rule_is_a_validation_error(tmp_path, capsys, command):
+    text = _vcg_scenario_text(*_VCG_SCENARIOS["overbid-additive"]) + "payment-rule: bogus\n"
+    code, out, err = run(capsys, *command, "--scenario", _write_scenario(tmp_path, text))
+    assert (code, out) == (3, "")
+    assert "unknown payment rule 'bogus'" in err

@@ -77,10 +77,13 @@ def test_table_validation():
 
 
 def test_winner_determination_search_budget_guard():
+    # One guard serves the search alone and the search inside a mechanism run.
     zero = CombBid(8, (F(0),) * 256)
     assert 8**8 > SEARCH_BUDGET
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"assignment space 8\^8"):
         winner_determination([zero] * 8, 8)
+    with pytest.raises(CapacityError, match=r"assignment space 8\^8"):
+        run_vcg([SybilProfile(zero, (zero,) * 8)], 8)
 
 
 def test_xos_is_pointwise_max_of_additive():
@@ -306,13 +309,14 @@ def test_utility_against_measures_true_value_minus_pivot():
 def test_split_pair_regression_constants():
     for epsilon in (F(1, 10), F(1, 100)):
         report = build_split_pair_instance(epsilon)
+        attack, truth = report.attack_outcome, report.truthful_outcome
         assert report.classification.kind is AttackKind.OVERBIDDING
-        assert report.attack_bundles == (0b0011, 0b1100)
-        assert report.attack_real_welfare == 6 * epsilon
-        assert report.clarke_payments == (F(18), F(18))
-        assert report.literal_payments == (F(20), F(20))
-        assert report.truthful_welfare == F(18) + 6 * epsilon
-        assert report.truthful_agent_utility == 4 * epsilon
+        assert attack.bundles[:2] == (0b0011, 0b1100)
+        assert attack.real_welfare == 6 * epsilon
+        assert attack.payments[:2] == (F(18), F(18))
+        assert report.attack_outcome_literal.payments[:2] == (F(20), F(20))
+        assert truth.observed_welfare == F(18) + 6 * epsilon
+        assert truth.agent_utilities[0] == 4 * epsilon
         assert report.stated_optimal_welfare == F(18) + 2 * epsilon
         assert report.stated_payment == 2 * epsilon
         assert len(report.discrepancies) == 4
@@ -320,10 +324,12 @@ def test_split_pair_regression_constants():
 
 def test_singleton_split_regression_constants():
     report = build_singleton_split_instance(F(1, 10))
+    attack_utility = report.attack_outcome.agent_utilities[0]
+    truth_utility = report.truthful_outcome.agent_utilities[0]
     assert report.classification.kind is AttackKind.UNDERBIDDING
-    assert report.attack_utility == F(1, 5)
-    assert report.truth_utility == F(1, 10)
-    assert report.attack_utility == 2 * report.truth_utility
+    assert attack_utility == F(1, 5)
+    assert truth_utility == F(1, 10)
+    assert attack_utility == 2 * truth_utility
     with pytest.raises(ValidationError):
         build_singleton_split_instance(F(0))
 

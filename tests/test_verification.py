@@ -1,4 +1,4 @@
-"""Failure messages of the verification battery's attack dispatch."""
+"""The verification battery: its attack dispatch and its check names."""
 from collections import Counter
 from fractions import Fraction
 
@@ -9,13 +9,16 @@ from robustgames import vcg, verification
 F = Fraction
 
 
-@pytest.mark.parametrize(
+_UNREFUTED = pytest.mark.parametrize(
     "valuation, attack",
     [
         ((0, 0, 2, 0), (0, 0, 2, 1)),  # shadowed overbid: unrefuted, scanned
         ((0, 0, 1, 1), (0, 0, 1, 0)),  # underbid: always scanned
     ],
 )
+
+
+@_UNREFUTED
 def test_reversal_failure_names_the_reversal_state(monkeypatch, valuation, attack):
     reversal = vcg.CombBid(2, (F(0), F(1), F(1), F(2)))
     zero_truth = vcg.CombBid(2, (F(0), F(3), F(3), F(5)))
@@ -29,3 +32,73 @@ def test_reversal_failure_names_the_reversal_state(monkeypatch, valuation, attac
     assert kind is vcg.classify_attack(table, bids).kind
     assert failure.startswith(f"reversal state {reversal.values} on valuation")
     assert str(zero_truth.values) not in failure
+
+
+@_UNREFUTED
+def test_unrefuted_over_and_underbids_share_one_rule(monkeypatch, valuation, attack):
+    table = vcg.CombValuation(2, tuple(F(v) for v in valuation))
+    bids = (vcg.CombBid(2, tuple(F(v) for v in attack)),)
+    kind = vcg.classify_attack(table, bids).kind
+    family = vcg.nature_state_family(2, (F(0), F(1)))
+    outcomes = {}
+    for name, check in (
+        ("equivalent", vcg.FamilyCheck(10, 0, None, None, None, None)),
+        ("dominated", vcg.FamilyCheck(10, 2, F(1), F(1), None, None)),
+        ("below", vcg.FamilyCheck(10, 2, F(0), F(1), None, None)),
+    ):
+        monkeypatch.setattr(vcg, "claim_family_check", lambda *args, check=check, **kw: check)
+        tally = Counter()
+        outcomes[name] = verification._handle_attack(table, bids, F(1), family, tally), tally
+    assert outcomes["equivalent"] == ((kind, None), Counter({f"{kind.value}-equivalent": 1}))
+    assert outcomes["dominated"] == ((kind, None), Counter({f"{kind.value}-dominated": 1}))
+    (got_kind, failure), tally = outcomes["below"]
+    attempt = "unpunished overbid" if kind is vcg.AttackKind.OVERBIDDING else "unrefuted underbid"
+    assert (got_kind, tally) == (kind, Counter())
+    assert failure == (
+        f"{attempt} with truth min 0 below attack min 1: valuation {table.values} "
+        f"attack {[b.values for b in bids]}"
+    )
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+def test_refuted_overbids_skip_the_scan_and_refuted_underbids_do_not(monkeypatch):
+    overbid = vcg.CombValuation(2, (F(0), F(1), F(1), F(2)))
+    tally = Counter()
+    monkeypatch.setattr(vcg, "claim_family_check", _raise)
+    bids = (vcg.CombBid(2, (F(0), F(2), F(0), F(2))),)
+    assert verification._handle_attack(overbid, bids, F(1), (), tally) == (
+        vcg.AttackKind.OVERBIDDING, None
+    )
+    assert tally == Counter({"overbidding-punished": 1})
+    split = vcg.build_singleton_split_instance(F(1, 10))
+    reversal = vcg.CombBid(3, (F(0),) * 8)
+    check = vcg.FamilyCheck(10, 1, F(0), F(1), reversal, None)
+    monkeypatch.setattr(vcg, "claim_family_check", lambda *args, **kwargs: check)
+    assert vcg.underbidding_adversary(split.valuation, split.attack_bids, F(1, 10)).refuted
+    kind, failure = verification._handle_attack(
+        split.valuation, split.attack_bids, F(1, 10), (), Counter()
+    )
+    assert kind is vcg.AttackKind.UNDERBIDDING
+    assert failure.startswith(f"reversal state {reversal.values} on valuation")
+
+
+@pytest.mark.parametrize(
+    "check, module, builder",
+    [
+        (verification.check_hierarchy_and_counterexamples, "instances", "leximin_proof_game"),
+        (verification.check_split_pair_instance, "vcg", "build_split_pair_instance"),
+        (verification.check_singleton_split_instance, "vcg", "build_singleton_split_instance"),
+        (verification.check_facility_location, "mechanisms", "facility_welfare_loss_demo"),
+    ],
+)
+def test_a_raising_check_fails_under_its_pass_name(monkeypatch, check, module, builder):
+    passed = check("tiny", 0)
+    assert passed.passed
+    monkeypatch.setattr(getattr(verification, module), builder, _raise)
+    monkeypatch.setattr(verification, "ALL_CHECKS", (check,))
+    (failed,) = verification.run_all("tiny", 0)
+    assert (failed.name, failed.passed) == (passed.name, False)
+    assert failed.detail == "raised RuntimeError('boom')"
