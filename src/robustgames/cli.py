@@ -461,22 +461,31 @@ def _outcome_lines(
     return lines
 
 
+def _classification_lines(
+    classification: vcg.AttackClassification, items: tuple[str, ...]
+) -> list[str]:
+    lines = [f"classification {classification.kind.value}"]
+    if classification.witness_mask is not None:
+        lines.append(
+            f"classification-witness {vcg.bundle_label(classification.witness_mask, items)}"
+        )
+    return lines
+
+
+def _attack_outcome(
+    report: vcg.SplitPairReport | vcg.SingletonSplitReport, rule: vcg.PaymentRule
+) -> vcg.VcgOutcome:
+    if rule is vcg.PaymentRule.CLARKE_PIVOT:
+        return report.attack_outcome
+    return report.attack_outcome_literal
+
+
 def _split_pair_text(epsilon: Fraction, rule: vcg.PaymentRule, decimal: int | None) -> str:
     report = vcg.build_split_pair_instance(epsilon)
-    outcome = (
-        report.attack_outcome
-        if rule is vcg.PaymentRule.CLARKE_PIVOT
-        else report.attack_outcome_literal
-    )
     labels = _bid_labels(report.attack_profiles)
-    lines = [
-        "vcg report v1",
-        "instance example-e1",
-        f"step {format_scalar(epsilon)}",
-        f"classification {report.classification.kind.value}",
-        f"classification-witness {vcg.bundle_label(report.classification.witness_mask, report.items)}",
-    ]
-    lines += _outcome_lines(outcome, labels, report.items, decimal)
+    lines = ["vcg report v1", "instance example-e1", f"step {format_scalar(epsilon)}"]
+    lines += _classification_lines(report.classification, report.items)
+    lines += _outcome_lines(_attack_outcome(report, rule), labels, report.items, decimal)
     truth = report.truthful_outcome
     lines.append(f"truthful-welfare {_scalar_cell(truth.observed_welfare, decimal)}")
     lines.append(f"truthful-agent-utility A {_scalar_cell(truth.agent_utilities[0], decimal)}")
@@ -485,18 +494,14 @@ def _split_pair_text(epsilon: Fraction, rule: vcg.PaymentRule, decimal: int | No
     return "\n".join(lines) + "\n"
 
 
-def _singleton_split_text(epsilon: Fraction, decimal: int | None) -> str:
+def _singleton_split_text(epsilon: Fraction, rule: vcg.PaymentRule, decimal: int | None) -> str:
     report = vcg.build_singleton_split_instance(epsilon)
+    outcome = _attack_outcome(report, rule)
     labels = [f"A{j + 1}" for j in range(len(report.attack_bids))] + ["nature"]
-    lines = [
-        "vcg report v1",
-        "instance example-e2",
-        f"step {format_scalar(epsilon)}",
-        f"classification {report.classification.kind.value}",
-        f"classification-witness {vcg.bundle_label(report.classification.witness_mask, report.items)}",
-    ]
-    lines += _outcome_lines(report.attack_outcome, labels, report.items, decimal)
-    attack_utility = report.attack_outcome.agent_utilities[0]
+    lines = ["vcg report v1", "instance example-e2", f"step {format_scalar(epsilon)}"]
+    lines += _classification_lines(report.classification, report.items)
+    lines += _outcome_lines(outcome, labels, report.items, decimal)
+    attack_utility = outcome.agent_utilities[0]
     lines.append(f"attack-utility {_scalar_cell(attack_utility, decimal)}")
     truth_utility = report.truthful_outcome.agent_utilities[0]
     lines.append(f"truth-utility {_scalar_cell(truth_utility, decimal)}")
@@ -509,21 +514,13 @@ def _vcg_run_scenario_text(scenario: Scenario, rule_name: str, decimal: int | No
     valuation, bids, nature, epsilon = _vcg_attack_from(scenario)
     profiles = [vcg.SybilProfile(valuation, bids)]
     if nature is not None:
-        profiles.append(vcg.SybilProfile(nature, (nature,)))
+        profiles.append(vcg.SybilProfile.truthful(nature))
     outcome = vcg.run_vcg(profiles, valuation.item_count, epsilon=epsilon, payment_rule=rule)
     items = tuple(chr(ord("a") + i) for i in range(valuation.item_count))
     classification = vcg.classify_attack(valuation, bids)
     labels = _bid_labels(tuple(profiles))
-    lines = [
-        "vcg report v1",
-        "instance scenario",
-        f"items {valuation.item_count}",
-        f"classification {classification.kind.value}",
-    ]
-    if classification.kind is not vcg.AttackKind.EXACT_BIDDING:
-        lines.append(
-            f"classification-witness {vcg.bundle_label(classification.witness_mask, items)}"
-        )
+    lines = ["vcg report v1", "instance scenario", f"items {valuation.item_count}"]
+    lines += _classification_lines(classification, items)
     lines += _outcome_lines(outcome, labels, items, decimal)
     return "\n".join(lines) + "\n"
 
@@ -534,7 +531,7 @@ def _cmd_vcg(args: argparse.Namespace) -> str:
         if args.curated == "example-e1":
             return _split_pair_text(epsilon, _payment_rule(args.payment_rule), args.decimal)
         if args.curated == "example-e2":
-            return _singleton_split_text(epsilon, args.decimal)
+            return _singleton_split_text(epsilon, _payment_rule(args.payment_rule), args.decimal)
         if args.curated:
             raise ValidationError(
                 f"unknown auction instance {args.curated!r}; known: "
@@ -557,15 +554,8 @@ def _cmd_vcg(args: argparse.Namespace) -> str:
         valuation, bids, _, eps = _vcg_attack_from(scenario)
         items = tuple(chr(ord("a") + i) for i in range(valuation.item_count))
         classification = vcg.classify_attack(valuation, bids)
-        lines = [
-            "vcg-attack report v1",
-            f"items {valuation.item_count}",
-            f"classification {classification.kind.value}",
-        ]
-        if classification.kind is not vcg.AttackKind.EXACT_BIDDING:
-            lines.append(
-                f"classification-witness {vcg.bundle_label(classification.witness_mask, items)}"
-            )
+        lines = ["vcg-attack report v1", f"items {valuation.item_count}"]
+        lines += _classification_lines(classification, items)
         lines.append(
             "best-partition "
             + " ".join(format_scalar(v) for v in classification.best_partition)

@@ -23,12 +23,12 @@ whole welfare).
 
 Valuations and bids share one bundle-table type.  Attack classification
 compares, bundle by bundle, the best internal partition value of the
-Sybil bids against the true valuation; one refutation loop then builds
-the nature states that refute overbidding and underbidding attacks,
-checking its own postconditions by running the mechanism.  Truthful
-utilities against a nature state are kept in a bounded cache, since the
-family scans and the adversary checks ask for the same ones again and
-again.
+Sybil bids against the true valuation, and lists every bundle the attack
+over- or underbids; one refutation loop then builds the nature states
+that refute overbidding and underbidding attacks, checking its own
+postconditions by running the mechanism.  An attack's utility against
+nature bids, truthful bidding included, is one call of the integer
+mechanism core that ``run_vcg`` also runs after its validation.
 """
 
 from __future__ import annotations
@@ -103,11 +103,6 @@ class BundleTable:
         """The entries' common denominator and the entries as integers over it."""
         denominator, (integers,) = scale_rows([self.values])
         return denominator, integers
-
-    def __hash__(self) -> int:
-        # Equal tables have equal integers; hashing those is far cheaper
-        # than hashing every Fraction, and tables key the truthful cache.
-        return hash(self._integers)
 
 
 CombValuation = CombBid = BundleTable
@@ -372,6 +367,18 @@ def bid_grid_step(epsilon: Fraction, item_count: int) -> Fraction:
     return scalar(epsilon) / (2 * math.factorial(item_count))
 
 
+def _mechanism(
+    tables: Sequence[Sequence[int]], item_count: int, rule: PaymentRule
+) -> tuple[int, tuple[int, ...], tuple[int, ...], list[int]]:
+    """The mechanism on scaled bid tables: welfare, assignment, bundles, payments."""
+    welfare, assignment = _tie_broken_assignment(tables, mask_items(full_mask(item_count)))
+    bundles = assignment_bundles(assignment, len(tables))
+    observed = sum([table[bundle] for table, bundle in zip(tables, bundles)])
+    if observed != welfare:
+        raise InternalConsistencyError("observed welfare does not match the search value")
+    return observed, assignment, bundles, _payments(tables, item_count, observed, bundles, rule)
+
+
 def run_vcg(
     profiles: Sequence[SybilProfile],
     item_count: int,
@@ -412,12 +419,7 @@ def run_vcg(
             agent_of_bid.append(i)
     scale, tables = _scaled(flat + [p.valuation for p in profiles])
     tables, values = tables[: len(flat)], tables[len(flat):]
-    welfare, assignment = _tie_broken_assignment(tables, mask_items(full_mask(item_count)))
-    bundles = assignment_bundles(assignment, len(flat))
-    observed = sum([table[bundle] for table, bundle in zip(tables, bundles)])
-    if observed != welfare:
-        raise InternalConsistencyError("observed welfare does not match the search value")
-    payments = _payments(tables, item_count, observed, bundles, payment_rule)
+    observed, assignment, bundles, payments = _mechanism(tables, item_count, payment_rule)
     agent_bundles = [0] * len(profiles)
     paid = [0] * len(profiles)
     for j, owner in enumerate(agent_of_bid):
@@ -448,26 +450,20 @@ def utility_against(
     bids: Sequence[CombBid],
     nature: Sequence[CombBid],
 ) -> Fraction:
-    """The attacking agent's utility when facing the given nature bids.
+    """The attacking agent's Clarke utility when facing the given nature bids.
 
     Nature bids are modeled as one extra agent per bid whose valuation
-    equals its bid; only the first agent's utility is of interest.
+    equals its bid, so this is ``run_vcg``'s ``agent_utilities[0]``, read
+    from one run of the mechanism core: the value of the union of the
+    attacker's bundles less the sum of its payments.
     """
-    profiles = [SybilProfile(valuation, tuple(bids))]
-    for b in nature:
-        profiles.append(SybilProfile(b, (b,)))
-    return run_vcg(profiles, valuation.item_count).agent_utilities[0]
-
-
-# Room for one valuation's whole nature family plus the adversaries tried
-# against it; a larger cache only keeps more spent adversary bids alive.
-TRUTH_CACHE_SIZE = 256
-
-
-@functools.lru_cache(maxsize=TRUTH_CACHE_SIZE)
-def _truthful_utility(valuation: CombValuation, state: CombBid) -> Fraction:
-    """Utility of bidding ``valuation`` truthfully against one nature bid."""
-    return utility_against(valuation, (valuation,), (state,))
+    m, k = valuation.item_count, len(bids)
+    if not k or any(table.item_count != m for table in (*bids, *nature)):
+        raise ValidationError("need at least one bid, and every table on the valuation's items")
+    scale, (value, *tables) = _scaled([valuation, *bids, *nature])
+    _, _, bundles, payments = _mechanism(tables, m, PaymentRule.CLARKE_PIVOT)
+    # The bundles are disjoint, so their sum is their union.
+    return Fraction(value[sum(bundles[:k])] - sum(payments[:k]), scale)
 
 
 class AttackKind(enum.Enum):
@@ -478,9 +474,15 @@ class AttackKind(enum.Enum):
 
 @dataclass(frozen=True)
 class AttackClassification:
+    """The kind, the bundles over- or underbid (ascending), best partition values."""
+
     kind: AttackKind
-    witness_mask: int | None
+    masks: tuple[int, ...]
     best_partition: tuple[Fraction, ...]
+
+    @property
+    def witness_mask(self) -> int | None:
+        return self.masks[0] if self.masks else None
 
 
 def best_partition_value(bids: Sequence[CombBid], item_count: int, mask: int) -> Fraction:
@@ -497,8 +499,9 @@ def best_partition_value(bids: Sequence[CombBid], item_count: int, mask: int) ->
 def classify_attack(valuation: CombValuation, bids: Sequence[CombBid]) -> AttackClassification:
     """Compare the bids' best partition value against v on every bundle.
 
-    Overbidding anywhere takes precedence over underbidding; witnesses
-    are the first violating bundle in ascending mask order.
+    Overbidding anywhere takes precedence over underbidding; the masks
+    are every bundle of the winning kind, in ascending order, and the
+    witness is the first of them.
     """
     if not bids:
         raise ValidationError("classification needs at least one bid")
@@ -510,13 +513,13 @@ def classify_attack(valuation: CombValuation, bids: Sequence[CombBid]) -> Attack
     value = _partition_table(tables, m)
     best = tuple([Fraction(v, scale) for v in value])
     masks = range(1, 1 << m)
-    over = next((mask for mask in masks if value[mask] > target[mask]), None)
-    if over is not None:
+    over = tuple([mask for mask in masks if value[mask] > target[mask]])
+    if over:
         return AttackClassification(AttackKind.OVERBIDDING, over, best)
-    under = next((mask for mask in masks if value[mask] < target[mask]), None)
-    if under is not None:
+    under = tuple([mask for mask in masks if value[mask] < target[mask]])
+    if under:
         return AttackClassification(AttackKind.UNDERBIDDING, under, best)
-    return AttackClassification(AttackKind.EXACT_BIDDING, None, best)
+    return AttackClassification(AttackKind.EXACT_BIDDING, (), best)
 
 
 def snap_to_grid_between(lo: Fraction, hi: Fraction, step: Fraction) -> Fraction:
@@ -644,14 +647,9 @@ def _refute(
     bar = _adversary_ceiling(valuation, bids, step)
     over = kind is AttackKind.OVERBIDDING
     best = cls.best_partition
-    masks = [
-        mask
-        for mask in range(1, 1 << m)
-        if (best[mask] > valuation.value(mask) if over else best[mask] < valuation.value(mask))
-    ]
     tried: list[CombBid] = []
     first_tilde: Fraction | None = None
-    for mask in masks:
+    for mask in cls.masks:
         for tilde, form in _candidate_forms(kind, valuation.value(mask), best[mask], step):
             adversary = _adversary_bid(m, mask, tilde, form, bar)
             if first_tilde is None:
@@ -660,7 +658,7 @@ def _refute(
             attack_u = utility_against(valuation, bids, [adversary])
             if (attack_u >= 0) if over else (attack_u != 0):
                 continue
-            truth_u = _truthful_utility(valuation, adversary)
+            truth_u = utility_against(valuation, (valuation,), [adversary])
             if over and truth_u < 0:
                 raise InternalConsistencyError(
                     f"truthful bidding went negative ({truth_u}) against {adversary.values}"
@@ -669,7 +667,7 @@ def _refute(
                 return AdversaryReport(
                     mask, tilde, adversary, attack_u, truth_u, True, form, tuple(tried)
                 )
-    return AdversaryReport(masks[0], first_tilde, None, None, None, False, "none", tuple(tried))
+    return AdversaryReport(cls.masks[0], first_tilde, None, None, None, False, "none", tuple(tried))
 
 
 def overbidding_adversary(
@@ -756,7 +754,7 @@ def claim_family_check(
     zero_truth = None
     for state in states:
         u_attack = utility_against(valuation, bids, [state])
-        u_truth = _truthful_utility(valuation, state)
+        u_truth = utility_against(valuation, (valuation,), [state])
         if u_attack == u_truth:
             continue
         diff += 1
@@ -883,7 +881,7 @@ def truth_loss_averse_witnesses(
         if adversary is None:
             continue
         attack_u = utility_against(valuation, bids, [adversary])
-        truth_u = _truthful_utility(valuation, adversary)
+        truth_u = utility_against(valuation, (valuation,), [adversary])
         if attack_u == 0 and truth_u > 0:
             return TruthCertificate(
                 mode="case-1",
@@ -905,7 +903,7 @@ def truth_loss_averse_witnesses(
         for state in family:
             u_attack = utility_against(valuation, bids, [state])
             u_single = utility_against(valuation, single, [state])
-            u_truth = _truthful_utility(valuation, state)
+            u_truth = utility_against(valuation, (valuation,), [state])
             if not u_attack <= u_single <= u_truth:
                 dominated = False
                 break
@@ -1033,6 +1031,7 @@ class SingletonSplitReport:
     nature_bid: CombBid
     classification: AttackClassification
     attack_outcome: VcgOutcome
+    attack_outcome_literal: VcgOutcome
     truthful_outcome: VcgOutcome
 
 
@@ -1069,11 +1068,11 @@ def build_singleton_split_instance(epsilon: Fraction) -> SingletonSplitReport:
         completed.append(total)
     nature = CombBid(3, tuple(completed))
     classification = classify_attack(valuation, attack_bids)
-    attack_profiles = [SybilProfile(valuation, attack_bids)]
-    truth_profiles = [SybilProfile.truthful(valuation)]
-    nature_profile = SybilProfile(nature, (nature,))
-    attack_run = run_vcg(attack_profiles + [nature_profile], 3, eps)
-    truth_run = run_vcg(truth_profiles + [nature_profile], 3, eps)
+    attack = [SybilProfile(valuation, attack_bids), SybilProfile.truthful(nature)]
+    truthful = [SybilProfile.truthful(valuation), SybilProfile.truthful(nature)]
+    attack_run = run_vcg(attack, 3, eps, PaymentRule.CLARKE_PIVOT)
+    attack_literal = run_vcg(attack, 3, eps, PaymentRule.PAPER_LITERAL)
+    truth_run = run_vcg(truthful, 3, eps, PaymentRule.CLARKE_PIVOT)
     return SingletonSplitReport(
         epsilon=eps,
         items=("a", "b", "c"),
@@ -1082,6 +1081,7 @@ def build_singleton_split_instance(epsilon: Fraction) -> SingletonSplitReport:
         nature_bid=nature,
         classification=classification,
         attack_outcome=attack_run,
+        attack_outcome_literal=attack_literal,
         truthful_outcome=truth_run,
     )
 

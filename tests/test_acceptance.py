@@ -11,8 +11,46 @@ checks assert refined claims recorded in the project notes:
   attacks get the same treatment.  No generated reversal is tolerated.
 * criterion 05: on-grid even values make v/2 a grid multiple, where the
   two straddling bids tie; the closed form returns the tied pair.
+
+Every check's detail line must also equal the one recorded below, so a
+change that moves any count in the battery fails here, not only a change
+that fails a check.
 """
 from robustgames import verification
+
+_DETAILS = {
+    "dfpa-loss-averse-closed-form":
+        "57 pairs, singleton match on all; branches zero=7 on-grid=28 off-grid=22",
+    "fpa-witness-battery": "202 bids, every witness re-derived strictly",
+    "hierarchy-arrows-and-counterexamples":
+        "1000 random games, zero arrow violations, 22 permitted non-inclusions "
+        "observed; 5 curated separations reproduced",
+    "multi-leximin-existence": "1000 random games, multi-leximin nonempty on all",
+    "dfpa-min-max-regret":
+        "57 pairs match the argmin set exactly; 14 exhibit the documented half-value tie",
+    "safety-collapse-family":
+        "20 family members collapse to the safety set under both weights",
+    "aim-big-and-star-exclusions":
+        "closed forms match; 200 random games, no dominated action slips through",
+    "vcg-attack-properties":
+        "exact-case-1=15, exact-case-2=123, exact-family=73, exact-welfare-multi=200, "
+        "exact-welfare-single=207, overbidding-dominated=18, overbidding-equivalent=10, "
+        "overbidding-punished=10434, random-m3=500, underbidding-equivalent=18, "
+        "underbidding-refuted=771",
+    "vcg-split-pair-instance":
+        "both grid steps: bundles a,b / c,d, welfare 6*step, payments (18, 18) pivot "
+        "and (20, 20) literal, 4 source discrepancies flagged",
+    "vcg-singleton-split-instance":
+        "underbidding classification, truth earns step, attack earns twice that",
+    "facility-location-closed-forms":
+        "60 aligned (type, n) pairs match the formula; welfare-loss demo exact for n = 2..10",
+    "voting-rules":
+        "frontier lemma holds for both rules at 3 sizes; equalization exact; "
+        "50 perturbed mixtures falsified; top-k regression stable",
+    "oracle-equivalence":
+        "1085 games agree on three concepts; 830 winner determinations agree with "
+        "the naive search",
+}
 
 
 def _run(check):
@@ -20,6 +58,7 @@ def _run(check):
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {result.name}: {result.detail}")
     assert result.passed, result.detail
+    assert result.detail == _DETAILS[result.name]
     return result
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from robustgames import mechanisms, singleitem
+from robustgames import mechanisms, singleitem, vcg
 from robustgames.cli import main
 from robustgames.core import AgentGame, format_game, parse_game
 from robustgames.instances import curated_game
@@ -496,6 +496,8 @@ _GOLDEN_CURATED = {
         "4d6b45c8e74947b16dd7164326c4ef0c0cfb944a522e1e47b11deec88277c4ad",
     ("example-e2", "1/100", "clarke"):
         "fed56f07da7374ee1688c764e18fa67c644b3d080282e5147461b91cba525dfc",
+    ("example-e2", "1/10", "paper"):
+        "babaf9a7d0e17abd5dab893595a930c12aaa57caeb1722b75aeab88afc735f50",
 }
 
 
@@ -505,6 +507,28 @@ def test_curated_vcg_runs_match_their_recorded_digests(capsys):
         code, out, _ = run(capsys, *args)
         assert code == 0
         assert _sha(out) == expected, (name, step, rule)
+
+
+def test_example_e2_paper_rule_prints_the_literal_payments(capsys):
+    args = ("vcg", "run", "--curated", "example-e2", "--epsilon", "1/10")
+    code, out, _ = run(capsys, *args, "--payment-rule", "paper")
+    assert code == 0 and "payment-rule paper\n" in out
+    printed = [line.split()[-1] for line in out.splitlines() if line.startswith("allocation ")]
+    # The literal rule charges the welfare, 1002, less all bids' optimum on
+    # the items a bid did not win: 1001 without a, 1001 without b, 1002 for
+    # the losing third Sybil, and 2 without c.
+    assert printed == ["1", "1", "0", "1000"]
+    report = vcg.build_singleton_split_instance(Fraction(1, 10))
+    profiles = [
+        vcg.SybilProfile(report.valuation, report.attack_bids),
+        vcg.SybilProfile.truthful(report.nature_bid),
+    ]
+    literal = vcg.run_vcg(profiles, 3, Fraction(1, 10), vcg.PaymentRule.PAPER_LITERAL)
+    assert [Fraction(p) for p in printed] == list(literal.payments)
+    assert f"attack-utility {literal.agent_utilities[0]}\n" in out
+    # Truth is still scored under the Clarke rule.
+    clarke = run(capsys, *args, "--payment-rule", "clarke")[1]
+    assert out.splitlines()[-1] == clarke.splitlines()[-1] == "truth-utility 1/10"
 
 
 def test_scenario_payment_rule_overrides_the_flag(tmp_path, capsys):

@@ -35,6 +35,7 @@ from robustgames.vcg import (
     classify_attack,
     enumerate_attacks,
     run_vcg,
+    utility_against,
     winner_determination,
 )
 
@@ -246,6 +247,32 @@ def test_vcg_core_matches_naive_tie_broken_search(case):
         assert clarke.payments[j] == without - (welfare - tables[j][bundles[j]])
         rest, _ = naive_tie_broken_assignment(tables, item_count, every & ~bundles[j])
         assert literal.payments[j] == welfare - rest
+
+
+@st.composite
+def _attacks(draw):
+    """A valuation, one or two Sybil bids and up to two nature bids."""
+    item_count = draw(st.integers(1, 3))
+    entries = st.builds(Fraction, st.integers(0, 3), _DENOMINATORS)
+
+    def table():
+        return CombBid(
+            item_count, (F(0),) + tuple(draw(entries) for _ in range((1 << item_count) - 1))
+        )
+
+    valuation = table()
+    bids = tuple(table() for _ in range(draw(st.integers(1, 2))))
+    nature = [table() for _ in range(draw(st.integers(0, 2)))]
+    return valuation, bids, nature
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_attacks())
+def test_utility_against_matches_the_full_mechanism_run(case):
+    valuation, bids, nature = case
+    profiles = [SybilProfile(valuation, bids), *map(SybilProfile.truthful, nature)]
+    outcome = run_vcg(profiles, valuation.item_count)
+    assert utility_against(valuation, bids, nature) == outcome.agent_utilities[0]
 
 
 def test_naive_tie_break_prefers_concentration_then_lexicographic_order():

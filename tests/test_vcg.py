@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from robustgames import vcg
 from robustgames.errors import CapacityError, InternalConsistencyError, ValidationError
 from robustgames.vcg import (
     SEARCH_BUDGET,
@@ -152,14 +151,20 @@ def test_truthful_utility_nonnegative_on_family():
 
 def test_classification_precedence_and_witnesses():
     valuation = _val(0, 1, 1, 2)
-    assert classify_attack(valuation, [_bid(0, 1, 1, 2)]).kind is AttackKind.EXACT_BIDDING
+    exact = classify_attack(valuation, [_bid(0, 1, 1, 2)])
+    assert exact.kind is AttackKind.EXACT_BIDDING
+    assert exact.masks == () and exact.witness_mask is None
     over = classify_attack(valuation, [_bid(0, 2, 0, 2)])
     assert over.kind is AttackKind.OVERBIDDING and over.witness_mask == 1
+    assert over.masks == (1,)
     under = classify_attack(valuation, [_bid(0, 0, 1, 1)])
     assert under.kind is AttackKind.UNDERBIDDING and under.witness_mask == 1
-    # Overbidding on any bundle outranks underbidding elsewhere.
+    assert under.masks == (1, 3) and under.witness_mask == under.masks[0]
+    # Overbidding on any bundle outranks underbidding elsewhere, and the
+    # underbid bundles are then not listed.
     both = classify_attack(valuation, [_bid(0, 2, 0, 1)])
     assert both.kind is AttackKind.OVERBIDDING
+    assert both.masks == (1,) and both.witness_mask == both.masks[0]
     with pytest.raises(ValidationError):
         classify_attack(valuation, [])
 
@@ -230,25 +235,6 @@ def test_family_check_flags_reversals():
     check = claim_family_check(valuation, [_bid(0, 0, 1, 0)], family)
     assert check.reversal is None
     assert check.family_size == len(family)
-
-
-def test_family_check_does_not_depend_on_the_truthful_cache():
-    # Two valuations scanned over the same family states, in both orders
-    # from an empty cache, give the same checks as uncached mechanism runs.
-    family = nature_state_family(2, (F(0), F(1), F(2)))
-    attack = [_bid(0, 1, 0, 1), _bid(0, 0, 1, 1)]
-    first, second = _val(0, 1, 1, 2), _val(0, 1, 2, 2)
-    checks = {}
-    for order in ((first, second), (second, first)):
-        vcg._truthful_utility.cache_clear()
-        for valuation in order:
-            checks.setdefault(valuation, []).append(claim_family_check(valuation, attack, family))
-    for valuation, (one, other) in checks.items():
-        assert one == other
-        truth = SybilProfile.truthful(valuation).bids
-        for state in family:
-            direct = utility_against(valuation, truth, [state])
-            assert vcg._truthful_utility(valuation, state) == direct
 
 
 def test_exact_certificate_case_1():
