@@ -107,27 +107,18 @@ def _parse_concepts(raw: str | None) -> tuple[Concept, ...]:
 # scenario files
 
 
-SCENARIO_FIELDS = {
-    "raw-game": {"game-file"},
-    "dfpa": {"value", "epsilon", "cap"},
-    "all-pay": {"value", "epsilon", "cap"},
-    "fpa-witness": {"value", "bid"},
-    "vcg-attack": {"items", "epsilon", "valuation", "bid", "nature", "payment-rule"},
-    "facility": {"agents", "type", "grid-step"},
-    "voting": {"rule", "utilities", "tally-cap"},
-    "curated": {"name"},
+# Each kind's (required, optional) fields; every kind also takes SCENARIO_COMMON.
+SCENARIO_SCHEMA = {
+    "raw-game": ({"game-file"}, set()),
+    "dfpa": ({"value", "epsilon"}, {"cap"}),
+    "all-pay": ({"value", "epsilon", "cap"}, set()),
+    "fpa-witness": ({"value", "bid"}, set()),
+    "vcg-attack": ({"items", "valuation", "bid"}, {"epsilon", "nature", "payment-rule"}),
+    "facility": ({"agents", "type"}, {"grid-step"}),
+    "voting": ({"rule", "utilities"}, {"tally-cap"}),
+    "curated": ({"name"}, set()),
 }
 SCENARIO_COMMON = {"concepts", "format"}
-SCENARIO_REQUIRED = {
-    "raw-game": {"game-file"},
-    "dfpa": {"value", "epsilon"},
-    "all-pay": {"value", "epsilon", "cap"},
-    "fpa-witness": {"value", "bid"},
-    "vcg-attack": {"items", "valuation", "bid"},
-    "facility": {"agents", "type"},
-    "voting": {"rule", "utilities"},
-    "curated": {"name"},
-}
 
 
 class Scenario:
@@ -171,16 +162,16 @@ def parse_scenario(path: str) -> Scenario:
     if len(fields["kind"]) != 1:
         raise ParseError(f"{path}: 'kind' given more than once")
     kind = fields.pop("kind")[0]
-    if kind not in SCENARIO_FIELDS:
+    if kind not in SCENARIO_SCHEMA:
         raise ValidationError(
             f"{path}: unknown scenario kind {kind!r}; known: "
-            + ", ".join(sorted(SCENARIO_FIELDS))
+            + ", ".join(sorted(SCENARIO_SCHEMA))
         )
-    allowed = SCENARIO_FIELDS[kind] | SCENARIO_COMMON
+    required, optional = SCENARIO_SCHEMA[kind]
     for key in fields:
-        if key not in allowed:
+        if key not in required | optional | SCENARIO_COMMON:
             raise ValidationError(f"{path}: field {key!r} is not valid for kind {kind!r}")
-    missing = SCENARIO_REQUIRED[kind] - set(fields)
+    missing = required - set(fields)
     if missing:
         raise ParseError(f"{path}: kind {kind!r} is missing field(s) {', '.join(sorted(missing))}")
     return Scenario(kind, fields, os.path.dirname(os.path.abspath(path)))
@@ -283,9 +274,7 @@ def _vcg_attack_from(
 # analyze
 
 
-def _analyze_text(
-    game: AgentGame, chosen: tuple[Concept, ...], fmt: str, decimal: int | None
-) -> str:
+def _analyze_text(game: AgentGame, chosen: tuple[Concept, ...], fmt: str) -> str:
     verdicts = [concepts.concept_verdict(game, c) for c in chosen]
     if fmt == "csv":
         lines = ["concept,actions"]
@@ -333,7 +322,7 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
         game = parse_game(_read_text(args.game, "game file"))
     else:
         raise ParseError("analyze needs --curated, --game, or --scenario")
-    return _analyze_text(game, chosen, fmt, args.decimal)
+    return _analyze_text(game, chosen, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +461,7 @@ def _classification_lines(
     return lines
 
 
-def _attack_outcome(
-    report: vcg.SplitPairReport | vcg.SingletonSplitReport, rule: vcg.PaymentRule
-) -> vcg.VcgOutcome:
+def _attack_outcome(report: vcg.WorkedInstance, rule: vcg.PaymentRule) -> vcg.VcgOutcome:
     if rule is vcg.PaymentRule.CLARKE_PIVOT:
         return report.attack_outcome
     return report.attack_outcome_literal
@@ -482,7 +469,7 @@ def _attack_outcome(
 
 def _split_pair_text(epsilon: Fraction, rule: vcg.PaymentRule, decimal: int | None) -> str:
     report = vcg.build_split_pair_instance(epsilon)
-    labels = _bid_labels(report.attack_profiles)
+    labels = _bid_labels(report.profiles)
     lines = ["vcg report v1", "instance example-e1", f"step {format_scalar(epsilon)}"]
     lines += _classification_lines(report.classification, report.items)
     lines += _outcome_lines(_attack_outcome(report, rule), labels, report.items, decimal)
@@ -497,7 +484,7 @@ def _split_pair_text(epsilon: Fraction, rule: vcg.PaymentRule, decimal: int | No
 def _singleton_split_text(epsilon: Fraction, rule: vcg.PaymentRule, decimal: int | None) -> str:
     report = vcg.build_singleton_split_instance(epsilon)
     outcome = _attack_outcome(report, rule)
-    labels = [f"A{j + 1}" for j in range(len(report.attack_bids))] + ["nature"]
+    labels = [f"A{j + 1}" for j in range(len(report.profiles[0].bids))] + ["nature"]
     lines = ["vcg report v1", "instance example-e2", f"step {format_scalar(epsilon)}"]
     lines += _classification_lines(report.classification, report.items)
     lines += _outcome_lines(outcome, labels, report.items, decimal)
@@ -608,7 +595,7 @@ def _adversary_lines(
         check = vcg.claim_family_check(valuation, bids, family, extra=report.tried)
         lines.append(f"family-size {check.family_size}")
         lines.append(f"difference-states {check.difference_states}")
-        if check.difference_states == 0:
+        if check.standing == "equivalent":
             lines.append("attack outcome-equivalent to truth over the family")
         else:
             lines.append(f"family-truth-min {format_scalar(check.truth_min)}")

@@ -275,16 +275,6 @@ class MixedAction:
     def pure(action: str) -> "MixedAction":
         return MixedAction(((action, Fraction(1)),))
 
-    def probability(self, action: str) -> Fraction:
-        for label, p in self.entries:
-            if label == action:
-                return p
-        return Fraction(0)
-
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.entries)
-
 
 def convex_combination(a: MixedAction, b: MixedAction, weight: Fraction) -> MixedAction:
     """``weight * a + (1 - weight) * b`` as a mixed action."""

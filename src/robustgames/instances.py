@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .concepts import MixtureAugmentation
-from .core import AgentGame, format_scalar, game_from_table, scalar
+from .core import AgentGame, format_scalar, game_from_table
 from .errors import ValidationError
 
 
@@ -94,19 +94,15 @@ def safety_wrong_monotone_game() -> AgentGame:
 AIM_BIG_PRIZE = Fraction(1000)
 
 
-def aim_big_grid_game(step: Fraction = Fraction(1, 10)) -> AgentGame:
+def aim_big_grid_game() -> AgentGame:
     """Finite discretization of the aim-big game.
 
-    Small prizes are the multiples of ``step`` in (0, 1]; the extra
-    state "big" pays B the full prize and S only 1.  The grid's smallest
-    state is strictly positive, which is exactly why the plain
-    loss-averse verdict here differs from the closed-form one.
+    Small prizes are the multiples of 1/10 in (0, 1]; the extra state
+    "big" pays B the full prize and S only 1.  The grid's smallest state
+    is strictly positive, which is exactly why the plain loss-averse
+    verdict here differs from the closed-form one.
     """
-    step = scalar(step)
-    if not (0 < step <= 1) or (1 / step).denominator != 1:
-        raise ValidationError(f"grid step {step} must be 1/m for a positive integer m")
-    count = int(1 / step)
-    smalls = [step * k for k in range(1, count + 1)]
+    smalls = [Fraction(k, 10) for k in range(1, 11)]
     states = tuple(format_scalar(f) for f in smalls) + ("big",)
     table = {}
     for f in smalls:
@@ -200,23 +196,22 @@ def collapse_demo_game(k: int) -> tuple[AgentGame, MixtureAugmentation]:
     return game, MixtureAugmentation("bar", "floor", COLLAPSE_EPSILONS)
 
 
-def random_game(
-    rng: random.Random,
-    max_actions: int = 6,
-    max_states: int = 6,
-    low: int = -5,
-    high: int = 5,
-) -> AgentGame:
+RANDOM_MAX_ACTIONS = 6
+RANDOM_MAX_STATES = 6
+RANDOM_LOW, RANDOM_HIGH = -5, 5
+
+
+def random_game(rng: random.Random) -> AgentGame:
     """Small integer-valued game for property tests.
 
     The narrow value range makes exact ties common on purpose.
     """
-    n_actions = rng.randint(1, max_actions)
-    n_states = rng.randint(1, max_states)
+    n_actions = rng.randint(1, RANDOM_MAX_ACTIONS)
+    n_states = rng.randint(1, RANDOM_MAX_STATES)
     actions = tuple(f"a{i}" for i in range(1, n_actions + 1))
     states = tuple(f"s{j}" for j in range(1, n_states + 1))
     rows = tuple(
-        tuple(Fraction(rng.randint(low, high)) for _ in states) for _ in actions
+        tuple(Fraction(rng.randint(RANDOM_LOW, RANDOM_HIGH)) for _ in states) for _ in actions
     )
     return AgentGame("random", actions, states, rows)
 

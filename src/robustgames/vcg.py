@@ -37,7 +37,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -348,12 +348,10 @@ class VcgOutcome:
 
     item_count: int
     payment_rule: PaymentRule
-    assignment: tuple[int, ...]
     bundles: tuple[int, ...]
     payments: tuple[Fraction, ...]
     observed_welfare: Fraction
     real_welfare: Fraction
-    agent_of_bid: tuple[int, ...]
     agent_bundles: tuple[int, ...]
     agent_utilities: tuple[Fraction, ...]
 
@@ -369,14 +367,14 @@ def bid_grid_step(epsilon: Fraction, item_count: int) -> Fraction:
 
 def _mechanism(
     tables: Sequence[Sequence[int]], item_count: int, rule: PaymentRule
-) -> tuple[int, tuple[int, ...], tuple[int, ...], list[int]]:
-    """The mechanism on scaled bid tables: welfare, assignment, bundles, payments."""
+) -> tuple[int, tuple[int, ...], list[int]]:
+    """The mechanism on scaled bid tables: welfare, bundles, payments."""
     welfare, assignment = _tie_broken_assignment(tables, mask_items(full_mask(item_count)))
     bundles = assignment_bundles(assignment, len(tables))
     observed = sum([table[bundle] for table, bundle in zip(tables, bundles)])
     if observed != welfare:
         raise InternalConsistencyError("observed welfare does not match the search value")
-    return observed, assignment, bundles, _payments(tables, item_count, observed, bundles, rule)
+    return observed, bundles, _payments(tables, item_count, observed, bundles, rule)
 
 
 def run_vcg(
@@ -411,30 +409,24 @@ def run_vcg(
                 for v in bid.values:
                     if not _is_multiple(v, fine):
                         raise ValidationError(f"bid entry {v} is off the {fine} bid grid")
-    flat: list[CombBid] = []
-    agent_of_bid: list[int] = []
-    for i, p in enumerate(profiles):
-        for bid in p.bids:
-            flat.append(bid)
-            agent_of_bid.append(i)
+    flat = [bid for p in profiles for bid in p.bids]
+    owners = [i for i, p in enumerate(profiles) for _ in p.bids]
     scale, tables = _scaled(flat + [p.valuation for p in profiles])
     tables, values = tables[: len(flat)], tables[len(flat):]
-    observed, assignment, bundles, payments = _mechanism(tables, item_count, payment_rule)
+    observed, bundles, payments = _mechanism(tables, item_count, payment_rule)
     agent_bundles = [0] * len(profiles)
     paid = [0] * len(profiles)
-    for j, owner in enumerate(agent_of_bid):
+    for j, owner in enumerate(owners):
         agent_bundles[owner] |= bundles[j]
         paid[owner] += payments[j]
     real = sum([value[union] for value, union in zip(values, agent_bundles)])
     return VcgOutcome(
         item_count=item_count,
         payment_rule=payment_rule,
-        assignment=assignment,
         bundles=bundles,
         payments=tuple([Fraction(p, scale) for p in payments]),
         observed_welfare=Fraction(observed, scale),
         real_welfare=Fraction(real, scale),
-        agent_of_bid=tuple(agent_of_bid),
         agent_bundles=tuple(agent_bundles),
         agent_utilities=tuple(
             [
@@ -461,7 +453,7 @@ def utility_against(
     if not k or any(table.item_count != m for table in (*bids, *nature)):
         raise ValidationError("need at least one bid, and every table on the valuation's items")
     scale, (value, *tables) = _scaled([valuation, *bids, *nature])
-    _, _, bundles, payments = _mechanism(tables, m, PaymentRule.CLARKE_PIVOT)
+    _, bundles, payments = _mechanism(tables, m, PaymentRule.CLARKE_PIVOT)
     # The bundles are disjoint, so their sum is their union.
     return Fraction(value[sum(bundles[:k])] - sum(payments[:k]), scale)
 
@@ -733,6 +725,20 @@ class FamilyCheck:
     reversal: CombBid | None
     zero_truth_state: CombBid | None
 
+    @property
+    def standing(self) -> str | None:
+        """Why an attack the adversaries leave unrefuted stands on the family.
+
+        "equivalent" when no state separates attack and truth, "dominated"
+        when truth's worst case over the separating states is at least the
+        attack's, and None when the attack does better in the worst case.
+        """
+        if self.difference_states == 0:
+            return "equivalent"
+        if self.truth_min >= self.attack_min:
+            return "dominated"
+        return None
+
 
 def claim_family_check(
     valuation: CombValuation,
@@ -913,9 +919,7 @@ def truth_loss_averse_witnesses(
             )
 
     check = claim_family_check(valuation, bids, family)
-    if check.difference_states == 0 or (
-        check.truth_min is not None and check.truth_min >= check.attack_min
-    ):
+    if check.standing:
         return TruthCertificate(mode="family", family_size=check.family_size)
     raise InternalConsistencyError(
         f"no certificate found for an exact-bidding attack: {check}"
@@ -923,40 +927,58 @@ def truth_loss_averse_witnesses(
 
 
 @dataclass(frozen=True)
-class SplitPairReport:
-    """A four-item instance where one agent splits its bid in two.
+class WorkedInstance:
+    """A worked auction where one agent attacks with Sybil bids.
 
-    The additive agent values only the last two items, yet its two
-    high additive Sybil bids sweep all four items away from the two
-    unit-demand-like agents.  The exact values are read from the three
-    outcomes; the ``stated_*`` fields are the source's figures, and those
-    that disagree with the exact values are listed in ``discrepancies``.
+    ``profiles`` lists the attacker first; every other agent bids its
+    valuation.  The classification is the attacker's, the attack runs
+    under both payment rules, and the truthful outcome has every agent
+    bid its valuation under the Clarke rule.  ``discrepancies`` lists the
+    source's figures that disagree with these exact values.
     """
 
     epsilon: Fraction
     items: tuple[str, ...]
-    attack_profiles: tuple[SybilProfile, ...]
+    profiles: tuple[SybilProfile, ...]
     classification: AttackClassification
     attack_outcome: VcgOutcome
     attack_outcome_literal: VcgOutcome
     truthful_outcome: VcgOutcome
-    stated_optimal_welfare: Fraction
-    stated_payment: Fraction
-    stated_attack_utility: Fraction
-    discrepancies: tuple[str, ...]
+    discrepancies: tuple[str, ...] = ()
 
 
-def build_split_pair_instance(epsilon: Fraction) -> SplitPairReport:
+def _worked_instance(
+    epsilon: Fraction, items: tuple[str, ...], profiles: tuple[SybilProfile, ...]
+) -> WorkedInstance:
+    """Classify the attacker and run the attack and truthful bidding."""
+    m = len(items)
+    attacker = profiles[0]
+    truthful = [SybilProfile.truthful(p.valuation) for p in profiles]
+    return WorkedInstance(
+        epsilon=epsilon,
+        items=items,
+        profiles=profiles,
+        classification=classify_attack(attacker.valuation, attacker.bids),
+        attack_outcome=run_vcg(profiles, m, epsilon, PaymentRule.CLARKE_PIVOT),
+        attack_outcome_literal=run_vcg(profiles, m, epsilon, PaymentRule.PAPER_LITERAL),
+        truthful_outcome=run_vcg(truthful, m, epsilon, PaymentRule.CLARKE_PIVOT),
+    )
+
+
+def build_split_pair_instance(epsilon: Fraction) -> WorkedInstance:
     """Four items, one additive attacker against two XOS bidders.
 
     The attacker bids 10 per item through two Sybils, one covering the
     first two items and one the last two, while truly valuing only the
-    last two at 3 times the grid step each.
+    last two at 3 times the grid step each.  Its two high bids sweep all
+    four items away from the two unit-demand-like agents.  The source
+    states an optimal welfare of 18 + 2 steps, a per-bid payment of
+    2 steps and an attack utility of 2 steps; each figure that disagrees
+    with the exact outcomes is listed as a discrepancy.
     """
     eps = scalar(epsilon)
     if eps <= 0:
         raise ValidationError(f"grid step must be positive, got {eps}")
-    items = ("a", "b", "c", "d")
     val_a = additive_valuation([Fraction(0), Fraction(0), 3 * eps, 3 * eps])
     nine = Fraction(9)
     val_b = xos_to_valuation(
@@ -967,16 +989,16 @@ def build_split_pair_instance(epsilon: Fraction) -> SplitPairReport:
     )
     sybil_one = additive_bid([Fraction(10), Fraction(10), Fraction(0), Fraction(0)])
     sybil_two = additive_bid([Fraction(0), Fraction(0), Fraction(10), Fraction(10)])
-    attack = (
-        SybilProfile(val_a, (sybil_one, sybil_two)),
-        SybilProfile.truthful(val_b),
-        SybilProfile.truthful(val_c),
+    instance = _worked_instance(
+        eps,
+        ("a", "b", "c", "d"),
+        (
+            SybilProfile(val_a, (sybil_one, sybil_two)),
+            SybilProfile.truthful(val_b),
+            SybilProfile.truthful(val_c),
+        ),
     )
-    truthful = [SybilProfile.truthful(p.valuation) for p in attack]
-    classification = classify_attack(val_a, attack[0].bids)
-    attack_run = run_vcg(attack, 4, eps, PaymentRule.CLARKE_PIVOT)
-    attack_literal = run_vcg(attack, 4, eps, PaymentRule.PAPER_LITERAL)
-    truth_run = run_vcg(truthful, 4, eps, PaymentRule.CLARKE_PIVOT)
+    attack_run, truth_run = instance.attack_outcome, instance.truthful_outcome
     stated_optimal = Fraction(18) + 2 * eps
     stated_payment = 2 * eps
     stated_attack_utility = 2 * eps
@@ -988,7 +1010,7 @@ def build_split_pair_instance(epsilon: Fraction) -> SplitPairReport:
         )
     for rule_name, payments in (
         ("clarke", attack_run.payments[:2]),
-        ("literal", attack_literal.payments[:2]),
+        ("literal", instance.attack_outcome_literal.payments[:2]),
     ):
         if any(p != stated_payment for p in payments):
             discrepancies.append(
@@ -1000,43 +1022,16 @@ def build_split_pair_instance(epsilon: Fraction) -> SplitPairReport:
             f"stated attack utility {stated_attack_utility} but the clarke-rule "
             f"utility is {attack_run.agent_utilities[0]}"
         )
-    return SplitPairReport(
-        epsilon=eps,
-        items=items,
-        attack_profiles=attack,
-        classification=classification,
-        attack_outcome=attack_run,
-        attack_outcome_literal=attack_literal,
-        truthful_outcome=truth_run,
-        stated_optimal_welfare=stated_optimal,
-        stated_payment=stated_payment,
-        stated_attack_utility=stated_attack_utility,
-        discrepancies=tuple(discrepancies),
-    )
+    return replace(instance, discrepancies=tuple(discrepancies))
 
 
-@dataclass(frozen=True)
-class SingletonSplitReport:
-    """A three-item instance where per-item Sybils beat honest bidding.
+def build_singleton_split_instance(epsilon: Fraction) -> WorkedInstance:
+    """Three items, one agent splitting into three single-item bids.
 
     The agent values pairs superadditively but splits into one bid per
     item, underbidding the third item; against the tailored nature bid
     the attack earns twice what truth earns.
     """
-
-    epsilon: Fraction
-    items: tuple[str, ...]
-    valuation: CombValuation
-    attack_bids: tuple[CombBid, ...]
-    nature_bid: CombBid
-    classification: AttackClassification
-    attack_outcome: VcgOutcome
-    attack_outcome_literal: VcgOutcome
-    truthful_outcome: VcgOutcome
-
-
-def build_singleton_split_instance(epsilon: Fraction) -> SingletonSplitReport:
-    """Three items, one agent splitting into three single-item bids."""
     eps = scalar(epsilon)
     if eps <= 0:
         raise ValidationError(f"grid step must be positive, got {eps}")
@@ -1067,22 +1062,10 @@ def build_singleton_split_instance(epsilon: Fraction) -> SingletonSplitReport:
                 total += amount
         completed.append(total)
     nature = CombBid(3, tuple(completed))
-    classification = classify_attack(valuation, attack_bids)
-    attack = [SybilProfile(valuation, attack_bids), SybilProfile.truthful(nature)]
-    truthful = [SybilProfile.truthful(valuation), SybilProfile.truthful(nature)]
-    attack_run = run_vcg(attack, 3, eps, PaymentRule.CLARKE_PIVOT)
-    attack_literal = run_vcg(attack, 3, eps, PaymentRule.PAPER_LITERAL)
-    truth_run = run_vcg(truthful, 3, eps, PaymentRule.CLARKE_PIVOT)
-    return SingletonSplitReport(
-        epsilon=eps,
-        items=("a", "b", "c"),
-        valuation=valuation,
-        attack_bids=attack_bids,
-        nature_bid=nature,
-        classification=classification,
-        attack_outcome=attack_run,
-        attack_outcome_literal=attack_literal,
-        truthful_outcome=truth_run,
+    return _worked_instance(
+        eps,
+        ("a", "b", "c"),
+        (SybilProfile(valuation, attack_bids), SybilProfile.truthful(nature)),
     )
 
 

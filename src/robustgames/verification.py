@@ -329,11 +329,8 @@ def _handle_attack(
             return kind, f"witness pair {pair} is not (0, >0)"
         tally["overbidding-punished" if over else "underbidding-refuted"] += 1
         return kind, None
-    if check.difference_states == 0:
-        tally[f"{kind.value}-equivalent"] += 1
-        return kind, None
-    if check.truth_min is not None and check.truth_min >= check.attack_min:
-        tally[f"{kind.value}-dominated"] += 1
+    if check.standing:
+        tally[f"{kind.value}-{check.standing}"] += 1
         return kind, None
     attempt = "unpunished overbid" if over else "unrefuted underbid"
     return kind, (
@@ -631,11 +628,10 @@ def check_oracle_equivalence(budget: str, seed: int) -> str:
                     )
                 compared += 1
 
-    split = vcg.build_split_pair_instance(Fraction(1, 10))
-    split_bids = [bid for profile in split.attack_profiles for bid in profile.bids]
-    single = vcg.build_singleton_split_instance(Fraction(1, 10))
-    single_bids = list(single.attack_bids) + [single.nature_bid]
-    for bids, item_count in ((split_bids, 4), (single_bids, 3)):
+    for build in (vcg.build_split_pair_instance, vcg.build_singleton_split_instance):
+        instance = build(Fraction(1, 10))
+        bids = [bid for profile in instance.profiles for bid in profile.bids]
+        item_count = len(instance.items)
         welfare, _ = vcg.winner_determination(bids, item_count)
         naive_welfare, _ = oracle.naive_winner_determination(
             [b.values for b in bids], item_count

@@ -2,6 +2,7 @@
 import hashlib
 import os
 import random
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,42 @@ def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _readme_examples():
+    """Each README `$ robustgames ...` line with the output lines shown under it."""
+    examples = []
+    with open(README, encoding="utf-8") as handle:
+        for line in handle.read().splitlines():
+            if line.startswith("$ robustgames "):
+                examples.append((shlex.split(line)[2:], []))
+            elif line.startswith("```") or line.startswith("$ "):
+                examples.append(None)
+            elif examples and examples[-1] is not None:
+                examples[-1][1].append(line)
+    return [e for e in examples if e is not None]
+
+
+def test_readme_examples_run(capsys):
+    examples = [
+        (args, shown)
+        for args, shown in _readme_examples()
+        if "--scenario" not in args and "--game" not in args
+    ]
+    assert len(examples) >= 8
+    for args, shown in examples:
+        code, out, err = run(capsys, *args)
+        assert code == 0, (args, err)
+        head, _, tail = "\n".join(shown).partition("...")
+        lines = out.splitlines()
+        head = head.splitlines()
+        assert lines[: len(head)] == head, args
+        rest = iter(lines[len(head):])
+        for want in tail.splitlines()[1:]:
+            assert want in rest, (args, want)
 
 
 def test_analyze_curated_lemma_game(capsys):
@@ -518,11 +555,7 @@ def test_example_e2_paper_rule_prints_the_literal_payments(capsys):
     # the items a bid did not win: 1001 without a, 1001 without b, 1002 for
     # the losing third Sybil, and 2 without c.
     assert printed == ["1", "1", "0", "1000"]
-    report = vcg.build_singleton_split_instance(Fraction(1, 10))
-    profiles = [
-        vcg.SybilProfile(report.valuation, report.attack_bids),
-        vcg.SybilProfile.truthful(report.nature_bid),
-    ]
+    profiles = vcg.build_singleton_split_instance(Fraction(1, 10)).profiles
     literal = vcg.run_vcg(profiles, 3, Fraction(1, 10), vcg.PaymentRule.PAPER_LITERAL)
     assert [Fraction(p) for p in printed] == list(literal.payments)
     assert f"attack-utility {literal.agent_utilities[0]}\n" in out

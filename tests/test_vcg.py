@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from robustgames import vcg
 from robustgames.errors import CapacityError, InternalConsistencyError, ValidationError
 from robustgames.vcg import (
     SEARCH_BUDGET,
     AttackKind,
     CombBid,
     CombValuation,
+    FamilyCheck,
     PaymentRule,
     SybilProfile,
     XosValuation,
@@ -203,10 +205,8 @@ def test_shadowed_overbid_is_outcome_equivalent_not_punishable():
 
 
 def test_underbidding_adversary_zero_positive_witness():
-    instance = build_singleton_split_instance(F(1, 10))
-    report = underbidding_adversary(
-        instance.valuation, instance.attack_bids, epsilon=F(1, 10)
-    )
+    attacker = build_singleton_split_instance(F(1, 10)).profiles[0]
+    report = underbidding_adversary(attacker.valuation, attacker.bids, epsilon=F(1, 10))
     assert report.refuted
     assert report.attack_utility == 0
     assert report.truth_utility > 0
@@ -303,8 +303,6 @@ def test_split_pair_regression_constants():
         assert report.attack_outcome_literal.payments[:2] == (F(20), F(20))
         assert truth.observed_welfare == F(18) + 6 * epsilon
         assert truth.agent_utilities[0] == 4 * epsilon
-        assert report.stated_optimal_welfare == F(18) + 2 * epsilon
-        assert report.stated_payment == 2 * epsilon
         assert len(report.discrepancies) == 4
 
 
@@ -318,6 +316,43 @@ def test_singleton_split_regression_constants():
     assert attack_utility == 2 * truth_utility
     with pytest.raises(ValidationError):
         build_singleton_split_instance(F(0))
+
+
+def test_worked_instances_rerun_from_their_profiles():
+    for build in (build_split_pair_instance, build_singleton_split_instance):
+        for epsilon in (F(1, 10), F(1, 100)):
+            instance = build(epsilon)
+            m = len(instance.items)
+            attacker, *others = instance.profiles
+            assert all(p.bids == (p.valuation,) for p in others)
+            assert instance.classification == classify_attack(attacker.valuation, attacker.bids)
+            for rule, outcome in (
+                (PaymentRule.CLARKE_PIVOT, instance.attack_outcome),
+                (PaymentRule.PAPER_LITERAL, instance.attack_outcome_literal),
+            ):
+                assert run_vcg(instance.profiles, m, epsilon, rule) == outcome
+            truthful = [SybilProfile.truthful(p.valuation) for p in instance.profiles]
+            assert run_vcg(truthful, m, epsilon) == instance.truthful_outcome
+
+
+def test_exact_bidding_family_fallback_follows_the_family_standing(monkeypatch):
+    # No bundle is valued below v by every Sybil, and the best single
+    # Sybil is not dominated on the family, so only the family scan is left.
+    valuation = _val(0, 0, 1, 2)
+    attack = [_bid(0, 0, 0, 2), _bid(0, 0, 1, 0)]
+    family = nature_state_family(2, (F(0), F(1), F(2)))
+    for check, standing in (
+        (FamilyCheck(len(family), 2, F(1), F(1), None, None), "dominated"),
+        (FamilyCheck(len(family), 2, F(0), F(1), None, None), None),
+    ):
+        assert check.standing == standing
+        monkeypatch.setattr(vcg, "claim_family_check", lambda *args, check=check, **kw: check)
+        if standing:
+            certificate = truth_loss_averse_witnesses(valuation, attack, family)
+            assert (certificate.mode, certificate.family_size) == ("family", len(family))
+        else:
+            with pytest.raises(InternalConsistencyError, match="no certificate found"):
+                truth_loss_averse_witnesses(valuation, attack, family)
 
 
 def test_snap_to_grid_between():

@@ -73,13 +73,13 @@ def test_refuted_overbids_skip_the_scan_and_refuted_underbids_do_not(monkeypatch
         vcg.AttackKind.OVERBIDDING, None
     )
     assert tally == Counter({"overbidding-punished": 1})
-    split = vcg.build_singleton_split_instance(F(1, 10))
+    attacker = vcg.build_singleton_split_instance(F(1, 10)).profiles[0]
     reversal = vcg.CombBid(3, (F(0),) * 8)
     check = vcg.FamilyCheck(10, 1, F(0), F(1), reversal, None)
     monkeypatch.setattr(vcg, "claim_family_check", lambda *args, **kwargs: check)
-    assert vcg.underbidding_adversary(split.valuation, split.attack_bids, F(1, 10)).refuted
+    assert vcg.underbidding_adversary(attacker.valuation, attacker.bids, F(1, 10)).refuted
     kind, failure = verification._handle_attack(
-        split.valuation, split.attack_bids, F(1, 10), (), Counter()
+        attacker.valuation, attacker.bids, F(1, 10), (), Counter()
     )
     assert kind is vcg.AttackKind.UNDERBIDDING
     assert failure.startswith(f"reversal state {reversal.values} on valuation")
