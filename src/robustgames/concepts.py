@@ -16,6 +16,7 @@ resolved towards the first-listed label so output is deterministic.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -451,6 +452,20 @@ class FalsifyResult:
     deviation_state: str | None = None
 
 
+def _scaled_utilities(game: AgentGame, mixture: MixedAction) -> tuple[int, list[int]]:
+    """A mixture's expected utility against each state, as integers over
+    the returned denominator: the table's times the probabilities' own."""
+    denominator, rows = game.scaled
+    common = math.lcm(*[p.denominator for _, p in mixture.entries])
+    weighted = [
+        (rows[game.action_index(a)], p.numerator * (common // p.denominator))
+        for a, p in mixture.entries
+    ]
+    return denominator * common, [
+        sum(w * row[j] for row, w in weighted) for j in range(len(game.states))
+    ]
+
+
 def mixed_loss_averse_falsify(
     game: AgentGame, candidate: MixedAction, deviations: Sequence[MixedAction]
 ) -> FalsifyResult:
@@ -461,95 +476,134 @@ def mixed_loss_averse_falsify(
     candidate's falsifies it.  Deviations equal to the candidate have an
     empty difference set and are vacuously survived.
     """
-    cand_u = [mixed_utility(game, candidate, s) for s in game.states]
+    cand_scale, cand_u = _scaled_utilities(game, candidate)
     for dev in deviations:
-        dev_u = [mixed_utility(game, dev, s) for s in game.states]
-        found = _loss_averse_refutation(cand_u, dev_u)
+        dev_scale, dev_u = _scaled_utilities(game, dev)
+        # Both vectors over the product of their denominators.
+        found = _loss_averse_refutation(
+            [u * dev_scale for u in cand_u], [u * cand_scale for u in dev_u]
+        )
         if found is not None:
             jc, jd = found
             return FalsifyResult(
                 verdict=FalsifyVerdict.FALSIFIED,
                 deviations_checked=len(deviations),
                 deviation=dev,
-                candidate_min=cand_u[jc],
-                deviation_min=dev_u[jd],
+                candidate_min=Fraction(cand_u[jc], cand_scale),
+                deviation_min=Fraction(dev_u[jd], dev_scale),
                 candidate_state=game.states[jc],
                 deviation_state=game.states[jd],
             )
     return FalsifyResult(FalsifyVerdict.SURVIVED_FAMILY, len(deviations))
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over the rationals; None if singular."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+def _bland_optimum(
+    game: AgentGame,
+) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The mixed safety value and an optimal pair of mixtures, by simplex.
+
+    The integer-scaled rows are shifted so every entry U'(a, s) is at
+    least 1, which makes the game's value positive.  Nature's program
+    max sum(y) s.t. sum_s U'(a, s) y_s <= 1 for every action, y >= 0, then
+    has the feasible slack basis to start from, and its optimum is one
+    over the shifted value, with nature's mixture q = y / sum(y).  The
+    agent's mixture p is the dual solution, read from the slack columns'
+    reduced costs.  Pivots follow Bland's rule (lowest entering index,
+    ties in the ratio test to the lowest basic index), so the method
+    terminates; columns are the states, then the actions' slacks, both in
+    game order.
+
+    The tableau is fraction-free: it holds ``d`` times the true tableau,
+    ``d`` the previous pivot, so every entry is an ``int`` and each pivot
+    divides exactly.  Returns (value, p by action, q by state).
+    """
+    denominator, rows = game.scaled
+    shift = 1 - min(min(row) for row in rows)
+    n_actions, n_states = len(rows), len(rows[0])
+    width = n_states + n_actions
+    tableau = [
+        [u + shift for u in row] + [int(i == k) for k in range(n_actions)] + [1]
+        for i, row in enumerate(rows)
+    ]
+    tableau.append([-1] * n_states + [0] * (n_actions + 1))  # the objective row
+    basis = list(range(n_states, width))
+    d = 1
+    while True:
+        c = next((j for j in range(width) if tableau[-1][j] < 0), None)
+        if c is None:
+            break
+        # The least ratio rhs / entry over the positive entries, ties to the
+        # lowest basic index; the rows share ``d``, so ratios compare crosswise.
+        # With every entry at least 1 the program is bounded, so column ``c``
+        # has a positive entry.
+        r = None
+        for i, row in enumerate(tableau[:n_actions]):
+            if row[c] <= 0:
+                continue
+            order = 0 if r is None else row[-1] * tableau[r][c] - tableau[r][-1] * row[c]
+            if r is None or order < 0 or (order == 0 and basis[i] < basis[r]):
+                r = i
+        pivot_row = tableau[r]
+        pivot = pivot_row[c]
+        tableau = [
+            row if i == r else [(pivot * a - row[c] * b) // d for a, b in zip(row, pivot_row)]
+            for i, row in enumerate(tableau)
+        ]
+        basis[r] = c
+        d = pivot
+    objective = tableau[-1]
+    z = objective[-1]  # d * sum(y)
+    y = [0] * n_states
+    for i, j in enumerate(basis):
+        if j < n_states:
+            y[j] = tableau[i][-1]
+    # The shifted value is 1 / sum(y) = d / z; both mixtures are over z.
+    value = Fraction(d - shift * z, z * denominator)
+    p = tuple(Fraction(x, z) for x in objective[n_states:width])
+    q = tuple(Fraction(v, z) for v in y)
+    return value, p, q
+
+
+def _check_certificate(
+    game: AgentGame, value: Fraction, p: Sequence[Fraction], q: Sequence[Fraction]
+) -> None:
+    """Raise unless p and q are distributions and, on the rational rows,
+    min_s u(p, s) = value = max_a u(a, q).
+
+    By weak duality min_s u(p, s) <= u(p, q) <= max_a u(a, q), so the
+    equalities prove both mixtures optimal and ``value`` the game's value.
+    """
+    for name, mixture in (("agent", p), ("nature", q)):
+        if any(x < 0 for x in mixture) or sum(mixture) != 1:
+            raise InternalConsistencyError(f"{name} mixture {mixture} is not a distribution")
+    guarantee = min(
+        sum(x * row[j] for x, row in zip(p, game.rows) if x) for j in range(len(game.states))
+    )
+    best_reply = max(sum(x * u for x, u in zip(q, row) if x) for row in game.rows)
+    if not guarantee == value == best_reply:
+        raise InternalConsistencyError(
+            f"mixed safety certificate fails on game {game.type_label!r}: the agent's "
+            f"mixture guarantees {guarantee}, nature's holds every action to "
+            f"{best_reply}, the solved value is {value}"
+        )
 
 
 def mixed_safety_value(game: AgentGame) -> tuple[Fraction, MixedAction]:
     """Exact max-min value over all mixed actions, with a witness mixture.
 
-    Solved by enumerating candidate supports and tight state sets; every
-    basic optimum of the underlying linear program appears among the
-    square systems this visits, so the maximum over feasible candidates
-    is the exact value.
+    Solved by an exact simplex (``_bland_optimum``) and certified by
+    minimax duality against nature's optimal mixture before it returns.
+    The witness is the first pure action whose worst case is the value,
+    if there is one, and otherwise the simplex's basic optimum.
     """
-    n_actions = len(game.actions)
-    n_states = len(game.states)
-    best_value: Fraction | None = None
-    best_mix: MixedAction | None = None
-
-    def consider(probs: dict[str, Fraction]) -> None:
-        nonlocal best_value, best_mix
-        mix = MixedAction.from_mapping(probs)
-        guarantee = min(mixed_utility(game, mix, s) for s in game.states)
-        if best_value is None or guarantee > best_value:
-            best_value = guarantee
-            best_mix = mix
-
-    for a in game.actions:
-        consider({a: Fraction(1)})
-
-    supports = []
-    for code in range(1, 1 << n_actions):
-        support = [i for i in range(n_actions) if code & (1 << i)]
-        if len(support) >= 2:
-            supports.append(support)
-    for support in supports:
-        k = len(support)
-        for code in range(1, 1 << n_states):
-            tight = [j for j in range(n_states) if code & (1 << j)]
-            if len(tight) != k:
-                continue
-            # Unknowns: the k probabilities followed by the common value v.
-            matrix = []
-            rhs = []
-            for j in tight:
-                matrix.append([game.rows[i][j] for i in support] + [Fraction(-1)])
-                rhs.append(Fraction(0))
-            matrix.append([Fraction(1)] * k + [Fraction(0)])
-            rhs.append(Fraction(1))
-            solution = _solve_linear(matrix, rhs)
-            if solution is None:
-                continue
-            probs = solution[:k]
-            if any(p < 0 for p in probs):
-                continue
-            consider({game.actions[i]: p for i, p in zip(support, probs)})
-
-    assert best_value is not None and best_mix is not None
-    return best_value, best_mix
+    value, p, q = _bland_optimum(game)
+    denominator, rows = game.scaled
+    level = value * denominator
+    pure = next((i for i, row in enumerate(rows) if min(row) == level), None)
+    if pure is not None:
+        p = tuple(Fraction(int(i == pure)) for i in range(len(rows)))
+    _check_certificate(game, value, p, q)
+    return value, MixedAction.from_mapping(dict(zip(game.actions, p)))
 
 
 def mixed_safety_level_solve_2x2(game: AgentGame) -> MixedAction:

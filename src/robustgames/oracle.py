@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .core import AgentGame
+from .core import AgentGame, MixedAction, mixed_utility
 from .errors import CapacityError
 
 ORACLE_STEP_BUDGET = 10**7
@@ -122,6 +122,80 @@ def naive_min_max_regret(game: AgentGame) -> set[str]:
         regret[a] = max(shortfalls)
     floor = min(regret.values())
     return {a for a in game.actions if regret[a] == floor}
+
+
+def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Gaussian elimination over the rationals; None if singular."""
+    n = len(matrix)
+    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = aug[col][col]
+        aug[col] = [v / inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
+def naive_mixed_safety_value(game: AgentGame) -> tuple[Fraction, MixedAction]:
+    """Exact max-min value over all mixed actions, with a witness mixture.
+
+    Solved by enumerating candidate supports and tight state sets; every
+    basic optimum of the underlying linear program appears among the
+    square systems this visits, so the maximum over feasible candidates
+    is the exact value.  Pure actions are visited first, in game order,
+    and a candidate replaces the incumbent only when it guarantees more.
+    """
+    n_actions = len(game.actions)
+    n_states = len(game.states)
+    best_value: Fraction | None = None
+    best_mix: MixedAction | None = None
+
+    def consider(probs: dict[str, Fraction]) -> None:
+        nonlocal best_value, best_mix
+        mix = MixedAction.from_mapping(probs)
+        guarantee = min(mixed_utility(game, mix, s) for s in game.states)
+        if best_value is None or guarantee > best_value:
+            best_value = guarantee
+            best_mix = mix
+
+    for a in game.actions:
+        consider({a: Fraction(1)})
+
+    supports = []
+    for code in range(1, 1 << n_actions):
+        support = [i for i in range(n_actions) if code & (1 << i)]
+        if len(support) >= 2:
+            supports.append(support)
+    for support in supports:
+        k = len(support)
+        for code in range(1, 1 << n_states):
+            tight = [j for j in range(n_states) if code & (1 << j)]
+            if len(tight) != k:
+                continue
+            # Unknowns: the k probabilities followed by the common value v.
+            matrix = []
+            rhs = []
+            for j in tight:
+                matrix.append([game.rows[i][j] for i in support] + [Fraction(-1)])
+                rhs.append(Fraction(0))
+            matrix.append([Fraction(1)] * k + [Fraction(0)])
+            rhs.append(Fraction(1))
+            solution = _solve_linear(matrix, rhs)
+            if solution is None:
+                continue
+            probs = solution[:k]
+            if any(p < 0 for p in probs):
+                continue
+            consider({game.actions[i]: p for i, p in zip(support, probs)})
+
+    assert best_value is not None and best_mix is not None
+    return best_value, best_mix
 
 
 def _strip_compare(xs: list[Fraction], ys: list[Fraction], one_copy: bool) -> int:

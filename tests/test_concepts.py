@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from robustgames import instances
+from robustgames import concepts, instances
 from robustgames.concepts import (
     Concept,
+    FalsifyResult,
     FalsifyVerdict,
     MixtureAugmentation,
     augment_with_mixed_nature,
@@ -31,8 +32,14 @@ from robustgames.concepts import (
     verify_refutation,
     weakly_dominant_actions,
 )
-from robustgames.core import INF, AgentGame, MixedAction
-from robustgames.errors import ValidationError
+from robustgames.core import INF, AgentGame, MixedAction, convex_combination, mixed_utility
+from robustgames.errors import InternalConsistencyError, ValidationError
+from robustgames.mechanisms import (
+    ballot_label,
+    plurality_mixed_loss_averse,
+    plurality_spec,
+    psr_game,
+)
 
 
 def _game(rows, actions=None, states=None):
@@ -194,6 +201,81 @@ def test_mixed_safety_value_beats_pure_on_wrong_monotone():
     assert value > safety_level(game)
     assert mixture == MixedAction.from_mapping({"a": "3/4", "b": "1/4"})
     assert mixed_safety_level_solve_2x2(game) == mixture
+
+
+def test_mixed_safety_prefers_the_first_pure_action_at_the_value():
+    # b and c both guarantee the value 1, and c weakly dominates b.
+    game = _game([[0, 5], [1, 1], [1, 3]], ("a", "b", "c"))
+    assert mixed_safety_value(game) == (1, MixedAction.pure("b"))
+    same = _game([[2, -1, 0]] * 3, ("a", "b", "c"))
+    assert mixed_safety_value(same) == (-1, MixedAction.pure("a"))
+
+
+@pytest.mark.parametrize(
+    "solved",
+    [
+        # The value and nature's mixture are right, the agent's is pure a.
+        (Fraction(3, 4), (Fraction(1), Fraction(0)), (Fraction(3, 4), Fraction(1, 4))),
+        # Pure a's worst case as the value: against nature's mixture both
+        # actions earn more.
+        (Fraction(0), (Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(1, 2))),
+        # Not a distribution.
+        (Fraction(3, 4), (Fraction(1), Fraction(1)), (Fraction(3, 4), Fraction(1, 4))),
+    ],
+)
+def test_mixed_safety_certificate_rejects_a_suboptimal_solve(monkeypatch, solved):
+    game = instances.curated_game("safety-wrong-monotone")
+    monkeypatch.setattr(concepts, "_bland_optimum", lambda g: solved)
+    with pytest.raises(InternalConsistencyError):
+        mixed_safety_value(game)
+
+
+def test_mixed_safety_solves_a_12x16_game():
+    """Far past the 2^A x 2^S support enumeration (2^28 candidate systems)."""
+    rng = random.Random(12)
+    game = _game([[rng.randint(-20, 20) for _ in range(16)] for _ in range(12)])
+    value, mixture = mixed_safety_value(game)
+    assert min(mixed_utility(game, mixture, s) for s in game.states) == value
+    assert value >= safety_level(game)
+
+
+def test_falsifier_minima_match_the_mixed_utilities():
+    """Field for field what a recomputation with ``mixed_utility`` gives."""
+    for f in (
+        (Fraction(1), Fraction(1, 2), Fraction(0)),
+        (Fraction(1), Fraction(7, 10), Fraction(1, 5), Fraction(0)),
+    ):
+        spec = plurality_spec(len(f), f)
+        game = psr_game(spec)
+        good = plurality_mixed_loss_averse(f)
+        pures = [MixedAction.pure(ballot_label(v)) for v in spec.permissible_vectors]
+        skewed = convex_combination(good, pures[-1], Fraction(5, 7))
+        for candidate in pures + [good, skewed]:
+            for deviations in ([good], pures, [good] + pures):
+                result = mixed_loss_averse_falsify(game, candidate, deviations)
+                assert result == _recomputed_falsify(game, candidate, deviations)
+
+
+def _recomputed_falsify(game, candidate, deviations):
+    cand = [mixed_utility(game, candidate, s) for s in game.states]
+    for dev in deviations:
+        other = [mixed_utility(game, dev, s) for s in game.states]
+        diff = [j for j in range(len(cand)) if cand[j] != other[j]]
+        if not diff:
+            continue
+        jc = min(diff, key=cand.__getitem__)
+        jd = min(diff, key=other.__getitem__)
+        if cand[jc] < other[jd]:
+            return FalsifyResult(
+                FalsifyVerdict.FALSIFIED,
+                len(deviations),
+                dev,
+                cand[jc],
+                other[jd],
+                game.states[jc],
+                game.states[jd],
+            )
+    return FalsifyResult(FalsifyVerdict.SURVIVED_FAMILY, len(deviations))
 
 
 def test_mixed_falsification_finds_counterexample():

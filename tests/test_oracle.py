@@ -17,7 +17,7 @@ from robustgames.concepts import (
     multi_leximin_actions,
     verify_refutation,
 )
-from robustgames.core import AgentGame
+from robustgames.core import AgentGame, mixed_utility
 from robustgames.errors import CapacityError
 from robustgames.oracle import (
     naive_leximin,
@@ -87,11 +87,11 @@ _GAME_VALUES = st.builds(
 
 
 @st.composite
-def _small_games(draw):
-    """Games of at most 5 x 5 over a pool of at most five values, so rows
-    and minima tie often."""
-    n_actions = draw(st.integers(1, 5))
-    n_states = draw(st.integers(1, 5))
+def _small_games(draw, max_actions=5, max_states=5):
+    """Games of at most 5 x 5 (by default) over a pool of at most five
+    values, so rows and minima tie often."""
+    n_actions = draw(st.integers(1, max_actions))
+    n_states = draw(st.integers(1, max_states))
     values = st.sampled_from(draw(st.lists(_GAME_VALUES, min_size=1, max_size=5)))
     rows = tuple(
         tuple(draw(values) for _ in range(n_states)) for _ in range(n_actions)
@@ -105,6 +105,20 @@ def _small_games(draw):
 @given(_small_games())
 def test_every_concept_matches_its_oracle(game):
     _assert_matches_the_oracle(game)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_small_games(max_actions=4, max_states=5))
+def test_mixed_safety_matches_the_support_enumeration(game):
+    value, mixture = concepts.mixed_safety_value(game)
+    naive_value, naive_mixture = oracle.naive_mixed_safety_value(game)
+    assert value == naive_value
+    for witness in (mixture, naive_mixture):
+        assert min(mixed_utility(game, witness, s) for s in game.states) == value
+    # The oracle keeps a pure action unless a mixture guarantees strictly
+    # more, so a pure oracle witness is the first pure action at the value.
+    if len(naive_mixture.entries) == 1:
+        assert mixture == naive_mixture
 
 
 def test_table_over_forty_primes_matches_the_oracle():
