@@ -710,21 +710,29 @@ def _cmd_export(args: argparse.Namespace) -> str:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a parse error: ``main`` reports it and returns 2."""
+
+    def error(self, message: str) -> None:  # type: ignore[override]
+        raise ParseError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="robustgames",
         description="Exact solvers for robust solution concepts and mechanism testbeds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, decimal: bool = True) -> None:
         p.add_argument("--out", help="write the report to this file instead of stdout")
-        p.add_argument(
-            "--decimal",
-            type=int,
-            metavar="PLACES",
-            help="append approximate decimals to exact values (display only)",
-        )
+        if decimal:
+            p.add_argument(
+                "--decimal",
+                type=int,
+                metavar="PLACES",
+                help="append approximate decimals to exact values (display only)",
+            )
 
     p = sub.add_parser("analyze", help="concept analysis of a finite game")
     p.add_argument("--curated", help="curated game name: " + ", ".join(GAME_REGISTRY))
@@ -771,15 +779,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tally-cap", type=int, help="max aggregate score from other voters")
     add_common(p)
 
+    # verify-all and export print no value that a decimal could follow.
     p = sub.add_parser("verify-all", help="run the full verification battery")
     p.add_argument("--budget", choices=tuple(sorted(verification.BUDGETS)), default="default")
     p.add_argument("--seed", type=int, default=0)
-    add_common(p)
+    add_common(p, decimal=False)
 
     p = sub.add_parser("export", help="serialize a game to the canonical document")
     p.add_argument("--curated", help="curated game name: " + ", ".join(GAME_REGISTRY))
     p.add_argument("--scenario", help="path to a game-kind scenario file")
-    add_common(p)
+    add_common(p, decimal=False)
 
     return parser
 
@@ -803,9 +812,8 @@ _EXIT_CODES = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         text = _HANDLERS[args.command](args)
         _emit(text, args.out)
     except EngineError as error:

@@ -233,35 +233,3 @@ def all_pay_loss_averse_bid(value: Fraction) -> Fraction:
     """Bidding anything risks paying for nothing; 0 is the only safe bid."""
     scalar(value)
     return Fraction(0)
-
-
-@dataclass(frozen=True)
-class RevenueFloorReport:
-    """Outcome of all bidders playing their loss-averse bids."""
-
-    floor: Fraction
-    bids: tuple[Fraction, ...]
-    winner: int
-    revenue: Fraction
-
-
-def dfpa_revenue_floor(values: tuple[Fraction, ...], epsilon: Fraction) -> RevenueFloorReport:
-    """Lower bound max(value) − epsilon on first-price revenue, checked
-    against the simulated auction where everyone bids the closed form.
-
-    The winner is the highest bid, ties to the lowest bidder index; the
-    tie-break cannot change the revenue.
-    """
-    if not values:
-        raise ValidationError("need at least one bidder")
-    values = tuple(scalar(v) for v in values)
-    epsilon = scalar(epsilon)
-    bids = tuple(dfpa_loss_averse_bid(v, epsilon) for v in values)
-    winner = max(range(len(bids)), key=lambda i: (bids[i], -i))
-    revenue = bids[winner]
-    floor = max(values) - epsilon
-    if revenue < floor:
-        raise InternalConsistencyError(
-            f"simulated revenue {revenue} fell below the floor {floor}"
-        )
-    return RevenueFloorReport(floor, bids, winner, revenue)

@@ -1,9 +1,10 @@
 """Discrete VCG combinatorial auction under false-name (Sybil) attacks.
 
 Bundles are bitmasks over item indices.  Every computation first scales
-the bid tables it works on by the least common multiple of their
-denominators, once, so searches and sums run on ``int``s; results come
-back as exact ``Fraction``s over that scale.
+the bid tables it works on by one common multiple of their denominators,
+once, so searches and sums run on ``int``s; results come back as exact
+``Fraction``s over that scale.  Scaling by a positive constant keeps
+every order, sign and equality, so each verdict reads the integers.
 
 Welfare *values* come from one max-plus subset DP over bundle masks,
 O(n·3^m) for n bids and m items (Rothkopf, Pekeč & Harstad, Mgmt. Sci.
@@ -13,6 +14,10 @@ one such table, and the Clarke payments read every leave-one-out welfare
 from shared prefix and suffix tables.  The winning *assignment* is found
 once per mechanism run by an exhaustive search with a documented total
 tie-break order, so every result is deterministic and exactly optimal.
+The search scans the assignments in one fixed order; for spaces up to
+``PRECOMPUTED_ORDER_BOUND`` each assignment's bundles and bundle-size
+profile are listed once per (bid count, items) and reused by every run,
+and larger spaces generate the same entries as they are scanned.
 
 Two payment rules are provided: the textbook Clarke pivot, and a literal
 reading of the difference-of-welfares formula where the runner-up
@@ -27,8 +32,17 @@ Sybil bids against the true valuation, and lists every bundle the attack
 over- or underbids; one refutation loop then builds the nature states
 that refute overbidding and underbidding attacks, checking its own
 postconditions by running the mechanism.  An attack's utility against
-nature bids, truthful bidding included, is one call of the integer
+nature bids, truthful bidding included, is one run of the integer
 mechanism core that ``run_vcg`` also runs after its validation.
+
+Each scan of attack against nature scales once: the family check and
+the exact-bidding certificates put the valuation, the bids and every
+state they scan on one denominator, and the refutation loop puts the
+valuation and the bids on one scale on which every adversary candidate
+(the grid step, the snapped midpoint, the equal per-item shares) is an
+integer.  Each state is then one integer mechanism run per side, and
+``Fraction``s and validated bid tables are built only for what a report
+carries.
 """
 
 from __future__ import annotations
@@ -39,13 +53,18 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Sequence
+from operator import getitem
+from typing import Iterable, Iterator, Sequence
 
 from .core import scalar, scale_rows
 from .errors import CapacityError, InternalConsistencyError, ValidationError
 
 MAX_ITEMS = 8
 SEARCH_BUDGET = 10**7
+# Assignment spaces up to this size keep their scan order in memory (a
+# few hundred bytes per assignment); the attack lattices search at most
+# 256 assignments per run, and the order must not grow with the budget.
+PRECOMPUTED_ORDER_BOUND = 4096
 
 
 def full_mask(item_count: int) -> int:
@@ -110,14 +129,16 @@ CombValuation = CombBid = BundleTable
 
 def additive_bid(per_item: Sequence[Fraction]) -> CombBid:
     """The table whose value of a bundle is the sum of its items' values."""
-    per_item = tuple(scalar(v) for v in per_item)
-    return CombBid(
-        len(per_item),
-        tuple(
-            sum((per_item[i] for i in mask_items(mask)), Fraction(0))
-            for mask in range(1 << len(per_item))
-        ),
-    )
+    per_item = [scalar(v) for v in per_item]
+    return CombBid(len(per_item), tuple(_additive_table(per_item)))
+
+
+def _additive_table(per_item: Sequence) -> list:
+    """Each bundle's sum of its items' values, indexed by bundle mask."""
+    table = [0]
+    for value in per_item:
+        table += [v + value for v in table]
+    return table
 
 
 additive_valuation = additive_bid
@@ -187,6 +208,11 @@ class SybilProfile:
         return cls(valuation, (valuation,))
 
 
+def _unscaled(item_count: int, table: Sequence[int], scale: int) -> BundleTable:
+    """The validated bundle table of integers over ``scale``."""
+    return BundleTable(item_count, tuple([Fraction(v, scale) for v in table]))
+
+
 def _scaled(tables: Sequence[BundleTable]) -> tuple[int, list[Sequence[int]]]:
     """The tables' common denominator, and each table as integers over it."""
     scale = math.lcm(*[table._integers[0] for table in tables])
@@ -228,27 +254,48 @@ def _partition_table(tables: Sequence[Sequence[int]], item_count: int) -> Sequen
     return best
 
 
+_Assignment = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _assignment_order(n: int, items: tuple[int, ...]) -> Iterator[_Assignment]:
+    """Each assignment of ``items`` to ``n`` bids in ascending lexicographic
+    order: its bundles, its descending bundle-size profile, its owners."""
+    bits = [1 << i for i in items]
+    for choice in itertools.product(range(n), repeat=len(items)):
+        bundles = [0] * n
+        for bit, owner in zip(bits, choice):
+            bundles[owner] |= bit
+        profile = sorted([b.bit_count() for b in bundles], reverse=True)
+        yield tuple(bundles), tuple(profile), choice
+
+
+@functools.cache
+def _precomputed_order(n: int, items: tuple[int, ...]) -> tuple[_Assignment, ...]:
+    """``_assignment_order`` kept for reuse; it depends only on its shape."""
+    return tuple(_assignment_order(n, items))
+
+
 def _tie_broken_assignment(
     tables: Sequence[Sequence[int]], items: tuple[int, ...]
 ) -> tuple[int, tuple[int, ...]]:
     """Exhaustive search for the best owners of ``items`` in tie-break order."""
     n = len(tables)
-    if n ** len(items) > SEARCH_BUDGET:
+    space = n ** len(items)
+    if space > SEARCH_BUDGET:
         raise CapacityError(
             f"assignment space {n}^{len(items)} exceeds the search budget {SEARCH_BUDGET}"
         )
-    bits = [1 << i for i in items]
+    if space <= PRECOMPUTED_ORDER_BOUND:
+        order: Iterable[_Assignment] = _precomputed_order(n, items)
+    else:
+        order = _assignment_order(n, items)
     best_welfare = -1
-    best_profile: list[int] = []
+    best_profile: tuple[int, ...] = ()
     best_choice: tuple[int, ...] = ()
-    for choice in itertools.product(range(n), repeat=len(items)):
-        bundles = [0] * n
-        for bit, owner in zip(bits, choice):
-            bundles[owner] |= bit
-        welfare = sum([table[bundle] for table, bundle in zip(tables, bundles)])
+    for bundles, profile, choice in order:
+        welfare = sum(map(getitem, tables, bundles))
         if welfare < best_welfare:
             continue
-        profile = sorted([b.bit_count() for b in bundles], reverse=True)
         if welfare > best_welfare or profile > best_profile:
             best_welfare = welfare
             best_profile = profile
@@ -369,7 +416,7 @@ def _mechanism(
     tables: Sequence[Sequence[int]], item_count: int, rule: PaymentRule
 ) -> tuple[int, tuple[int, ...], list[int]]:
     """The mechanism on scaled bid tables: welfare, bundles, payments."""
-    welfare, assignment = _tie_broken_assignment(tables, mask_items(full_mask(item_count)))
+    welfare, assignment = _tie_broken_assignment(tables, tuple(range(item_count)))
     bundles = assignment_bundles(assignment, len(tables))
     observed = sum([table[bundle] for table, bundle in zip(tables, bundles)])
     if observed != welfare:
@@ -449,13 +496,31 @@ def utility_against(
     from one run of the mechanism core: the value of the union of the
     attacker's bundles less the sum of its payments.
     """
-    m, k = valuation.item_count, len(bids)
-    if not k or any(table.item_count != m for table in (*bids, *nature)):
-        raise ValidationError("need at least one bid, and every table on the valuation's items")
+    _check_attack(valuation, bids, nature)
+    k = len(bids)
     scale, (value, *tables) = _scaled([valuation, *bids, *nature])
-    _, bundles, payments = _mechanism(tables, m, PaymentRule.CLARKE_PIVOT)
+    return Fraction(_utility(value, tables[:k], tables[k:], valuation.item_count), scale)
+
+
+def _check_attack(
+    valuation: CombValuation, bids: Sequence[CombBid], nature: Sequence[CombBid]
+) -> None:
+    m = valuation.item_count
+    if not bids or any(table.item_count != m for table in (*bids, *nature)):
+        raise ValidationError("need at least one bid, and every table on the valuation's items")
+
+
+def _utility(
+    value: Sequence[int],
+    own: Sequence[Sequence[int]],
+    nature: Sequence[Sequence[int]],
+    item_count: int,
+) -> int:
+    """``utility_against`` on scaled tables: the agent owns the ``own`` bids."""
+    _, bundles, payments = _mechanism([*own, *nature], item_count, PaymentRule.CLARKE_PIVOT)
+    k = len(own)
     # The bundles are disjoint, so their sum is their union.
-    return Fraction(value[sum(bundles[:k])] - sum(payments[:k]), scale)
+    return value[sum(bundles[:k])] - sum(payments[:k])
 
 
 class AttackKind(enum.Enum):
@@ -502,16 +567,23 @@ def classify_attack(valuation: CombValuation, bids: Sequence[CombBid]) -> Attack
         if bid.item_count != m:
             raise ValidationError("bid item count does not match the valuation")
     scale, (target, *tables) = _scaled([valuation, *bids])
-    value = _partition_table(tables, m)
-    best = tuple([Fraction(v, scale) for v in value])
-    masks = range(1, 1 << m)
+    kind, masks, value = _classify(target, tables, m)
+    return AttackClassification(kind, masks, tuple([Fraction(v, scale) for v in value]))
+
+
+def _classify(
+    target: Sequence[int], tables: Sequence[Sequence[int]], item_count: int
+) -> tuple[AttackKind, tuple[int, ...], Sequence[int]]:
+    """``classify_attack`` on scaled tables: the kind, its masks, the partition table."""
+    value = _partition_table(tables, item_count)
+    masks = range(1, 1 << item_count)
     over = tuple([mask for mask in masks if value[mask] > target[mask]])
     if over:
-        return AttackClassification(AttackKind.OVERBIDDING, over, best)
+        return AttackKind.OVERBIDDING, over, value
     under = tuple([mask for mask in masks if value[mask] < target[mask]])
     if under:
-        return AttackClassification(AttackKind.UNDERBIDDING, under, best)
-    return AttackClassification(AttackKind.EXACT_BIDDING, (), best)
+        return AttackKind.UNDERBIDDING, under, value
+    return AttackKind.EXACT_BIDDING, (), value
 
 
 def snap_to_grid_between(lo: Fraction, hi: Fraction, step: Fraction) -> Fraction:
@@ -522,8 +594,15 @@ def snap_to_grid_between(lo: Fraction, hi: Fraction, step: Fraction) -> Fraction
     """
     if not lo < hi:
         raise ValidationError(f"empty interval ({lo}, {hi})")
-    mid = (lo + hi) / 2
-    k = (mid / step).__floor__()
+    scale = 2 * math.lcm(lo.denominator, hi.denominator, step.denominator)
+    snapped = _snap(int(lo * scale), int(hi * scale), int(step * scale))
+    return Fraction(snapped, scale)
+
+
+def _snap(lo: int, hi: int, step: int) -> int:
+    """``snap_to_grid_between`` on a scale where ``lo + hi`` is even."""
+    mid = (lo + hi) // 2
+    k = mid // step
     for candidate in (step * k, step * (k + 1)):
         if lo < candidate < hi:
             return candidate
@@ -531,19 +610,16 @@ def snap_to_grid_between(lo: Fraction, hi: Fraction, step: Fraction) -> Fraction
 
 
 def _adversary_ceiling(
-    valuation: CombValuation, bids: Sequence[CombBid], step: Fraction
-) -> Fraction:
+    value: Sequence[int], tables: Sequence[Sequence[int]], one: int, step: int
+) -> int:
     """Per-item price no combination of Sybil or truthful values can beat.
 
     Exceeds the sum of every bid's maximum plus the valuation's maximum,
     so conceding even one such item can never be compensated.  Snapped
-    up to the bid grid.
+    up to the bid grid.  ``one`` is 1 on the tables' scale.
     """
-    total = max(valuation.values)
-    for bid in bids:
-        total += max(bid.values)
-    total += 1
-    return step * (-((-total) / step).__floor__())
+    total = max(value) + sum([max(table) for table in tables]) + one
+    return step * -(-total // step)
 
 
 @dataclass(frozen=True)
@@ -576,8 +652,8 @@ class AdversaryReport:
 
 
 def _candidate_forms(
-    kind: AttackKind, target: Fraction, best: Fraction, step: Fraction
-) -> list[tuple[Fraction, str]]:
+    kind: AttackKind, target: int, best: int, step: int
+) -> list[tuple[int, str]]:
     """The (tilde, form) candidates for a bundle worth ``target`` under v.
 
     Each tilde lies strictly between v and the attack's best partition
@@ -588,7 +664,7 @@ def _candidate_forms(
     """
     over = kind is AttackKind.OVERBIDDING
     lo, hi = (target, best) if over else (best, target)
-    tildes = [snap_to_grid_between(lo, hi, step)]
+    tildes = [_snap(lo, hi, step)]
     for extra in (lo + step, hi - step) if over else (hi - step,):
         if lo < extra < hi and extra not in tildes:
             tildes.append(extra)
@@ -596,27 +672,22 @@ def _candidate_forms(
     return [(t, "additive") for t in additive] + [(t, "bundle") for t in tildes]
 
 
-def _adversary_bid(
-    item_count: int, mask: int, tilde: Fraction, form: str, bar: Fraction
-) -> CombBid:
+def _adversary_table(item_count: int, mask: int, tilde: int, form: str, bar: int) -> list[int]:
     """Nature bid asking ``tilde`` for ``mask`` and ``bar`` for every other item.
 
     The additive form prices the items of ``mask`` at an equal share of
-    ``tilde`` each.  The bundle form asks ``tilde`` only for ``mask`` as a
-    whole, so Sybils that win a profitable part of the bundle cannot dodge
-    it.
+    ``tilde`` each, so ``tilde`` must be a multiple of the mask's size.
+    The bundle form asks ``tilde`` only for ``mask`` as a whole, so Sybils
+    that win a profitable part of the bundle cannot dodge it.
     """
     if form == "additive":
-        share = tilde / mask.bit_count()
-        return additive_bid([share if mask >> i & 1 else bar for i in range(item_count)])
+        share = tilde // mask.bit_count()
+        return _additive_table([share if mask >> i & 1 else bar for i in range(item_count)])
     outside = full_mask(item_count) & ~mask
-    return CombBid(
-        item_count,
-        tuple(
-            bar * (code & outside).bit_count() + (tilde if code & mask == mask else Fraction(0))
-            for code in range(1 << item_count)
-        ),
-    )
+    return [
+        bar * (code & outside).bit_count() + (tilde if code & mask == mask else 0)
+        for code in range(1 << item_count)
+    ]
 
 
 def _refute(
@@ -629,37 +700,58 @@ def _refute(
 
     Every bundle the attack over- or underbids (by ``kind``), in ascending
     mask order, gets each candidate of ``_candidate_forms``; the first one
-    the mechanism certifies is reported.
+    the mechanism certifies is reported.  Everything runs on one scale on
+    which the valuation, the bids and the bid-grid step are integers, with
+    a factor 2 for the snapped midpoint and lcm(1..m) for the additive
+    shares, so every candidate table is an integer table too.
     """
-    cls = classify_attack(valuation, bids)
-    if cls.kind is not kind:
-        raise ValidationError(f"profile classifies as {cls.kind.value}, not {kind.value}")
+    _check_attack(valuation, bids, ())
     m = valuation.item_count
     step = bid_grid_step(Fraction(1) if epsilon is None else scalar(epsilon), m)
-    bar = _adversary_ceiling(valuation, bids, step)
+    base, (value, *tables) = _scaled([valuation, *bids])
+    scale = 2 * math.lcm(*range(1, m + 1)) * math.lcm(base, step.denominator)
+    factor = scale // base
+    value = [v * factor for v in value]
+    tables = [[v * factor for v in table] for table in tables]
+    found, masks, best = _classify(value, tables, m)
+    if found is not kind:
+        raise ValidationError(f"profile classifies as {found.value}, not {kind.value}")
+    grid = step.numerator * (scale // step.denominator)
+    bar = _adversary_ceiling(value, tables, scale, grid)
     over = kind is AttackKind.OVERBIDDING
-    best = cls.best_partition
-    tried: list[CombBid] = []
-    first_tilde: Fraction | None = None
-    for mask in cls.masks:
-        for tilde, form in _candidate_forms(kind, valuation.value(mask), best[mask], step):
-            adversary = _adversary_bid(m, mask, tilde, form, bar)
+    tried: list[list[int]] = []
+    first_tilde: int | None = None
+    for mask in masks:
+        for tilde, form in _candidate_forms(kind, value[mask], best[mask], grid):
+            adversary = _adversary_table(m, mask, tilde, form, bar)
             if first_tilde is None:
                 first_tilde = tilde
             tried.append(adversary)
-            attack_u = utility_against(valuation, bids, [adversary])
+            attack_u = _utility(value, tables, [adversary], m)
             if (attack_u >= 0) if over else (attack_u != 0):
                 continue
-            truth_u = utility_against(valuation, (valuation,), [adversary])
+            truth_u = _utility(value, [value], [adversary], m)
             if over and truth_u < 0:
                 raise InternalConsistencyError(
-                    f"truthful bidding went negative ({truth_u}) against {adversary.values}"
+                    f"truthful bidding went negative ({Fraction(truth_u, scale)}) against "
+                    f"{_unscaled(m, adversary, scale).values}"
                 )
             if over or truth_u > 0:
+                bids_tried = tuple([_unscaled(m, table, scale) for table in tried])
                 return AdversaryReport(
-                    mask, tilde, adversary, attack_u, truth_u, True, form, tuple(tried)
+                    mask,
+                    Fraction(tilde, scale),
+                    bids_tried[-1],
+                    Fraction(attack_u, scale),
+                    Fraction(truth_u, scale),
+                    True,
+                    form,
+                    bids_tried,
                 )
-    return AdversaryReport(cls.masks[0], first_tilde, None, None, None, False, "none", tuple(tried))
+    bids_tried = tuple([_unscaled(m, table, scale) for table in tried])
+    return AdversaryReport(
+        masks[0], Fraction(first_tilde, scale), None, None, None, False, "none", bids_tried
+    )
 
 
 def overbidding_adversary(
@@ -753,14 +845,18 @@ def claim_family_check(
     differs.  Both must be absent for the claim to hold on the family.
     """
     states = [*family, *extra]
+    _check_attack(valuation, bids, states)
+    m, k = valuation.item_count, len(bids)
+    scale, (value, *tables) = _scaled([valuation, *bids, *states])
+    own = tables[:k]
     diff = 0
-    truth_min: Fraction | None = None
-    attack_min: Fraction | None = None
+    truth_min: int | None = None
+    attack_min: int | None = None
     reversal = None
     zero_truth = None
-    for state in states:
-        u_attack = utility_against(valuation, bids, [state])
-        u_truth = utility_against(valuation, (valuation,), [state])
+    for state, table in zip(states, tables[k:]):
+        u_attack = _utility(value, own, [table], m)
+        u_truth = _utility(value, [value], [table], m)
         if u_attack == u_truth:
             continue
         diff += 1
@@ -772,7 +868,14 @@ def claim_family_check(
             reversal = state
         if zero_truth is None and u_truth == 0:
             zero_truth = state
-    return FamilyCheck(len(states), diff, truth_min, attack_min, reversal, zero_truth)
+    return FamilyCheck(
+        len(states),
+        diff,
+        None if truth_min is None else Fraction(truth_min, scale),
+        None if attack_min is None else Fraction(attack_min, scale),
+        reversal,
+        zero_truth,
+    )
 
 
 @dataclass(frozen=True)
@@ -835,26 +938,26 @@ class TruthCertificate:
 
 
 def _case1_adversary(
-    valuation: CombValuation, bids: Sequence[CombBid], mask: int
-) -> CombBid | None:
+    value: Sequence[int], tables: Sequence[Sequence[int]], item_count: int, mask: int
+) -> list[int] | None:
     """Upward-monotone bid matching v on the parts of the witness bundle.
 
-    The parts come from the Sybils' own best partition of the bundle; a
-    superset of any part inherits the largest contained part value.
+    The parts come from the Sybils' own best partition of the bundle, the
+    tie-broken search of ``winner_determination``; a superset of any part
+    inherits the largest contained part value.
     """
-    m = valuation.item_count
-    _, assignment = winner_determination(bids, m, items_mask=mask)
-    parts = [b for b in assignment_bundles(assignment, len(bids)) if b]
+    items = mask_items(mask)
+    _, choice = _tie_broken_assignment(tables, items)
+    bundles = [0] * len(tables)
+    for item, owner in zip(items, choice):
+        bundles[owner] |= 1 << item
+    parts = [b for b in bundles if b]
     if len(parts) < 2:
         return None
-    values = []
-    for code in range(1 << m):
-        best = Fraction(0)
-        for part in parts:
-            if code & part == part and valuation.value(part) > best:
-                best = valuation.value(part)
-        values.append(best)
-    return CombBid(m, tuple(values))
+    return [
+        max([value[part] for part in parts if code & part == part], default=0)
+        for code in range(1 << item_count)
+    ]
 
 
 def truth_loss_averse_witnesses(
@@ -866,53 +969,50 @@ def truth_loss_averse_witnesses(
 
     Follows the two-case split on whether some bundle is valued below v
     by every individual Sybil bid, with a direct family comparison as
-    the fallback; every certificate is validated by mechanism runs.
+    the fallback; every certificate is validated by mechanism runs.  The
+    valuation, the bids and the family share one scale.
     """
-    cls = classify_attack(valuation, bids)
-    if cls.kind is not AttackKind.EXACT_BIDDING:
-        raise ValidationError(f"profile classifies as {cls.kind.value}, not exact bidding")
-    m = valuation.item_count
+    _check_attack(valuation, bids, family)
+    m, k = valuation.item_count, len(bids)
+    scale, (value, *tables) = _scaled([valuation, *bids, *family])
+    own, states = tables[:k], tables[k:]
+    kind = _classify(value, own, m)[0]
+    if kind is not AttackKind.EXACT_BIDDING:
+        raise ValidationError(f"profile classifies as {kind.value}, not exact bidding")
     every = full_mask(m)
 
     case1_masks = [
-        mask
-        for mask in range(1, 1 << m)
-        if all(bid.value(mask) < valuation.value(mask) for bid in bids)
+        mask for mask in range(1, 1 << m) if all(table[mask] < value[mask] for table in own)
     ]
     if every in case1_masks:
         case1_masks.remove(every)
         case1_masks.insert(0, every)
     for mask in case1_masks:
-        adversary = _case1_adversary(valuation, bids, mask)
+        adversary = _case1_adversary(value, own, m, mask)
         if adversary is None:
             continue
-        attack_u = utility_against(valuation, bids, [adversary])
-        truth_u = utility_against(valuation, (valuation,), [adversary])
+        attack_u = _utility(value, own, [adversary], m)
+        truth_u = _utility(value, [value], [adversary], m)
         if attack_u == 0 and truth_u > 0:
             return TruthCertificate(
                 mode="case-1",
                 family_size=len(family),
                 witness_mask=mask,
-                adversary=adversary,
-                attack_utility=attack_u,
-                truth_utility=truth_u,
+                adversary=_unscaled(m, adversary, scale),
+                attack_utility=Fraction(attack_u, scale),
+                truth_utility=Fraction(truth_u, scale),
             )
 
     if not case1_masks:
-        matches = [
-            sum(1 for mask in range(1 << m) if bid.value(mask) == valuation.value(mask))
-            for bid in bids
-        ]
-        best_j = max(range(len(bids)), key=lambda j: (matches[j], -j))
-        single = [bids[best_j]]
-        dominated = True
-        for state in family:
-            u_attack = utility_against(valuation, bids, [state])
-            u_single = utility_against(valuation, single, [state])
-            u_truth = utility_against(valuation, (valuation,), [state])
-            if not u_attack <= u_single <= u_truth:
-                dominated = False
-                break
+        matches = [sum(1 for mask in range(1 << m) if table[mask] == value[mask]) for table in own]
+        best_j = max(range(k), key=lambda j: (matches[j], -j))
+        single = [own[best_j]]
+        dominated = all(
+            _utility(value, own, [state], m)
+            <= _utility(value, single, [state], m)
+            <= _utility(value, [value], [state], m)
+            for state in states
+        )
         if dominated:
             return TruthCertificate(
                 mode="case-2", family_size=len(family), best_sybil=best_j

@@ -272,6 +272,9 @@ def _case(name, scenario, *args, code):
             "analyze", "--scenario", "{scn}",
             code=3,
         ),
+        # Usage errors: neither command prints a value a decimal could follow.
+        _case("decimal-on-verify-all", None, "verify-all", "--decimal", "3", code=2),
+        _case("decimal-on-export", None, "export", "--curated", "aim-big", "--decimal", "2", code=2),
     ],
 )
 def test_input_errors_exit_with_their_code(tmp_path, capsys, scenario, args, expected):

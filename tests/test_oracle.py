@@ -26,15 +26,25 @@ from robustgames.oracle import (
     naive_winner_determination,
 )
 from robustgames.vcg import (
+    PRECOMPUTED_ORDER_BOUND,
+    AttackKind,
     CombBid,
     CombValuation,
+    FamilyCheck,
     PaymentRule,
     SybilProfile,
     assignment_bundles,
     best_partition_value,
+    bid_grid_step,
+    claim_family_check,
     classify_attack,
     enumerate_attacks,
+    nature_state_family,
+    overbidding_adversary,
     run_vcg,
+    snap_to_grid_between,
+    truth_loss_averse_witnesses,
+    underbidding_adversary,
     utility_against,
     winner_determination,
 )
@@ -298,3 +308,120 @@ def test_naive_tie_break_prefers_concentration_then_lexicographic_order():
     assert naive_tie_broken_assignment([flat, flat], 2, 0b10) == (1, (-1, 0))
     with pytest.raises(CapacityError):
         naive_tie_broken_assignment([(F(0),) * 4096] * 40, 12)
+
+
+@st.composite
+def _refutable_attacks(draw):
+    """A valuation, one or two Sybil bids and a valuation grid step.
+
+    Entries mix denominators 1, 2, 3 and 7.  Half the bids copy the
+    valuation and change it on one bundle only, the full bundle half the
+    time, so the first bundle an attack over- or underbids is often a 2-
+    or 3-item bundle and the additive candidate splits its amount into 2
+    or 3 equal shares.
+    """
+    item_count = draw(st.integers(1, 3))
+    size = 1 << item_count
+    entries = st.builds(Fraction, st.integers(0, 4), _DENOMINATORS)
+    valuation = (F(0),) + tuple(draw(entries) for _ in range(size - 1))
+    bids = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            table = list(valuation)
+            table[draw(st.one_of(st.just(size - 1), st.integers(1, size - 1)))] = draw(entries)
+        else:
+            table = [F(0)] + [draw(entries) for _ in range(size - 1)]
+        bids.append(CombBid(item_count, tuple(table)))
+    epsilon = draw(st.sampled_from((F(1), F(1, 3))))
+    return CombValuation(item_count, valuation), tuple(bids), epsilon
+
+
+def _plain_family_scan(valuation, bids, states):
+    """``claim_family_check`` as one ``utility_against`` pair per state."""
+    pairs = [
+        (
+            state,
+            utility_against(valuation, bids, [state]),
+            utility_against(valuation, (valuation,), [state]),
+        )
+        for state in states
+    ]
+    differ = [(state, a, t) for state, a, t in pairs if a != t]
+    return FamilyCheck(
+        len(states),
+        len(differ),
+        min((t for _, _, t in differ), default=None),
+        min((a for _, a, _ in differ), default=None),
+        next((state for state, a, t in differ if a > 0 and t == 0), None),
+        next((state for state, _, t in differ if t == 0), None),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_refutable_attacks())
+def test_integer_attack_kernel_matches_per_state_utilities(case):
+    valuation, bids, epsilon = case
+    m = valuation.item_count
+    classification = classify_attack(valuation, bids)
+    family = nature_state_family(m, (F(0), F(1, 2), F(1)))
+    if classification.kind is AttackKind.EXACT_BIDDING:
+        certificate = truth_loss_averse_witnesses(valuation, bids, family)
+        if certificate.mode == "case-1":
+            adversary = [certificate.adversary]
+            assert certificate.attack_utility == utility_against(valuation, bids, adversary)
+            assert certificate.truth_utility == utility_against(valuation, (valuation,), adversary)
+        assert claim_family_check(valuation, bids, family) == _plain_family_scan(
+            valuation, bids, family
+        )
+        return
+    over = classification.kind is AttackKind.OVERBIDDING
+    refute = overbidding_adversary if over else underbidding_adversary
+    report = refute(valuation, bids, epsilon)
+    mask, tilde = report.witness_mask, report.tilde
+    assert mask == classification.masks[0] or report.refuted
+    assert min(valuation.value(mask), classification.best_partition[mask]) < tilde
+    assert tilde < max(valuation.value(mask), classification.best_partition[mask])
+    # The first candidate is the additive form of the snapped midpoint on
+    # the first over- or underbid bundle: equal shares that sum to it.
+    first, first_mask = report.tried[0], classification.masks[0]
+    ends = sorted((valuation.value(first_mask), classification.best_partition[first_mask]))
+    midpoint = snap_to_grid_between(*ends, bid_grid_step(epsilon, m))
+    assert first.value(first_mask) == midpoint
+    shares = {first.value(1 << i) for i in range(m) if first_mask >> i & 1}
+    assert shares == {midpoint / first_mask.bit_count()}
+    if report.refuted:
+        adversary = report.adversary
+        assert adversary is report.tried[-1] and adversary.value(mask) == tilde
+        assert report.attack_utility == utility_against(valuation, bids, [adversary])
+        assert report.truth_utility == utility_against(valuation, (valuation,), [adversary])
+    skipped = report.tried[:-1] if report.refuted else report.tried
+    for state in skipped:
+        attack = utility_against(valuation, bids, [state])
+        truth = utility_against(valuation, (valuation,), [state])
+        assert attack >= 0 if over else not (attack == 0 and truth > 0)
+    states = [*family, *report.tried]
+    assert claim_family_check(valuation, bids, family, extra=report.tried) == (
+        _plain_family_scan(valuation, bids, states)
+    )
+
+
+@pytest.mark.parametrize("item_count", [7, 8])
+def test_winner_determination_on_both_sides_of_the_precomputed_order_bound(item_count):
+    """3^7 assignments are scanned from the precomputed order, 3^8 stream."""
+    assert 3**7 <= PRECOMPUTED_ORDER_BOUND < 3**8
+    rng = random.Random(item_count)
+    size = 1 << item_count
+    random_tables = [
+        (F(0),) + tuple(F(rng.randint(0, 3), rng.choice((1, 2))) for _ in range(size - 1))
+        for _ in range(3)
+    ]
+    # Additive equal tables tie every assignment, so the tie-break alone decides.
+    flat = tuple(F(mask.bit_count()) for mask in range(size))
+    for tables in (random_tables, [flat] * 3):
+        bids = [CombBid(item_count, table) for table in tables]
+        expected = naive_tie_broken_assignment(tables, item_count)
+        assert winner_determination(bids, item_count) == expected
+        low = (1 << (item_count // 2)) - 1
+        assert winner_determination(bids, item_count, low) == (
+            naive_tie_broken_assignment(tables, item_count, low)
+        )

@@ -19,7 +19,6 @@ from robustgames.singleitem import (
     dfpa_leximin_set,
     dfpa_loss_averse_bid,
     dfpa_min_max_regret_set,
-    dfpa_revenue_floor,
     eps_net,
     fpa_no_loss_averse_witness,
     verify_fpa_witness,
@@ -121,13 +120,3 @@ def test_all_pay_only_zero_is_loss_averse():
     # Sunk bid: losing at a positive bid goes negative.
     assert game.utility("1/2", "3/4") == F(-1, 2)
     assert game.utility("1/2", "1/4") == F(1, 2)
-
-
-def test_revenue_floor_simulation():
-    report = dfpa_revenue_floor((F(1), F(5, 2), F(2)), F(1, 4))
-    assert report.floor == F(9, 4)
-    assert report.bids == (F(3, 4), F(9, 4), F(7, 4))
-    assert report.winner == 1
-    assert report.revenue == F(9, 4)
-    with pytest.raises(ValidationError):
-        dfpa_revenue_floor((), F(1, 4))
