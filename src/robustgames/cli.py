@@ -710,6 +710,15 @@ def _cmd_export(args: argparse.Namespace) -> str:
 # parser
 
 
+def _places(text: str) -> int:
+    """A ``--decimal`` value: a count of places, which cannot be negative."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"decimal places must be a non-negative integer, got {text[:40]!r}"
+        )
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error is a parse error: ``main`` reports it and returns 2."""
 
@@ -729,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
         if decimal:
             p.add_argument(
                 "--decimal",
-                type=int,
+                type=_places,
                 metavar="PLACES",
                 help="append approximate decimals to exact values (display only)",
             )

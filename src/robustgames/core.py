@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ParseError, UnknownLabelError, ValidationError
 
@@ -212,17 +212,6 @@ class AgentGame:
         return self.rows[self.action_index(action)]
 
 
-def game_from_function(
-    type_label: str,
-    actions: Sequence[str],
-    states: Sequence[str],
-    utility: Callable[[str, str], int | str | Fraction],
-) -> AgentGame:
-    """Build a game by evaluating ``utility(action, state)`` over the table."""
-    rows = tuple(tuple(scalar(utility(a, s)) for s in states) for a in actions)
-    return AgentGame(type_label, tuple(actions), tuple(states), rows)
-
-
 def game_from_table(
     type_label: str,
     actions: Sequence[str],
@@ -233,7 +222,8 @@ def game_from_table(
     missing = [(a, s) for a in actions for s in states if (a, s) not in table]
     if missing:
         raise ValidationError(f"utility table is missing entries, first: {missing[0]!r}")
-    return game_from_function(type_label, actions, states, lambda a, s: table[(a, s)])
+    rows = tuple(tuple(scalar(table[(a, s)]) for s in states) for a in actions)
+    return AgentGame(type_label, tuple(actions), tuple(states), rows)
 
 
 @dataclass(frozen=True)
@@ -274,19 +264,6 @@ class MixedAction:
     @staticmethod
     def pure(action: str) -> "MixedAction":
         return MixedAction(((action, Fraction(1)),))
-
-
-def convex_combination(a: MixedAction, b: MixedAction, weight: Fraction) -> MixedAction:
-    """``weight * a + (1 - weight) * b`` as a mixed action."""
-    w = scalar(weight)
-    if not (0 <= w <= 1):
-        raise ValidationError(f"combination weight {format_scalar(w)} is outside [0, 1]")
-    probs: dict[str, Fraction] = {}
-    for label, p in a.entries:
-        probs[label] = probs.get(label, Fraction(0)) + w * p
-    for label, p in b.entries:
-        probs[label] = probs.get(label, Fraction(0)) + (1 - w) * p
-    return MixedAction.from_mapping(probs)
 
 
 def mixed_utility(game: AgentGame, mixed: MixedAction, state: str) -> Fraction:

@@ -122,7 +122,6 @@ def aim_big_grid_game() -> AgentGame:
 class AimBigVerdicts:
     loss_averse: frozenset[str]
     loss_averse_star: frozenset[str]
-    strictly_dominated: frozenset[str]
 
 
 def aim_big_exact_verdicts() -> AimBigVerdicts:
@@ -155,11 +154,9 @@ def aim_big_exact_verdicts() -> AimBigVerdicts:
     if star_b >= star_s:
         loss_averse_star.add("B")
 
-    # Neither action dominates: S is strictly better on (0,1], B at big.
     return AimBigVerdicts(
         loss_averse=frozenset(loss_averse),
         loss_averse_star=frozenset(loss_averse_star),
-        strictly_dominated=frozenset(),
     )
 
 

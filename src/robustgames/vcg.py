@@ -17,7 +17,9 @@ tie-break order, so every result is deterministic and exactly optimal.
 The search scans the assignments in one fixed order; for spaces up to
 ``PRECOMPUTED_ORDER_BOUND`` each assignment's bundles and bundle-size
 profile are listed once per (bid count, items) and reused by every run,
-and larger spaces generate the same entries as they are scanned.
+and larger spaces generate the same entries as they are scanned.  The
+search hands back the winning entry's bundles with its owners, so the
+mechanism and the case-1 adversary read them instead of rebuilding them.
 
 Two payment rules are provided: the textbook Clarke pivot, and a literal
 reading of the difference-of-welfares formula where the runner-up
@@ -113,9 +115,6 @@ class BundleTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _check_table(self.item_count, self.values))
-
-    def value(self, mask: int) -> Fraction:
-        return self.values[mask]
 
     @functools.cached_property
     def _integers(self) -> tuple[int, tuple[int, ...]]:
@@ -277,8 +276,12 @@ def _precomputed_order(n: int, items: tuple[int, ...]) -> tuple[_Assignment, ...
 
 def _tie_broken_assignment(
     tables: Sequence[Sequence[int]], items: tuple[int, ...]
-) -> tuple[int, tuple[int, ...]]:
-    """Exhaustive search for the best owners of ``items`` in tie-break order."""
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Exhaustive search for the best owners of ``items`` in tie-break order.
+
+    Returns the welfare, each bid's bundle and each item's owner, in the
+    order of ``items``.
+    """
     n = len(tables)
     space = n ** len(items)
     if space > SEARCH_BUDGET:
@@ -291,6 +294,7 @@ def _tie_broken_assignment(
         order = _assignment_order(n, items)
     best_welfare = -1
     best_profile: tuple[int, ...] = ()
+    best_bundles: tuple[int, ...] = ()
     best_choice: tuple[int, ...] = ()
     for bundles, profile, choice in order:
         welfare = sum(map(getitem, tables, bundles))
@@ -299,50 +303,42 @@ def _tie_broken_assignment(
         if welfare > best_welfare or profile > best_profile:
             best_welfare = welfare
             best_profile = profile
+            best_bundles = bundles
             best_choice = choice
-    return best_welfare, best_choice
+    return best_welfare, best_bundles, best_choice
 
 
 def winner_determination(
-    bids: Sequence[CombBid], item_count: int, items_mask: int | None = None
+    bids: Sequence[CombBid], item_count: int
 ) -> tuple[Fraction, tuple[int, ...]]:
     """Exhaustive welfare-maximizing assignment of items to bids.
 
     Returns (welfare, assignment) where assignment[i] is the winning bid
-    index for item i, or -1 for items outside ``items_mask``.  Ties are
-    broken first towards the descending-sorted bundle-size profile that
-    is lexicographically maximal (concentrating items into larger
-    bundles), then towards the lexicographically smallest assignment
-    vector.  The second rule is realized by scanning assignments in
-    ascending lexicographic order and keeping only strict improvements.
+    index for item i.  Ties are broken first towards the descending-sorted
+    bundle-size profile that is lexicographically maximal (concentrating
+    items into larger bundles), then towards the lexicographically
+    smallest assignment vector.  The second rule is realized by scanning
+    assignments in ascending lexicographic order and keeping only strict
+    improvements.
     The bid tables are scaled once to integers over the LCM of their
     denominators, the search runs on those, and the welfare is returned
     exactly.  Callers that need only a welfare value use the subset DP
     (``best_partition_value``) instead of this search.
     """
-    if not bids:
-        raise ValidationError("winner determination needs at least one bid")
-    if not 1 <= item_count <= MAX_ITEMS:
-        raise CapacityError(f"item count {item_count} outside 1..{MAX_ITEMS}")
-    for bid in bids:
-        if bid.item_count != item_count:
-            raise ValidationError("bid item count does not match the instance")
-    mask = full_mask(item_count) if items_mask is None else items_mask
-    items = mask_items(mask)
+    _check_bids(item_count, bids)
     scale, tables = _scaled(bids)
-    welfare, choice = _tie_broken_assignment(tables, items)
-    assignment = [-1] * item_count
-    for item, owner in zip(items, choice):
-        assignment[item] = owner
-    return Fraction(welfare, scale), tuple(assignment)
+    welfare, _, assignment = _tie_broken_assignment(tables, tuple(range(item_count)))
+    return Fraction(welfare, scale), assignment
 
 
-def assignment_bundles(assignment: tuple[int, ...], bid_count: int) -> tuple[int, ...]:
-    bundles = [0] * bid_count
-    for item, owner in enumerate(assignment):
-        if owner >= 0:
-            bundles[owner] |= 1 << item
-    return tuple(bundles)
+def _check_bids(
+    item_count: int, bids: Sequence[BundleTable], others: Sequence[BundleTable] = ()
+) -> None:
+    """At least one bid, and every table on the instance's item count."""
+    if not bids or any(table.item_count != item_count for table in (*bids, *others)):
+        raise ValidationError(
+            "need at least one bid, and every table on the instance's item count"
+        )
 
 
 class PaymentRule(enum.Enum):
@@ -408,16 +404,18 @@ def _is_multiple(value: Fraction, step: Fraction) -> bool:
 
 
 def bid_grid_step(epsilon: Fraction, item_count: int) -> Fraction:
-    """Bids live on a grid 2·m! times finer than valuations."""
-    return scalar(epsilon) / (2 * math.factorial(item_count))
+    """Bids live on a grid 2·m! times finer than valuations, whose step is positive."""
+    epsilon = scalar(epsilon)
+    if epsilon <= 0:
+        raise ValidationError(f"grid step must be positive, got {epsilon}")
+    return epsilon / (2 * math.factorial(item_count))
 
 
 def _mechanism(
     tables: Sequence[Sequence[int]], item_count: int, rule: PaymentRule
 ) -> tuple[int, tuple[int, ...], list[int]]:
     """The mechanism on scaled bid tables: welfare, bundles, payments."""
-    welfare, assignment = _tie_broken_assignment(tables, tuple(range(item_count)))
-    bundles = assignment_bundles(assignment, len(tables))
+    welfare, bundles, _ = _tie_broken_assignment(tables, tuple(range(item_count)))
     observed = sum([table[bundle] for table, bundle in zip(tables, bundles)])
     if observed != welfare:
         raise InternalConsistencyError("observed welfare does not match the search value")
@@ -445,8 +443,6 @@ def run_vcg(
             raise ValidationError("profile item count does not match the instance")
     if epsilon is not None:
         epsilon = scalar(epsilon)
-        if epsilon <= 0:
-            raise ValidationError(f"grid step must be positive, got {epsilon}")
         fine = bid_grid_step(epsilon, item_count)
         for p in profiles:
             for v in p.valuation.values:
@@ -496,18 +492,10 @@ def utility_against(
     from one run of the mechanism core: the value of the union of the
     attacker's bundles less the sum of its payments.
     """
-    _check_attack(valuation, bids, nature)
+    _check_bids(valuation.item_count, bids, nature)
     k = len(bids)
     scale, (value, *tables) = _scaled([valuation, *bids, *nature])
     return Fraction(_utility(value, tables[:k], tables[k:], valuation.item_count), scale)
-
-
-def _check_attack(
-    valuation: CombValuation, bids: Sequence[CombBid], nature: Sequence[CombBid]
-) -> None:
-    m = valuation.item_count
-    if not bids or any(table.item_count != m for table in (*bids, *nature)):
-        raise ValidationError("need at least one bid, and every table on the valuation's items")
 
 
 def _utility(
@@ -544,11 +532,7 @@ class AttackClassification:
 
 def best_partition_value(bids: Sequence[CombBid], item_count: int, mask: int) -> Fraction:
     """Best total the Sybil bids can declare for ``mask`` via any partition."""
-    if mask == 0 or not bids:
-        return Fraction(0)
-    for bid in bids:
-        if bid.item_count != item_count:
-            raise ValidationError("bid item count does not match the instance")
+    _check_bids(item_count, bids)
     scale, tables = _scaled(bids)
     return Fraction(_partition_table(tables, item_count)[mask], scale)
 
@@ -560,12 +544,8 @@ def classify_attack(valuation: CombValuation, bids: Sequence[CombBid]) -> Attack
     are every bundle of the winning kind, in ascending order, and the
     witness is the first of them.
     """
-    if not bids:
-        raise ValidationError("classification needs at least one bid")
     m = valuation.item_count
-    for bid in bids:
-        if bid.item_count != m:
-            raise ValidationError("bid item count does not match the valuation")
+    _check_bids(m, bids)
     scale, (target, *tables) = _scaled([valuation, *bids])
     kind, masks, value = _classify(target, tables, m)
     return AttackClassification(kind, masks, tuple([Fraction(v, scale) for v in value]))
@@ -586,21 +566,13 @@ def _classify(
     return AttackKind.EXACT_BIDDING, (), value
 
 
-def snap_to_grid_between(lo: Fraction, hi: Fraction, step: Fraction) -> Fraction:
+def _snap(lo: int, hi: int, step: int) -> int:
     """A value strictly inside (lo, hi), on the ``step`` grid if one fits.
 
     When the endpoints are a single step apart no grid point fits and the
-    exact midpoint (a half step) is returned instead.
+    exact midpoint (a half step) is returned instead; the scale makes
+    ``lo + hi`` even, so the midpoint is an integer too.
     """
-    if not lo < hi:
-        raise ValidationError(f"empty interval ({lo}, {hi})")
-    scale = 2 * math.lcm(lo.denominator, hi.denominator, step.denominator)
-    snapped = _snap(int(lo * scale), int(hi * scale), int(step * scale))
-    return Fraction(snapped, scale)
-
-
-def _snap(lo: int, hi: int, step: int) -> int:
-    """``snap_to_grid_between`` on a scale where ``lo + hi`` is even."""
     mid = (lo + hi) // 2
     k = mid // step
     for candidate in (step * k, step * (k + 1)):
@@ -705,8 +677,8 @@ def _refute(
     a factor 2 for the snapped midpoint and lcm(1..m) for the additive
     shares, so every candidate table is an integer table too.
     """
-    _check_attack(valuation, bids, ())
     m = valuation.item_count
+    _check_bids(m, bids)
     step = bid_grid_step(Fraction(1) if epsilon is None else scalar(epsilon), m)
     base, (value, *tables) = _scaled([valuation, *bids])
     scale = 2 * math.lcm(*range(1, m + 1)) * math.lcm(base, step.denominator)
@@ -845,8 +817,8 @@ def claim_family_check(
     differs.  Both must be absent for the claim to hold on the family.
     """
     states = [*family, *extra]
-    _check_attack(valuation, bids, states)
     m, k = valuation.item_count, len(bids)
+    _check_bids(m, bids, states)
     scale, (value, *tables) = _scaled([valuation, *bids, *states])
     own = tables[:k]
     diff = 0
@@ -942,15 +914,11 @@ def _case1_adversary(
 ) -> list[int] | None:
     """Upward-monotone bid matching v on the parts of the witness bundle.
 
-    The parts come from the Sybils' own best partition of the bundle, the
-    tie-broken search of ``winner_determination``; a superset of any part
-    inherits the largest contained part value.
+    The parts are the bundles the tie-broken search hands the Sybils on
+    the witness bundle's items; a superset of any part inherits the
+    largest contained part value.
     """
-    items = mask_items(mask)
-    _, choice = _tie_broken_assignment(tables, items)
-    bundles = [0] * len(tables)
-    for item, owner in zip(items, choice):
-        bundles[owner] |= 1 << item
+    _, bundles, _ = _tie_broken_assignment(tables, mask_items(mask))
     parts = [b for b in bundles if b]
     if len(parts) < 2:
         return None
@@ -972,8 +940,8 @@ def truth_loss_averse_witnesses(
     the fallback; every certificate is validated by mechanism runs.  The
     valuation, the bids and the family share one scale.
     """
-    _check_attack(valuation, bids, family)
     m, k = valuation.item_count, len(bids)
+    _check_bids(m, bids, family)
     scale, (value, *tables) = _scaled([valuation, *bids, *family])
     own, states = tables[:k], tables[k:]
     kind = _classify(value, own, m)[0]

@@ -272,6 +272,24 @@ def _case(name, scenario, *args, code):
             "analyze", "--scenario", "{scn}",
             code=3,
         ),
+        # Both adversaries derive the bid grid from the scenario step.
+        _case(
+            "scenario-zero-adversary-step",
+            "kind: vcg-attack\nitems: 2\nepsilon: 0\nvaluation: 0 0 1 0\nbid: 0 0 1 1\n",
+            "vcg", "adversary", "--scenario", "{scn}",
+            code=3,
+        ),
+        _case(
+            "scenario-negative-adversary-step",
+            "kind: vcg-attack\nitems: 2\nepsilon: -1\nvaluation: 0 1 1 2\nbid: 0 0 1 1\n",
+            "vcg", "adversary", "--scenario", "{scn}",
+            code=3,
+        ),
+        _case(
+            "negative-decimal", None,
+            "auction", "dfpa", "--value", "1", "--epsilon", "1/2", "--decimal", "-1",
+            code=2,
+        ),
         # Usage errors: neither command prints a value a decimal could follow.
         _case("decimal-on-verify-all", None, "verify-all", "--decimal", "3", code=2),
         _case("decimal-on-export", None, "export", "--curated", "aim-big", "--decimal", "2", code=2),

@@ -32,7 +32,7 @@ from robustgames.concepts import (
     verify_refutation,
     weakly_dominant_actions,
 )
-from robustgames.core import INF, AgentGame, MixedAction, convex_combination, mixed_utility
+from robustgames.core import INF, AgentGame, MixedAction, mixed_utility
 from robustgames.errors import InternalConsistencyError, ValidationError
 from robustgames.mechanisms import (
     ballot_label,
@@ -249,7 +249,10 @@ def test_falsifier_minima_match_the_mixed_utilities():
         game = psr_game(spec)
         good = plurality_mixed_loss_averse(f)
         pures = [MixedAction.pure(ballot_label(v)) for v in spec.permissible_vectors]
-        skewed = convex_combination(good, pures[-1], Fraction(5, 7))
+        weights = {label: Fraction(5, 7) * p for label, p in good.entries}
+        last = pures[-1].entries[0][0]
+        weights[last] = weights.get(last, 0) + Fraction(2, 7)
+        skewed = MixedAction.from_mapping(weights)
         for candidate in pures + [good, skewed]:
             for deviations in ([good], pures, [good] + pures):
                 result = mixed_loss_averse_falsify(game, candidate, deviations)

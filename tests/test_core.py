@@ -9,11 +9,9 @@ from robustgames.core import (
     INF,
     AgentGame,
     MixedAction,
-    convex_combination,
     format_extended,
     format_game,
     format_scalar,
-    game_from_function,
     game_from_table,
     mixed_utility,
     parse_game,
@@ -91,7 +89,7 @@ def test_game_rejects_bad_shapes():
 
 
 def test_game_builders_convert_scalars():
-    game = game_from_function("t", ["a"], ["x", "y"], lambda a, s: "1/2" if s == "x" else 0)
+    game = game_from_table("t", ["a"], ["x", "y"], {("a", "x"): "1/2", ("a", "y"): 0})
     assert game.row("a") == (Fraction(1, 2), Fraction(0))
     table = {("a", "x"): 1, ("a", "y"): "2/3"}
     assert game_from_table("t", ["a"], ["x", "y"], table).utility("a", "y") == Fraction(2, 3)
@@ -174,12 +172,9 @@ def test_mixed_action_normalizes_and_validates():
         MixedAction((("a", 0.5), ("b", 0.5)))
 
 
-def test_convex_combination_and_expected_utility():
+def test_mixture_expected_utility():
     game = _toy()
-    pure_a = MixedAction.from_mapping({"a": 1})
-    pure_b = MixedAction.from_mapping({"b": 1})
-    mix = convex_combination(pure_a, pure_b, Fraction(1, 4))
-    assert mix == MixedAction.from_mapping({"a": "1/4", "b": "3/4"})
+    mix = MixedAction.from_mapping({"a": "1/4", "b": "3/4"})
     assert mixed_utility(game, mix, "x") == Fraction(1, 4)
     assert mixed_utility(game, mix, "y") == Fraction(3, 2)
     with pytest.raises(UnknownLabelError):

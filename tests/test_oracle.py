@@ -33,16 +33,17 @@ from robustgames.vcg import (
     FamilyCheck,
     PaymentRule,
     SybilProfile,
-    assignment_bundles,
+    _scaled,
+    _tie_broken_assignment,
     best_partition_value,
     bid_grid_step,
     claim_family_check,
     classify_attack,
     enumerate_attacks,
+    mask_items,
     nature_state_family,
     overbidding_adversary,
     run_vcg,
-    snap_to_grid_between,
     truth_loss_averse_witnesses,
     underbidding_adversary,
     utility_against,
@@ -50,6 +51,15 @@ from robustgames.vcg import (
 )
 
 F = Fraction
+
+
+def _bundles(assignment, bid_count):
+    """Each bid's bundle under an assignment of items to owners (-1: none)."""
+    bundles = [0] * bid_count
+    for item, owner in enumerate(assignment):
+        if owner >= 0:
+            bundles[owner] |= 1 << item
+    return tuple(bundles)
 
 
 def _game_pool():
@@ -182,8 +192,8 @@ def test_winner_determination_matches_naive_welfare():
         naive_welfare, _ = naive_winner_determination([b.values for b in bids], 2)
         assert welfare == naive_welfare
         # The returned assignment realizes the reported welfare.
-        bundles = assignment_bundles(assignment, len(bids))
-        realized = sum((bids[j].value(bundles[j]) for j in range(len(bids))), F(0))
+        bundles = _bundles(assignment, len(bids))
+        realized = sum((bids[j].values[bundles[j]] for j in range(len(bids))), F(0))
         assert realized == welfare
 
 
@@ -253,17 +263,24 @@ def test_vcg_core_matches_naive_tie_broken_search(case):
     assert (welfare, assignment) == naive_tie_broken_assignment(tables, item_count)
 
     partition = classify_attack(CombValuation(item_count, tables[0]), bids).best_partition
+    scale, scaled = _scaled(bids)
     for mask in range(1 << item_count):
-        naive_value, _ = naive_tie_broken_assignment(tables, item_count, mask)
+        naive_value, naive_assignment = naive_tie_broken_assignment(tables, item_count, mask)
         assert best_partition_value(bids, item_count, mask) == naive_value
         assert partition[mask] == naive_value
+        # The search on the mask's items alone: the owners, and the bundles.
+        items = mask_items(mask)
+        value, bundles, choice = _tie_broken_assignment(scaled, items)
+        assert F(value, scale) == naive_value
+        assert choice == tuple(naive_assignment[i] for i in items)
+        assert bundles == _bundles(naive_assignment, n)
 
     profiles = [
         SybilProfile(CombValuation(item_count, table), (bid,)) for table, bid in zip(tables, bids)
     ]
     clarke = run_vcg(profiles, item_count)
     literal = run_vcg(profiles, item_count, payment_rule=PaymentRule.PAPER_LITERAL)
-    bundles = assignment_bundles(assignment, n)
+    bundles = _bundles(assignment, n)
     every = (1 << item_count) - 1
     for j in range(n):
         others = tables[:j] + tables[j + 1:]
@@ -379,19 +396,22 @@ def test_integer_attack_kernel_matches_per_state_utilities(case):
     report = refute(valuation, bids, epsilon)
     mask, tilde = report.witness_mask, report.tilde
     assert mask == classification.masks[0] or report.refuted
-    assert min(valuation.value(mask), classification.best_partition[mask]) < tilde
-    assert tilde < max(valuation.value(mask), classification.best_partition[mask])
+    assert min(valuation.values[mask], classification.best_partition[mask]) < tilde
+    assert tilde < max(valuation.values[mask], classification.best_partition[mask])
     # The first candidate is the additive form of the snapped midpoint on
     # the first over- or underbid bundle: equal shares that sum to it.
     first, first_mask = report.tried[0], classification.masks[0]
-    ends = sorted((valuation.value(first_mask), classification.best_partition[first_mask]))
-    midpoint = snap_to_grid_between(*ends, bid_grid_step(epsilon, m))
-    assert first.value(first_mask) == midpoint
-    shares = {first.value(1 << i) for i in range(m) if first_mask >> i & 1}
+    ends = sorted((valuation.values[first_mask], classification.best_partition[first_mask]))
+    # The grid point next to the midpoint that lies strictly inside, else the midpoint.
+    step, midpoint = bid_grid_step(epsilon, m), sum(ends) / 2
+    below = math.floor(midpoint / step) * step
+    midpoint = next((t for t in (below, below + step) if ends[0] < t < ends[1]), midpoint)
+    assert first.values[first_mask] == midpoint
+    shares = {first.values[1 << i] for i in range(m) if first_mask >> i & 1}
     assert shares == {midpoint / first_mask.bit_count()}
     if report.refuted:
         adversary = report.adversary
-        assert adversary is report.tried[-1] and adversary.value(mask) == tilde
+        assert adversary is report.tried[-1] and adversary.values[mask] == tilde
         assert report.attack_utility == utility_against(valuation, bids, [adversary])
         assert report.truth_utility == utility_against(valuation, (valuation,), [adversary])
     skipped = report.tried[:-1] if report.refuted else report.tried
@@ -407,7 +427,8 @@ def test_integer_attack_kernel_matches_per_state_utilities(case):
 
 @pytest.mark.parametrize("item_count", [7, 8])
 def test_winner_determination_on_both_sides_of_the_precomputed_order_bound(item_count):
-    """3^7 assignments are scanned from the precomputed order, 3^8 stream."""
+    """3^7 assignments are scanned from the precomputed order, 3^8 stream;
+    the search on half the items scans 3^3 or 3^4 from the order."""
     assert 3**7 <= PRECOMPUTED_ORDER_BOUND < 3**8
     rng = random.Random(item_count)
     size = 1 << item_count
@@ -422,6 +443,9 @@ def test_winner_determination_on_both_sides_of_the_precomputed_order_bound(item_
         expected = naive_tie_broken_assignment(tables, item_count)
         assert winner_determination(bids, item_count) == expected
         low = (1 << (item_count // 2)) - 1
-        assert winner_determination(bids, item_count, low) == (
-            naive_tie_broken_assignment(tables, item_count, low)
-        )
+        naive_value, naive_assignment = naive_tie_broken_assignment(tables, item_count, low)
+        scale, scaled = _scaled(bids)
+        value, bundles, choice = _tie_broken_assignment(scaled, mask_items(low))
+        assert F(value, scale) == naive_value
+        assert choice == naive_assignment[: item_count // 2]
+        assert bundles == _bundles(naive_assignment, 3)
