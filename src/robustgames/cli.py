@@ -267,6 +267,8 @@ def _vcg_attack_from(
     nature = vcg.CombBid(items, table(nature_raw)) if nature_raw else None
     eps_raw = scenario.optional("epsilon")
     epsilon = parse_scalar(eps_raw) if eps_raw else None
+    if epsilon is not None:
+        vcg.bid_grid_step(epsilon, items)  # every command refuses a step that is not positive
     return valuation, bids, nature, epsilon
 
 

@@ -31,10 +31,24 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .errors import ParseError, UnknownLabelError, ValidationError
+from .errors import CapacityError, ParseError, UnknownLabelError, ValidationError
 
 _SCALAR_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 _LABEL_RE = re.compile(r"^\S+$")
+
+# The most cells (actions x states) a builder lays out on its grid: about
+# 80 MB of ``Fraction``s and 3 s to build.  The largest grid game the
+# tests, the examples, ``verify-all`` and the benchmarks build is an
+# auction at step 1/200 with 201 x 204 cells.
+MAX_GAME_CELLS = 10**6
+
+
+def check_game_cells(kind: str, actions: int, states: int) -> None:
+    """Refuse a grid game above ``MAX_GAME_CELLS`` cells before it is built."""
+    if actions * states > MAX_GAME_CELLS:
+        raise CapacityError(
+            f"{kind} game of {actions} x {states} cells exceeds the budget of {MAX_GAME_CELLS}"
+        )
 
 
 def scalar(value: int | str | Fraction) -> Fraction:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import concepts
-from .core import AgentGame, MixedAction, format_scalar, mixed_utility, scalar
+from .core import AgentGame, MixedAction, check_game_cells, format_scalar, mixed_utility, scalar
 from .errors import InternalConsistencyError, ValidationError
 
 
@@ -64,12 +64,13 @@ def facility_loss_averse_report(theta: Fraction, agent_count: int) -> Fraction:
     return Fraction(0) if theta < Fraction(1, 2) else Fraction(1)
 
 
+def _grid_size(limit: Fraction, step: Fraction) -> int:
+    """How many points ``_grid`` lays out: the step multiples below ``limit``, and ``limit``."""
+    return -(-limit // step) + 1
+
+
 def _grid(limit: Fraction, step: Fraction) -> list[Fraction]:
-    values = []
-    k = 0
-    while step * k < limit:
-        values.append(step * k)
-        k += 1
+    values = [step * k for k in range(_grid_size(limit, step) - 1)]
     values.append(limit)  # endpoint always present even off the step lattice
     return values
 
@@ -77,8 +78,10 @@ def _grid(limit: Fraction, step: Fraction) -> list[Fraction]:
 def facility_game(spec: FacilitySpec) -> AgentGame:
     """Reports vs others'-sum states, utility = -|theta - mean|."""
     n = spec.agent_count
-    reports = _grid(Fraction(1), spec.others_grid_step)
-    sums = _grid(Fraction(n - 1), spec.others_grid_step)
+    step = spec.others_grid_step
+    check_game_cells("facility", _grid_size(Fraction(1), step), _grid_size(Fraction(n - 1), step))
+    reports = _grid(Fraction(1), step)
+    sums = _grid(Fraction(n - 1), step)
     actions = tuple(format_scalar(r) for r in reports)
     states = tuple(format_scalar(s) for s in sums)
     rows = tuple(

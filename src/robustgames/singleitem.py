@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import AgentGame, format_scalar, scalar
+from .core import AgentGame, check_game_cells, format_scalar, scalar
 from .errors import InternalConsistencyError, ValidationError
 
 NO_RIVAL = "no-rival"
@@ -72,8 +72,14 @@ def default_dfpa_spec(value: Fraction, epsilon: Fraction) -> DfpaSpec:
     return DfpaSpec(value, epsilon, cap)
 
 
-def _bid_grid(limit: Fraction, epsilon: Fraction) -> list[Fraction]:
-    return [epsilon * k for k in range(int(limit / epsilon) + 1)]
+def _grids(spec: DfpaSpec, kind: str) -> tuple[list[Fraction], list[Fraction]]:
+    """The bid grid and the rival grid, counted against the cell budget
+    before either is built; the no-rival state adds one column."""
+    bids, rivals = (
+        range(int(limit / spec.epsilon) + 1) for limit in (spec.value, spec.nature_bid_cap)
+    )
+    check_game_cells(kind, len(bids), len(rivals) + 1)
+    return [spec.epsilon * k for k in bids], [spec.epsilon * k for k in rivals]
 
 
 def dfpa_game(spec: DfpaSpec) -> AgentGame:
@@ -82,8 +88,7 @@ def dfpa_game(spec: DfpaSpec) -> AgentGame:
     Utility is value − bid on a win (competing bid strictly lower, or
     the no-rival state), 0 otherwise.
     """
-    bids = _bid_grid(spec.value, spec.epsilon)
-    rivals = _bid_grid(spec.nature_bid_cap, spec.epsilon)
+    bids, rivals = _grids(spec, "dfpa")
     states = tuple(format_scalar(s) for s in rivals) + (NO_RIVAL,)
     rows = tuple(
         tuple(spec.value - b if b > s else Fraction(0) for s in rivals)
@@ -219,8 +224,7 @@ def verify_fpa_witness(w: FpaWitness) -> bool:
 def all_pay_game(value: Fraction, epsilon: Fraction, nature_bid_cap: Fraction) -> AgentGame:
     """All-pay variant on the same grids: the bid is paid win or lose."""
     spec = DfpaSpec(value, epsilon, nature_bid_cap)
-    bids = _bid_grid(spec.value, spec.epsilon)
-    rivals = _bid_grid(spec.nature_bid_cap, spec.epsilon)
+    bids, rivals = _grids(spec, "all-pay")
     states = tuple(format_scalar(s) for s in rivals) + (NO_RIVAL,)
     rows = tuple(
         tuple(spec.value - b if b > s else -b for s in rivals) + (spec.value - b,)

@@ -14,12 +14,15 @@ one such table, and the Clarke payments read every leave-one-out welfare
 from shared prefix and suffix tables.  The winning *assignment* is found
 once per mechanism run by an exhaustive search with a documented total
 tie-break order, so every result is deterministic and exactly optimal.
-The search scans the assignments in one fixed order; for spaces up to
-``PRECOMPUTED_ORDER_BOUND`` each assignment's bundles and bundle-size
-profile are listed once per (bid count, items) and reused by every run,
-and larger spaces generate the same entries as they are scanned.  The
-search hands back the winning entry's bundles with its owners, so the
-mechanism and the case-1 adversary read them instead of rebuilding them.
+One scan loop (``_scan``) holds that rule.  It reads entries in one
+fixed order, each carrying the welfare of every bid but the last, the
+last bid's bundle, the size profile, the bundles and the owners, so an
+entry costs one lookup in the last bid's table.  For spaces up to
+``PRECOMPUTED_ORDER_BOUND`` each assignment's bundles and size profile
+are listed once per (bid count, items) and reused by every run; larger
+spaces generate the same entries as they are scanned.  The search hands
+back the winning entry's bundles with its owners, so the mechanism and
+the case-1 adversary read them instead of rebuilding them.
 
 Two payment rules are provided: the textbook Clarke pivot, and a literal
 reading of the difference-of-welfares formula where the runner-up
@@ -33,18 +36,25 @@ compares, bundle by bundle, the best internal partition value of the
 Sybil bids against the true valuation, and lists every bundle the attack
 over- or underbids; one refutation loop then builds the nature states
 that refute overbidding and underbidding attacks, checking its own
-postconditions by running the mechanism.  An attack's utility against
-nature bids, truthful bidding included, is one run of the integer
-mechanism core that ``run_vcg`` also runs after its validation.
+postconditions against the mechanism's outcomes.  ``utility_against``
+and ``run_vcg`` run the integer mechanism core; they are the reference
+route the scans are tested against.
 
 Each scan of attack against nature scales once: the family check and
 the exact-bidding certificates put the valuation, the bids and every
 state they scan on one denominator, and the refutation loop puts the
 valuation and the bids on one scale on which every adversary candidate
 (the grid step, the snapped midpoint, the equal per-item shares) is an
-integer.  Each state is then one integer mechanism run per side, and
-``Fraction``s and validated bid tables are built only for what a report
-carries.
+integer.  ``Fraction``s and validated bid tables are built only for what
+a report carries.  Truth needs no mechanism run: by Clarke's pivot rule
+(Public Choice, 1971) a truthful bidder's utility is the optimal welfare
+of all bids less the others' optimum, whichever optimal allocation the
+tie-break picks (``_truth_utility``).  Only the false-name side (Yokoo,
+Sakurai & Matsubara, GEB 2004) needs the tie-broken search, and its
+side of every run is built once per scan (``_attack_runs``): the scan
+entries with the Sybil bids' welfare in each, and for each Sybil bid
+the partition table of the others, so a state costs one scan with one
+lookup per entry.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import getitem
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import scalar, scale_rows
 from .errors import CapacityError, InternalConsistencyError, ValidationError
@@ -274,30 +284,48 @@ def _precomputed_order(n: int, items: tuple[int, ...]) -> tuple[_Assignment, ...
     return tuple(_assignment_order(n, items))
 
 
-def _tie_broken_assignment(
-    tables: Sequence[Sequence[int]], items: tuple[int, ...]
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Exhaustive search for the best owners of ``items`` in tie-break order.
-
-    Returns the welfare, each bid's bundle and each item's owner, in the
-    order of ``items``.
-    """
-    n = len(tables)
+def _search_order(n: int, items: tuple[int, ...]) -> Iterable[_Assignment]:
+    """The scan order for ``n`` bids on ``items``: kept up to
+    ``PRECOMPUTED_ORDER_BOUND`` assignments, generated above it."""
     space = n ** len(items)
     if space > SEARCH_BUDGET:
         raise CapacityError(
             f"assignment space {n}^{len(items)} exceeds the search budget {SEARCH_BUDGET}"
         )
     if space <= PRECOMPUTED_ORDER_BOUND:
-        order: Iterable[_Assignment] = _precomputed_order(n, items)
-    else:
-        order = _assignment_order(n, items)
+        return _precomputed_order(n, items)
+    return _assignment_order(n, items)
+
+
+# A scan entry: the welfare of every bid but the last in the assignment,
+# the last bid's bundle, then the assignment's size profile, bundles and
+# owners.
+_Entry = tuple[int, int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _entries(fixed: Sequence[Sequence[int]], order: Iterable[_Assignment]) -> Iterator[_Entry]:
+    """Each assignment of ``order`` as a scan entry; ``fixed`` are the
+    tables of every bid but the last."""
+    for bundles, profile, choice in order:
+        yield sum(map(getitem, fixed, bundles)), bundles[-1], profile, bundles, choice
+
+
+def _scan(
+    entries: Iterable[_Entry], last: Sequence[int]
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The tie-broken best of ``entries`` once the last bid bids ``last``.
+
+    Entries come in ascending lexicographic order of their owners, and
+    only strict improvements are kept: a higher welfare, or the same
+    welfare with a lexicographically larger descending size profile.
+    Returns the welfare, each bid's bundle and each item's owner.
+    """
     best_welfare = -1
     best_profile: tuple[int, ...] = ()
     best_bundles: tuple[int, ...] = ()
     best_choice: tuple[int, ...] = ()
-    for bundles, profile, choice in order:
-        welfare = sum(map(getitem, tables, bundles))
+    for fixed, bundle, profile, bundles, choice in entries:
+        welfare = fixed + last[bundle]
         if welfare < best_welfare:
             continue
         if welfare > best_welfare or profile > best_profile:
@@ -306,6 +334,18 @@ def _tie_broken_assignment(
             best_bundles = bundles
             best_choice = choice
     return best_welfare, best_bundles, best_choice
+
+
+def _tie_broken_assignment(
+    tables: Sequence[Sequence[int]], items: tuple[int, ...]
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Exhaustive search for the best owners of ``items`` in tie-break order.
+
+    Returns the welfare, each bid's bundle and each item's owner, in the
+    order of ``items``.
+    """
+    order = _search_order(len(tables), items)
+    return _scan(_entries(tables[:-1], order), tables[-1])
 
 
 def winner_determination(
@@ -495,20 +535,69 @@ def utility_against(
     _check_bids(valuation.item_count, bids, nature)
     k = len(bids)
     scale, (value, *tables) = _scaled([valuation, *bids, *nature])
-    return Fraction(_utility(value, tables[:k], tables[k:], valuation.item_count), scale)
-
-
-def _utility(
-    value: Sequence[int],
-    own: Sequence[Sequence[int]],
-    nature: Sequence[Sequence[int]],
-    item_count: int,
-) -> int:
-    """``utility_against`` on scaled tables: the agent owns the ``own`` bids."""
-    _, bundles, payments = _mechanism([*own, *nature], item_count, PaymentRule.CLARKE_PIVOT)
-    k = len(own)
+    _, bundles, payments = _mechanism(tables, valuation.item_count, PaymentRule.CLARKE_PIVOT)
     # The bundles are disjoint, so their sum is their union.
-    return value[sum(bundles[:k])] - sum(payments[:k])
+    return Fraction(value[sum(bundles[:k])] - sum(payments[:k]), scale)
+
+
+def _truth_utility(value: Sequence[int], nature: Sequence[int], item_count: int) -> int:
+    """Truthful bidding's Clarke utility against nature, with no mechanism run.
+
+    ``nature`` is the partition table of nature's bids (one bid is its
+    own table).  The mechanism allocates every item, so the optimal
+    welfare is W = max over splits (S, rest) of value[S] + nature[rest].
+    A truthful bidder winning S pays the others' optimum without it,
+    nature[every], less their value in the outcome, W − value[S]; its
+    utility value[S] − nature[every] + W − value[S] is W − nature[every].
+    W is the same for every optimal allocation, so the tie-break cannot
+    change the result.
+    """
+    every = full_mask(item_count)
+    welfare = max([value[sub] + nature[rest] for sub, rest in _splits(item_count)[every]])
+    return welfare - nature[every]
+
+
+def _attack_runs(
+    value: Sequence[int], own: Sequence[Sequence[int]], item_count: int
+) -> Callable[[Sequence[int]], int]:
+    """The agent's Clarke utility with the ``own`` bids against one nature bid.
+
+    The own bids' side of every run is built once: the scan entries of
+    the own bids and one nature bid, each carrying the own bids' welfare
+    in it, and for each own bid the partition table of the other own
+    bids.  A run against a nature table is then one scan with one lookup
+    per entry, plus one split scan per own bid for the others' optimum
+    without it.  Nature's own payment, which nothing reads, is not
+    computed.  Above ``PRECOMPUTED_ORDER_BOUND`` the entries stream anew
+    for each run.
+    """
+    k = len(own)
+    every = full_mask(item_count)
+    items = tuple(range(item_count))
+    splits = _splits(item_count)[every]
+    order = _search_order(k + 1, items)
+    kept = tuple(_entries(own, order)) if isinstance(order, tuple) else None
+    others = [_partition_table([*own[:j], *own[j + 1:]], item_count) for j in range(k) if k > 1]
+
+    def utility(nature: Sequence[int]) -> int:
+        entries = kept if kept is not None else _entries(own, _search_order(k + 1, items))
+        welfare, bundles, _ = _scan(entries, nature)
+        won = bundles[k]
+        own_welfare = sum(map(getitem, own, bundles))
+        if own_welfare + nature[won] != welfare:
+            raise InternalConsistencyError("observed welfare does not match the search value")
+        # Each own bid pays the others' optimum without it, less the
+        # others' value in the outcome: the welfare less its own value.
+        if k == 1:
+            without = nature[every]
+        else:
+            without = sum(
+                [max([table[sub] + nature[rest] for sub, rest in splits]) for table in others]
+            )
+        # Every item is allocated, so the own bids win all nature does not.
+        return value[every ^ won] - (without - k * welfare + own_welfare)
+
+    return utility
 
 
 class AttackKind(enum.Enum):
@@ -691,6 +780,7 @@ def _refute(
     grid = step.numerator * (scale // step.denominator)
     bar = _adversary_ceiling(value, tables, scale, grid)
     over = kind is AttackKind.OVERBIDDING
+    attack = _attack_runs(value, tables, m)
     tried: list[list[int]] = []
     first_tilde: int | None = None
     for mask in masks:
@@ -699,10 +789,10 @@ def _refute(
             if first_tilde is None:
                 first_tilde = tilde
             tried.append(adversary)
-            attack_u = _utility(value, tables, [adversary], m)
+            attack_u = attack(adversary)
             if (attack_u >= 0) if over else (attack_u != 0):
                 continue
-            truth_u = _utility(value, [value], [adversary], m)
+            truth_u = _truth_utility(value, adversary, m)
             if over and truth_u < 0:
                 raise InternalConsistencyError(
                     f"truthful bidding went negative ({Fraction(truth_u, scale)}) against "
@@ -820,15 +910,21 @@ def claim_family_check(
     m, k = valuation.item_count, len(bids)
     _check_bids(m, bids, states)
     scale, (value, *tables) = _scaled([valuation, *bids, *states])
-    own = tables[:k]
+    attack = _attack_runs(value, tables[:k], m)
+    utilities = [(attack(table), _truth_utility(value, table, m)) for table in tables[k:]]
+    return _family_check(states, utilities, scale)
+
+
+def _family_check(
+    states: Sequence[CombBid], utilities: Sequence[tuple[int, int]], scale: int
+) -> FamilyCheck:
+    """The family check from each state's (attack, truth) utilities over ``scale``."""
     diff = 0
     truth_min: int | None = None
     attack_min: int | None = None
     reversal = None
     zero_truth = None
-    for state, table in zip(states, tables[k:]):
-        u_attack = _utility(value, own, [table], m)
-        u_truth = _utility(value, [value], [table], m)
+    for state, (u_attack, u_truth) in zip(states, utilities):
         if u_attack == u_truth:
             continue
         diff += 1
@@ -937,8 +1033,10 @@ def truth_loss_averse_witnesses(
 
     Follows the two-case split on whether some bundle is valued below v
     by every individual Sybil bid, with a direct family comparison as
-    the fallback; every certificate is validated by mechanism runs.  The
-    valuation, the bids and the family share one scale.
+    the fallback; every certificate is validated by the attack's
+    mechanism runs and truth's closed form.  The valuation, the bids and
+    the family share one scale, and each family state is scanned once:
+    the case-2 check and the fallback read the same utilities.
     """
     m, k = valuation.item_count, len(bids)
     _check_bids(m, bids, family)
@@ -955,12 +1053,13 @@ def truth_loss_averse_witnesses(
     if every in case1_masks:
         case1_masks.remove(every)
         case1_masks.insert(0, every)
+    attack = _attack_runs(value, own, m)
     for mask in case1_masks:
         adversary = _case1_adversary(value, own, m, mask)
         if adversary is None:
             continue
-        attack_u = _utility(value, own, [adversary], m)
-        truth_u = _utility(value, [value], [adversary], m)
+        attack_u = attack(adversary)
+        truth_u = _truth_utility(value, adversary, m)
         if attack_u == 0 and truth_u > 0:
             return TruthCertificate(
                 mode="case-1",
@@ -971,22 +1070,22 @@ def truth_loss_averse_witnesses(
                 truth_utility=Fraction(truth_u, scale),
             )
 
+    # One scan of the family serves case 2 and the fallback.
+    utilities = [(attack(state), _truth_utility(value, state, m)) for state in states]
     if not case1_masks:
         matches = [sum(1 for mask in range(1 << m) if table[mask] == value[mask]) for table in own]
         best_j = max(range(k), key=lambda j: (matches[j], -j))
-        single = [own[best_j]]
+        single = _attack_runs(value, [own[best_j]], m)
         dominated = all(
-            _utility(value, own, [state], m)
-            <= _utility(value, single, [state], m)
-            <= _utility(value, [value], [state], m)
-            for state in states
+            u_attack <= single(state) <= u_truth
+            for state, (u_attack, u_truth) in zip(states, utilities)
         )
         if dominated:
             return TruthCertificate(
                 mode="case-2", family_size=len(family), best_sybil=best_j
             )
 
-    check = claim_family_check(valuation, bids, family)
+    check = _family_check(family, utilities, scale)
     if check.standing:
         return TruthCertificate(mode="family", family_size=check.family_size)
     raise InternalConsistencyError(

@@ -285,6 +285,33 @@ def _case(name, scenario, *args, code):
             "vcg", "adversary", "--scenario", "{scn}",
             code=3,
         ),
+        # Every vcg-attack command refuses the step, whatever the attack.
+        *[
+            _case(
+                f"scenario-{name}-step-on-exact-{command}",
+                f"kind: vcg-attack\nitems: 2\nepsilon: {step}\nvaluation: 0 1 1 2\nbid: 0 1 1 2\n",
+                "vcg", command, "--scenario", "{scn}",
+                code=3,
+            )
+            for name, step in (("zero", "0"), ("negative", "-1"))
+            for command in ("run", "classify", "adversary")
+        ],
+        # Grids above the cell budget are refused before they are built.
+        _case(
+            "dfpa-grid-above-the-cell-budget", None,
+            "auction", "dfpa", "--value", "100000", "--epsilon", "1/1000",
+            code=4,
+        ),
+        _case(
+            "allpay-grid-above-the-cell-budget", None,
+            "auction", "allpay", "--value", "1000", "--epsilon", "1/1000", "--cap", "2000",
+            code=4,
+        ),
+        _case(
+            "facility-grid-above-the-cell-budget", None,
+            "facility", "--agents", "3", "--type", "1/2", "--grid-step", "1/100000000",
+            code=4,
+        ),
         _case(
             "negative-decimal", None,
             "auction", "dfpa", "--value", "1", "--epsilon", "1/2", "--decimal", "-1",

@@ -8,7 +8,9 @@ import pytest
 from robustgames.core import (
     INF,
     AgentGame,
+    MAX_GAME_CELLS,
     MixedAction,
+    check_game_cells,
     format_extended,
     format_game,
     format_scalar,
@@ -18,7 +20,7 @@ from robustgames.core import (
     parse_scalar,
     scalar,
 )
-from robustgames.errors import ParseError, UnknownLabelError, ValidationError
+from robustgames.errors import CapacityError, ParseError, UnknownLabelError, ValidationError
 
 
 def test_scalar_accepts_int_str_fraction():
@@ -179,3 +181,10 @@ def test_mixture_expected_utility():
     assert mixed_utility(game, mix, "y") == Fraction(3, 2)
     with pytest.raises(UnknownLabelError):
         mixed_utility(game, MixedAction.from_mapping({"zzz": 1}), "x")
+
+
+def test_grid_cell_budget_admits_exactly_its_size():
+    assert MAX_GAME_CELLS == 1000 * 1000
+    check_game_cells("dfpa", 1000, 1000)
+    with pytest.raises(CapacityError, match=r"dfpa game of 1000 x 1001 cells"):
+        check_game_cells("dfpa", 1000, 1001)

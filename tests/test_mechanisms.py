@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from robustgames import mechanisms
 from robustgames.concepts import (
     loss_averse_actions,
     max_regret,
@@ -161,3 +162,11 @@ def test_psr_game_tally_cap_growth():
     small = psr_game(plurality_spec(2, (F(1), F(0)), tally_cap=1))
     large = psr_game(plurality_spec(2, (F(1), F(0)), tally_cap=3))
     assert len(small.states) == 4 and len(large.states) == 16
+
+
+def test_facility_builder_counts_the_cells_it_builds(monkeypatch):
+    counted = []
+    monkeypatch.setattr(mechanisms, "check_game_cells", lambda *shape: counted.append(shape))
+    for agents, step in ((2, Fraction(1, 4)), (3, Fraction(2, 5)), (4, Fraction(3, 7))):
+        game = facility_game(FacilitySpec(agents, Fraction(1, 2), step))
+        assert counted.pop() == ("facility", len(game.actions), len(game.states))

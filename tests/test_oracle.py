@@ -33,8 +33,11 @@ from robustgames.vcg import (
     FamilyCheck,
     PaymentRule,
     SybilProfile,
+    _attack_runs,
+    _partition_table,
     _scaled,
     _tie_broken_assignment,
+    _truth_utility,
     best_partition_value,
     bid_grid_step,
     claim_family_check,
@@ -292,11 +295,21 @@ def test_vcg_core_matches_naive_tie_broken_search(case):
 
 @st.composite
 def _attacks(draw):
-    """A valuation, one or two Sybil bids and up to two nature bids."""
+    """A valuation, one or two Sybil bids and up to two nature bids.
+
+    A quarter of the cases make every table the same additive table with
+    equal items, so every assignment ties and the tie-break alone decides.
+    """
     item_count = draw(st.integers(1, 3))
     entries = st.builds(Fraction, st.integers(0, 3), _DENOMINATORS)
+    flat = draw(st.integers(0, 3)) == 0
+    per_item = draw(entries)
 
     def table():
+        if flat:
+            return CombBid(
+                item_count, tuple(per_item * mask.bit_count() for mask in range(1 << item_count))
+            )
         return CombBid(
             item_count, (F(0),) + tuple(draw(entries) for _ in range((1 << item_count) - 1))
         )
@@ -314,6 +327,66 @@ def test_utility_against_matches_the_full_mechanism_run(case):
     profiles = [SybilProfile(valuation, bids), *map(SybilProfile.truthful, nature)]
     outcome = run_vcg(profiles, valuation.item_count)
     assert utility_against(valuation, bids, nature) == outcome.agent_utilities[0]
+
+
+def _naive_clarke_utility(valuation, bids, nature):
+    """The attacker's Clarke utility from the oracle's searches alone."""
+    m, k = valuation.item_count, len(bids)
+    tables = [table.values for table in (*bids, *nature)]
+    welfare, assignment = naive_tie_broken_assignment(tables, m)
+    bundles = _bundles(assignment, len(tables))
+    paid = sum(
+        naive_winner_determination(tables[:j] + tables[j + 1:], m)[0]
+        - (welfare - tables[j][bundles[j]])
+        for j in range(k)
+    )
+    return valuation.values[sum(bundles[:k])] - paid
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_attacks())
+def test_attack_kernel_matches_the_mechanism_run_state_by_state(case):
+    """Each nature bid alone is one state of the per-attack kernel, and
+    the nature bids together fold into their partition table, one state
+    for the closed-form truth; every utility matches ``utility_against``
+    and the oracle's searches."""
+    valuation, bids, nature = case
+    m, k = valuation.item_count, len(bids)
+    truthful = (valuation,)
+    scale, (value, *tables) = _scaled([valuation, *bids, *nature])
+    attack = _attack_runs(value, tables[:k], m)
+    for state, table in zip(nature, tables[k:]):
+        expected = utility_against(valuation, bids, [state])
+        assert F(attack(table), scale) == expected
+        assert expected == _naive_clarke_utility(valuation, bids, [state])
+        expected = utility_against(valuation, truthful, [state])
+        assert F(_truth_utility(value, table, m), scale) == expected
+    if nature:
+        folded = _partition_table(tables[k:], m)
+        expected = utility_against(valuation, truthful, nature)
+        assert F(_truth_utility(value, folded, m), scale) == expected
+        assert expected == _naive_clarke_utility(valuation, truthful, nature)
+
+
+def test_attack_kernel_streams_above_the_precomputed_order_bound():
+    """Two own bids and one nature bid on 8 items: the 3^8 entries stream."""
+    assert 3**8 > PRECOMPUTED_ORDER_BOUND
+    rng = random.Random(8)
+    size = 1 << 8
+
+    def table():
+        entries = [F(rng.randint(0, 3), rng.choice((1, 2))) for _ in range(size - 1)]
+        return CombBid(8, (F(0), *entries))
+
+    flat = CombBid(8, tuple(F(mask.bit_count()) for mask in range(size)))
+    valuation = table()
+    for bids, nature in (((table(), table()), [table(), flat]), ((flat, flat), [flat, table()])):
+        scale, (value, *tables) = _scaled([valuation, *bids, *nature])
+        attack = _attack_runs(value, tables[:2], 8)
+        for state, state_table in zip(nature, tables[2:]):
+            expected = utility_against(valuation, bids, [state])
+            assert F(attack(state_table), scale) == expected
+            assert expected == _naive_clarke_utility(valuation, bids, [state])
 
 
 def test_naive_tie_break_prefers_concentration_then_lexicographic_order():
@@ -335,7 +408,9 @@ def _refutable_attacks(draw):
     valuation and change it on one bundle only, the full bundle half the
     time, so the first bundle an attack over- or underbids is often a 2-
     or 3-item bundle and the additive candidate splits its amount into 2
-    or 3 equal shares.
+    or 3 equal shares.  A sixth of the bids copy the valuation unchanged,
+    so two such Sybils bid exactly with no bundle undervalued by both,
+    the case-2 certificate.
     """
     item_count = draw(st.integers(1, 3))
     size = 1 << item_count
@@ -345,7 +420,8 @@ def _refutable_attacks(draw):
     for _ in range(draw(st.integers(1, 2))):
         if draw(st.booleans()):
             table = list(valuation)
-            table[draw(st.one_of(st.just(size - 1), st.integers(1, size - 1)))] = draw(entries)
+            if draw(st.integers(0, 2)):
+                table[draw(st.one_of(st.just(size - 1), st.integers(1, size - 1)))] = draw(entries)
         else:
             table = [F(0)] + [draw(entries) for _ in range(size - 1)]
         bids.append(CombBid(item_count, tuple(table)))
@@ -387,6 +463,13 @@ def test_integer_attack_kernel_matches_per_state_utilities(case):
             adversary = [certificate.adversary]
             assert certificate.attack_utility == utility_against(valuation, bids, adversary)
             assert certificate.truth_utility == utility_against(valuation, (valuation,), adversary)
+        if certificate.mode == "case-2":
+            # The domination chain: attack <= best single Sybil <= truth.
+            single = (bids[certificate.best_sybil],)
+            for state in family:
+                middle = utility_against(valuation, single, [state])
+                assert utility_against(valuation, bids, [state]) <= middle
+                assert middle <= utility_against(valuation, (valuation,), [state])
         assert claim_family_check(valuation, bids, family) == _plain_family_scan(
             valuation, bids, family
         )

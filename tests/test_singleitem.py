@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from robustgames import singleitem
 from robustgames.concepts import (
     leximin_actions,
     loss_averse_actions,
@@ -120,3 +121,13 @@ def test_all_pay_only_zero_is_loss_averse():
     # Sunk bid: losing at a positive bid goes negative.
     assert game.utility("1/2", "3/4") == F(-1, 2)
     assert game.utility("1/2", "1/4") == F(1, 2)
+
+
+def test_auction_builders_count_the_cells_they_build(monkeypatch):
+    counted = []
+    monkeypatch.setattr(singleitem, "check_game_cells", lambda *shape: counted.append(shape))
+    for value, epsilon in ((1, "1/4"), ("7/10", "1/3"), (0, "1/2")):
+        game = dfpa_game(default_dfpa_spec(Fraction(value), Fraction(epsilon)))
+        assert counted.pop() == ("dfpa", len(game.actions), len(game.states))
+    game = all_pay_game(Fraction(1), Fraction(1, 4), Fraction(5, 2))
+    assert counted.pop() == ("all-pay", len(game.actions), len(game.states))

@@ -336,15 +336,22 @@ def test_worked_instances_rerun_from_their_profiles():
 def test_exact_bidding_family_fallback_follows_the_family_standing(monkeypatch):
     # No bundle is valued below v by every Sybil, and the best single
     # Sybil is not dominated on the family, so only the family scan is left.
+    # The fallback reads the utilities the case-2 scan computed: it builds
+    # the check from them and never scans the family a second time.
     valuation = _val(0, 0, 1, 2)
     attack = [_bid(0, 0, 0, 2), _bid(0, 0, 1, 0)]
     family = nature_state_family(2, (F(0), F(1), F(2)))
+
+    def rescan(*args, **kw):
+        raise AssertionError("the family was scanned twice")
+
+    monkeypatch.setattr(vcg, "claim_family_check", rescan)
     for check, standing in (
         (FamilyCheck(len(family), 2, F(1), F(1), None, None), "dominated"),
         (FamilyCheck(len(family), 2, F(0), F(1), None, None), None),
     ):
         assert check.standing == standing
-        monkeypatch.setattr(vcg, "claim_family_check", lambda *args, check=check, **kw: check)
+        monkeypatch.setattr(vcg, "_family_check", lambda *args, check=check: check)
         if standing:
             certificate = truth_loss_averse_witnesses(valuation, attack, family)
             assert (certificate.mode, certificate.family_size) == ("family", len(family))
