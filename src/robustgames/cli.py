@@ -174,7 +174,13 @@ def parse_scenario(path: str) -> Scenario:
     missing = required - set(fields)
     if missing:
         raise ParseError(f"{path}: kind {kind!r} is missing field(s) {', '.join(sorted(missing))}")
-    return Scenario(kind, fields, os.path.dirname(os.path.abspath(path)))
+    scenario = Scenario(kind, fields, os.path.dirname(os.path.abspath(path)))
+    # The common fields are checked here, so every command refuses a bad one.
+    _parse_concepts(scenario.optional("concepts"))
+    fmt = scenario.optional("format")
+    if fmt not in (None, "structured", "csv", "table"):
+        raise ValidationError(f"unknown format {fmt!r}")
+    return scenario
 
 
 def _scenario_game(scenario: Scenario) -> AgentGame:
@@ -304,8 +310,6 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
         if raw is not None:
             chosen = _parse_concepts(raw)
         fmt = scenario.optional("format", fmt)
-        if fmt not in ("structured", "csv", "table"):
-            raise ValidationError(f"unknown format {fmt!r}")
         if scenario.kind == "fpa-witness":
             return _fpa_witness_text(
                 parse_scalar(scenario.single("value")),

@@ -10,8 +10,8 @@ Welfare *values* come from one max-plus subset DP over bundle masks,
 O(n·3^m) for n bids and m items (Rothkopf, Pekeč & Harstad, Mgmt. Sci.
 1998): joining the bids one at a time gives the best partition value of
 every bundle at once.  Attack classification reads all 2^m bundles from
-one such table, and the Clarke payments read every leave-one-out welfare
-from shared prefix and suffix tables.  The winning *assignment* is found
+one such table, and each Clarke payment reads the others' optimum from
+the table of every other bid.  The winning *assignment* is found
 once per mechanism run by an exhaustive search with a documented total
 tie-break order, so every result is deterministic and exactly optimal.
 One scan loop (``_scan``) holds that rule.  It reads entries in one
@@ -36,9 +36,9 @@ compares, bundle by bundle, the best internal partition value of the
 Sybil bids against the true valuation, and lists every bundle the attack
 over- or underbids; one refutation loop then builds the nature states
 that refute overbidding and underbidding attacks, checking its own
-postconditions against the mechanism's outcomes.  ``utility_against``
-and ``run_vcg`` run the integer mechanism core; they are the reference
-route the scans are tested against.
+postconditions against the mechanism's outcomes.  ``run_vcg`` is the one
+full mechanism run, and ``utility_against`` reads the attacker's utility
+from it; they are the reference route the scans are tested against.
 
 Each scan of attack against nature scales once: the family check and
 the exact-bidding certificates put the valuation, the bids and every
@@ -250,16 +250,12 @@ def _splits(item_count: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(out)
 
 
-def _join(best: Sequence[int], table: Sequence[int], item_count: int) -> list[int]:
-    """Max-plus convolution: every mask's best value once one more bid joins."""
-    return [max([best[rest] + table[sub] for sub, rest in pairs]) for pairs in _splits(item_count)]
-
-
 def _partition_table(tables: Sequence[Sequence[int]], item_count: int) -> Sequence[int]:
-    """Best value of each mask over partitions of it among the bids, one part each."""
+    """Best value of each mask over partitions of it among the bids, one part
+    each: the bids join one at a time, each by a max-plus convolution."""
     best = tables[0]
     for table in tables[1:]:
-        best = _join(best, table, item_count)
+        best = [max([best[rest] + table[sub] for sub, rest in p]) for p in _splits(item_count)]
     return best
 
 
@@ -395,33 +391,20 @@ def _payments(
 ) -> list[int]:
     """Each bid's payment on the scaled tables.
 
-    Clarke: the others' optimum without the bid, less their value in the
-    chosen outcome.  Every leave-one-out optimum combines the partition
-    table of the bids before it with that of the bids after it.  Literal:
-    the welfare less the optimum of all bids on the items the bid did not
-    win.
+    Clarke: the others' optimum without the bid (0 for a lone bid), less
+    their value in the chosen outcome, the welfare less the bid's own.
+    Literal: the welfare less the optimum of all bids on the items the bid
+    did not win.
     """
     every = full_mask(item_count)
     if rule is PaymentRule.PAPER_LITERAL:
         everyone = _partition_table(tables, item_count)
         return [welfare - everyone[every & ~bundle] for bundle in bundles]
-    n = len(tables)
-    before: list[Sequence[int] | None] = [None]
-    for table in tables[:-1]:
-        before.append(table if before[-1] is None else _join(before[-1], table, item_count))
-    out = [0] * n
-    after: Sequence[int] | None = None
-    for j in reversed(range(n)):
-        prefix = before[j]
-        if prefix is None:
-            without = 0 if after is None else after[every]
-        elif after is None:
-            without = prefix[every]
-        else:
-            without = max([prefix[rest] + after[sub] for sub, rest in _splits(item_count)[every]])
-        out[j] = without - (welfare - tables[j][bundles[j]])
-        if j:
-            after = tables[j] if after is None else _join(after, tables[j], item_count)
+    out = []
+    for j, (table, bundle) in enumerate(zip(tables, bundles)):
+        others = [*tables[:j], *tables[j + 1:]]
+        without = _partition_table(others, item_count)[every] if others else 0
+        out.append(without - (welfare - table[bundle]))
     return out
 
 
@@ -451,17 +434,6 @@ def bid_grid_step(epsilon: Fraction, item_count: int) -> Fraction:
     return epsilon / (2 * math.factorial(item_count))
 
 
-def _mechanism(
-    tables: Sequence[Sequence[int]], item_count: int, rule: PaymentRule
-) -> tuple[int, tuple[int, ...], list[int]]:
-    """The mechanism on scaled bid tables: welfare, bundles, payments."""
-    welfare, bundles, _ = _tie_broken_assignment(tables, tuple(range(item_count)))
-    observed = sum([table[bundle] for table, bundle in zip(tables, bundles)])
-    if observed != welfare:
-        raise InternalConsistencyError("observed welfare does not match the search value")
-    return observed, bundles, _payments(tables, item_count, observed, bundles, rule)
-
-
 def run_vcg(
     profiles: Sequence[SybilProfile],
     item_count: int,
@@ -472,7 +444,8 @@ def run_vcg(
 
     The bids and the valuations are scaled once, onto one denominator;
     the items go to the bids by the tie-broken search that
-    ``winner_determination`` documents.  When ``epsilon`` is given,
+    ``winner_determination`` documents, and the bids' total value in the
+    outcome is checked against its welfare.  When ``epsilon`` is given,
     valuations are checked against its grid and bids against the finer
     bid grid.
     """
@@ -496,7 +469,10 @@ def run_vcg(
     owners = [i for i, p in enumerate(profiles) for _ in p.bids]
     scale, tables = _scaled(flat + [p.valuation for p in profiles])
     tables, values = tables[: len(flat)], tables[len(flat):]
-    observed, bundles, payments = _mechanism(tables, item_count, payment_rule)
+    welfare, bundles, _ = _tie_broken_assignment(tables, tuple(range(item_count)))
+    if sum([table[bundle] for table, bundle in zip(tables, bundles)]) != welfare:
+        raise InternalConsistencyError("observed welfare does not match the search value")
+    payments = _payments(tables, item_count, welfare, bundles, payment_rule)
     agent_bundles = [0] * len(profiles)
     paid = [0] * len(profiles)
     for j, owner in enumerate(owners):
@@ -508,7 +484,7 @@ def run_vcg(
         payment_rule=payment_rule,
         bundles=bundles,
         payments=tuple([Fraction(p, scale) for p in payments]),
-        observed_welfare=Fraction(observed, scale),
+        observed_welfare=Fraction(welfare, scale),
         real_welfare=Fraction(real, scale),
         agent_bundles=tuple(agent_bundles),
         agent_utilities=tuple(
@@ -528,16 +504,12 @@ def utility_against(
     """The attacking agent's Clarke utility when facing the given nature bids.
 
     Nature bids are modeled as one extra agent per bid whose valuation
-    equals its bid, so this is ``run_vcg``'s ``agent_utilities[0]``, read
-    from one run of the mechanism core: the value of the union of the
-    attacker's bundles less the sum of its payments.
+    equals its bid, so this is ``run_vcg``'s ``agent_utilities[0]``: the
+    value of the union of the attacker's bundles less the sum of its
+    payments.
     """
-    _check_bids(valuation.item_count, bids, nature)
-    k = len(bids)
-    scale, (value, *tables) = _scaled([valuation, *bids, *nature])
-    _, bundles, payments = _mechanism(tables, valuation.item_count, PaymentRule.CLARKE_PIVOT)
-    # The bundles are disjoint, so their sum is their union.
-    return Fraction(value[sum(bundles[:k])] - sum(payments[:k]), scale)
+    profiles = [SybilProfile(valuation, tuple(bids)), *map(SybilProfile.truthful, nature)]
+    return run_vcg(profiles, valuation.item_count).agent_utilities[0]
 
 
 def _truth_utility(value: Sequence[int], nature: Sequence[int], item_count: int) -> int:
@@ -1144,8 +1116,7 @@ def build_split_pair_instance(epsilon: Fraction) -> WorkedInstance:
     with the exact outcomes is listed as a discrepancy.
     """
     eps = scalar(epsilon)
-    if eps <= 0:
-        raise ValidationError(f"grid step must be positive, got {eps}")
+    bid_grid_step(eps, 4)  # refuses a step that is not positive
     val_a = additive_valuation([Fraction(0), Fraction(0), 3 * eps, 3 * eps])
     nine = Fraction(9)
     val_b = xos_to_valuation(
@@ -1200,8 +1171,7 @@ def build_singleton_split_instance(epsilon: Fraction) -> WorkedInstance:
     the attack earns twice what truth earns.
     """
     eps = scalar(epsilon)
-    if eps <= 0:
-        raise ValidationError(f"grid step must be positive, got {eps}")
+    bid_grid_step(eps, 3)  # refuses a step that is not positive
     one = Fraction(1)
     values = {
         0: Fraction(0),
@@ -1236,41 +1206,39 @@ def build_singleton_split_instance(epsilon: Fraction) -> WorkedInstance:
     )
 
 
+def _grid_tables(
+    item_count: int, step: Fraction, value_cap: Fraction
+) -> tuple[int, int, Iterator[BundleTable]]:
+    """The step grid's level count up to the cap, the non-empty bundle
+    count, and every table on the grid in ascending order, built lazily."""
+    step = scalar(step)
+    levels = [step * k for k in range(int(scalar(value_cap) / step) + 1)]
+    slots = (1 << item_count) - 1
+    tables = (
+        BundleTable(item_count, (Fraction(0), *combo))
+        for combo in itertools.product(levels, repeat=slots)
+    )
+    return len(levels), slots, tables
+
+
 def enumerate_valuations(
     item_count: int, epsilon: Fraction, value_cap: Fraction
 ) -> Iterator[CombValuation]:
     """All valuations on the epsilon grid up to the cap, ascending order."""
-    epsilon = scalar(epsilon)
-    cap = scalar(value_cap)
-    levels = [epsilon * k for k in range(int(cap / epsilon) + 1)]
-    slots = (1 << item_count) - 1
-    if len(levels) ** slots > SEARCH_BUDGET:
-        raise CapacityError(f"valuation lattice {len(levels)}^{slots} exceeds the budget")
-    for combo in itertools.product(levels, repeat=slots):
-        yield CombValuation(item_count, (Fraction(0),) + combo)
+    levels, slots, tables = _grid_tables(item_count, epsilon, value_cap)
+    if levels**slots > SEARCH_BUDGET:
+        raise CapacityError(f"valuation lattice {levels}^{slots} exceeds the budget")
+    yield from tables
 
 
 def enumerate_attacks(
-    item_count: int,
-    step: Fraction,
-    value_cap: Fraction,
-    max_sybils: int,
+    item_count: int, step: Fraction, value_cap: Fraction, max_sybils: int
 ) -> Iterator[tuple[CombBid, ...]]:
     """All bid vectors (up to Sybil reordering) on the given grid and cap."""
-    step = scalar(step)
-    cap = scalar(value_cap)
-    levels = [step * k for k in range(int(cap / step) + 1)]
-    slots = (1 << item_count) - 1
-    single_count = len(levels) ** slots
-    total = sum(
-        math.comb(single_count + k - 1, k) for k in range(1, max_sybils + 1)
-    )
+    levels, slots, tables = _grid_tables(item_count, step, value_cap)
+    total = sum(math.comb(levels**slots + k - 1, k) for k in range(1, max_sybils + 1))
     if total > SEARCH_BUDGET:
         raise CapacityError(f"attack lattice of {total} vectors exceeds the budget")
-    singles = [
-        CombBid(item_count, (Fraction(0),) + combo)
-        for combo in itertools.product(levels, repeat=slots)
-    ]
+    singles = list(tables)
     for count in range(1, max_sybils + 1):
-        for combo in itertools.combinations_with_replacement(range(len(singles)), count):
-            yield tuple(singles[i] for i in combo)
+        yield from itertools.combinations_with_replacement(singles, count)

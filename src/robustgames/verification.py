@@ -614,13 +614,9 @@ def check_oracle_equivalence(budget: str, seed: int) -> str:
     for item_count in (1, 2):
         nature = vcg.nature_state_family(item_count, (Fraction(0), Fraction(1), Fraction(2)))
         for bids in vcg.enumerate_attacks(item_count, Fraction(1), 2, 2):
-            for extra in (None, nature[len(nature) // 2]):
-                tables = [b.values for b in bids]
-                if extra is not None:
-                    tables.append(extra.values)
-                welfare, _ = vcg.winner_determination(
-                    [vcg.CombBid(item_count, tuple(t)) for t in tables], item_count
-                )
+            for states in ((), (nature[len(nature) // 2],)):
+                welfare, _ = vcg.winner_determination([*bids, *states], item_count)
+                tables = [b.values for b in (*bids, *states)]
                 naive_welfare, _ = oracle.naive_winner_determination(tables, item_count)
                 if welfare != naive_welfare:
                     return _Failure(

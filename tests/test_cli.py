@@ -296,6 +296,29 @@ def _case(name, scenario, *args, code):
             for name, step in (("zero", "0"), ("negative", "-1"))
             for command in ("run", "classify", "adversary")
         ],
+        # Every command that reads a scenario refuses a bad common field.
+        *[
+            _case(
+                f"scenario-unknown-{field}-on-{kind}-{'-'.join(args)}",
+                f"{body}{field}: {value}\n",
+                *args, "--scenario", "{scn}",
+                code=3,
+            )
+            for field, value in (("concepts", "no-such-concept"), ("format", "nonsense"))
+            for kind, body, commands in (
+                (
+                    "vcg-attack",
+                    "kind: vcg-attack\nitems: 2\nvaluation: 0 1 1 2\nbid: 0 1 1 2\n",
+                    (("vcg", "run"), ("vcg", "classify"), ("vcg", "adversary"), ("analyze",)),
+                ),
+                (
+                    "curated",
+                    "kind: curated\nname: minmaxreg-safety\n",
+                    (("export",), ("analyze",)),
+                ),
+            )
+            for args in commands
+        ],
         # Grids above the cell budget are refused before they are built.
         _case(
             "dfpa-grid-above-the-cell-budget", None,

@@ -1,7 +1,9 @@
 """Brute-force oracle agreement with the engine implementations."""
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -320,15 +322,6 @@ def _attacks(draw):
     return valuation, bids, nature
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_attacks())
-def test_utility_against_matches_the_full_mechanism_run(case):
-    valuation, bids, nature = case
-    profiles = [SybilProfile(valuation, bids), *map(SybilProfile.truthful, nature)]
-    outcome = run_vcg(profiles, valuation.item_count)
-    assert utility_against(valuation, bids, nature) == outcome.agent_utilities[0]
-
-
 def _naive_clarke_utility(valuation, bids, nature):
     """The attacker's Clarke utility from the oracle's searches alone."""
     m, k = valuation.item_count, len(bids)
@@ -532,3 +525,29 @@ def test_winner_determination_on_both_sides_of_the_precomputed_order_bound(item_
         assert F(value, scale) == naive_value
         assert choice == naive_assignment[: item_count // 2]
         assert bundles == _bundles(naive_assignment, 3)
+
+
+def _package_imports(path):
+    """The package modules a source file imports, by their short names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["robustgames" if node.level else "", node.module]))
+            dotted = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        names.update(d.split(".")[1] for d in dotted if d.startswith("robustgames."))
+    return names
+
+
+def test_oracle_is_an_independent_second_route():
+    """The oracle shares only the core data types and the errors with the
+    engine, and no engine module but the verification battery reads it."""
+    package = Path(oracle.__file__).parent
+    assert _package_imports(package / "oracle.py") <= {"core", "errors"}
+    readers = {
+        path.name for path in package.glob("*.py") if "oracle" in _package_imports(path)
+    }
+    assert readers == {"verification.py"}

@@ -290,6 +290,18 @@ def test_utility_against_measures_true_value_minus_pivot():
     assert utility_against(valuation, truth, [additive_bid([F(1), F(1)])]) == 0
 
 
+def test_utility_against_refuses_a_missing_bid_and_mixed_item_counts():
+    valuation = _val(0, 1, 1, 2)
+    nature = [additive_bid([F(1), F(1)])]
+    three_items = additive_bid([F(1), F(1), F(1)])
+    with pytest.raises(ValidationError):
+        utility_against(valuation, (), nature)
+    with pytest.raises(ValidationError):
+        utility_against(valuation, (valuation, three_items), nature)
+    with pytest.raises(ValidationError):
+        utility_against(valuation, (valuation,), [*nature, three_items])
+
+
 def test_split_pair_regression_constants():
     for epsilon in (F(1, 10), F(1, 100)):
         report = build_split_pair_instance(epsilon)
@@ -391,3 +403,8 @@ def test_enumeration_budget_guard():
         list(enumerate_valuations(4, F(1, 100), F(2)))
     assert sum(1 for _ in enumerate_valuations(1, F(1), F(2))) == 3
     assert sum(1 for _ in enumerate_attacks(1, F(1), F(2), 2)) == 9
+    # Over budget on the single bids alone, and on the pairs only.
+    with pytest.raises(CapacityError, match="attack lattice of 14348907 vectors"):
+        next(enumerate_attacks(4, F(1), F(2), 1))
+    with pytest.raises(CapacityError, match="attack lattice of 12076154 vectors"):
+        next(enumerate_attacks(2, F(1, 8), F(2), 2))
