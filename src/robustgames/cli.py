@@ -13,6 +13,7 @@ carries the witness).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -732,7 +733,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{message}\n{self.format_usage().rstrip()}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and then reused:
+    each ``parse_args`` call starts from a fresh namespace."""
     parser = _Parser(
         prog="robustgames",
         description="Exact solvers for robust solution concepts and mechanism testbeds.",

@@ -79,22 +79,25 @@ class ConceptVerdict:
     refutations: tuple[Refutation, ...]
 
 
-def _argmin(row: Sequence, indices: Sequence[int]) -> int:
-    """The first of ``indices`` at which ``row`` is smallest."""
-    return min(indices, key=row.__getitem__)
+def _state_order(row: Sequence) -> list[int]:
+    """The state indices sorted by ``row``'s value, ties to the lower index."""
+    return sorted(range(len(row)), key=row.__getitem__)
 
 
-def _loss_averse_refutation(ra: Sequence, rb: Sequence) -> tuple[int, int] | None:
+def _loss_averse_refutation(
+    ra: Sequence, rb: Sequence, order_a: Sequence[int], order_b: Sequence[int]
+) -> tuple[int, int] | None:
     """Where row ``ra`` fails loss aversion against row ``rb``, or None.
 
     Over the states where the rows differ, the worst value of ``ra`` must
     be at least that of ``rb``; identical rows never refute each other.
-    A failure is given by the first states attaining the two worst values.
+    A failure is given by the first states attaining the two worst values:
+    the first state in each row's ``_state_order`` where the rows differ.
     """
-    diff = [j for j in range(len(ra)) if ra[j] != rb[j]]
-    if not diff:
+    ja = next((j for j in order_a if ra[j] != rb[j]), None)
+    if ja is None:
         return None
-    ja, jb = _argmin(ra, diff), _argmin(rb, diff)
+    jb = next(j for j in order_b if ra[j] != rb[j])
     return (ja, jb) if ra[ja] < rb[jb] else None
 
 
@@ -124,32 +127,45 @@ class _Inequality:
         return Refutation(self.actions[i], competitor, labels, self_value, other_value)
 
 
-class _LossAverse(_Inequality):
+class _ByStateOrder(_Inequality):
+    """An inequality that reads each row in its ``_state_order``, built the
+    first time a pair reads that row."""
+
+    def __init__(self, game: AgentGame):
+        super().__init__(game)
+        self.orders: list[list[int] | None] = [None] * len(self.rows)
+
+    def order(self, i: int) -> list[int]:
+        if self.orders[i] is None:
+            self.orders[i] = _state_order(self.rows[i])
+        return self.orders[i]
+
+
+class _LossAverse(_ByStateOrder):
     """Loss aversion between the two actions' rows."""
 
     def pair(self, i, k):
-        found = _loss_averse_refutation(self.rows[i], self.rows[k])
+        found = _loss_averse_refutation(self.rows[i], self.rows[k], self.order(i), self.order(k))
         if found is None:
             return None
         ja, jb = found
         return self.refutation(i, k, found, self.values[i][ja], self.values[k][jb])
 
 
-class _LossAverseStar(_Inequality):
+class _LossAverseStar(_ByStateOrder):
     """The action's worst utility over the states where it is strictly worse
     is at least the rival's over the states where *that* one is (``INF``
-    over no states)."""
+    over no states).  Each worst state is the first state in that row's
+    order where it is the strictly worse one."""
 
     def pair(self, i, k):
         ra, rb = self.rows[i], self.rows[k]
-        down_a = [j for j in range(len(ra)) if ra[j] < rb[j]]
-        if not down_a:
+        ja = next((j for j in self.order(i) if ra[j] < rb[j]), None)
+        if ja is None:
             return None
-        ja = _argmin(ra, down_a)
-        down_b = [j for j in range(len(ra)) if rb[j] < ra[j]]
-        if not down_b:
+        jb = next((j for j in self.order(k) if rb[j] < ra[j]), None)
+        if jb is None:
             return self.refutation(i, k, (ja,), self.values[i][ja], INF)
-        jb = _argmin(rb, down_b)
         if ra[ja] >= rb[jb]:
             return None
         return self.refutation(i, k, (ja, jb), self.values[i][ja], self.values[k][jb])
@@ -477,11 +493,16 @@ def mixed_loss_averse_falsify(
     empty difference set and are vacuously survived.
     """
     cand_scale, cand_u = _scaled_utilities(game, candidate)
+    cand_order = _state_order(cand_u)
     for dev in deviations:
         dev_scale, dev_u = _scaled_utilities(game, dev)
-        # Both vectors over the product of their denominators.
+        # Both vectors over the product of their denominators; scaling by a
+        # positive constant keeps each one's state order.
         found = _loss_averse_refutation(
-            [u * dev_scale for u in cand_u], [u * cand_scale for u in dev_u]
+            [u * dev_scale for u in cand_u],
+            [u * cand_scale for u in dev_u],
+            cand_order,
+            _state_order(dev_u),
         )
         if found is not None:
             jc, jd = found

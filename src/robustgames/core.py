@@ -36,15 +36,16 @@ from .errors import CapacityError, ParseError, UnknownLabelError, ValidationErro
 _SCALAR_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 _LABEL_RE = re.compile(r"^\S+$")
 
-# The most cells (actions x states) a builder lays out on its grid: about
-# 80 MB of ``Fraction``s and 3 s to build.  The largest grid game the
-# tests, the examples, ``verify-all`` and the benchmarks build is an
-# auction at step 1/200 with 201 x 204 cells.
+# The most cells (actions x states) a builder lays out on its grid, or a
+# game document may declare: about 80 MB of ``Fraction``s and 3 s to
+# build.  The largest grid game the tests, the examples, ``verify-all``
+# and the benchmarks build is an auction at step 1/200 with 201 x 204
+# cells.
 MAX_GAME_CELLS = 10**6
 
 
 def check_game_cells(kind: str, actions: int, states: int) -> None:
-    """Refuse a grid game above ``MAX_GAME_CELLS`` cells before it is built."""
+    """Refuse a game above ``MAX_GAME_CELLS`` cells before it is built or read."""
     if actions * states > MAX_GAME_CELLS:
         raise CapacityError(
             f"{kind} game of {actions} x {states} cells exceeds the budget of {MAX_GAME_CELLS}"
@@ -311,10 +312,22 @@ def _expect_prefix(line: str, prefix: str, lineno: int) -> list[str]:
     return parts[1:]
 
 
+class _Literals(dict):
+    """Each rational literal of one document, parsed the first time it is read."""
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = parse_scalar(text)
+        return value
+
+
 def parse_game(text: str) -> AgentGame:
-    """Parse the canonical text document back into a game."""
+    """Parse the canonical text document back into a game.
+
+    A document whose header declares more than ``MAX_GAME_CELLS`` cells is
+    refused before its rows are read.
+    """
     lines = text.splitlines()
-    if len(lines) < 7:
+    if len(lines) < 5:
         raise ParseError("game document is truncated")
     if lines[0] != "agentgame v1":
         raise ParseError(f"unsupported header {lines[0]!r}")
@@ -323,15 +336,17 @@ def parse_game(text: str) -> AgentGame:
         raise ParseError("type line must hold exactly one label")
     actions = _expect_prefix(lines[2], "actions", 3)
     states = _expect_prefix(lines[3], "states", 4)
+    check_game_cells("game document", len(actions), len(states))
     if lines[4] != "utilities":
         raise ParseError(f"line 5: expected 'utilities', got {lines[4]!r}")
     body = lines[5:]
     if len(body) != len(actions) + 1 or body[-1] != "end":
         raise ParseError("utilities block must hold one row per action followed by 'end'")
+    literals = _Literals()
     rows = []
     for i, line in enumerate(body[:-1]):
         values = line.split(" ")
         if len(values) != len(states):
             raise ParseError(f"utility row {i + 1} has {len(values)} entries for {len(states)} states")
-        rows.append(tuple(parse_scalar(v) for v in values))
+        rows.append(tuple([literals[v] for v in values]))
     return AgentGame(type_parts[0], tuple(actions), tuple(states), tuple(rows))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from robustgames import mechanisms, singleitem, vcg
-from robustgames.cli import main
+from robustgames.cli import build_parser, main
 from robustgames.core import AgentGame, format_game, parse_game
 from robustgames.instances import curated_game
 
@@ -335,6 +335,18 @@ def _case(name, scenario, *args, code):
             "facility", "--agents", "3", "--type", "1/2", "--grid-step", "1/100000000",
             code=4,
         ),
+        # A game document is refused on its header, before any row is read.
+        _case(
+            "game-document-above-the-cell-budget",
+            (
+                "agentgame v1\ntype big\n"
+                + "actions " + " ".join(f"a{i}" for i in range(1001)) + "\n"
+                + "states " + " ".join(f"s{j}" for j in range(1000)) + "\n"
+                + "utilities\nend\n"
+            ).encode(),
+            "analyze", "--game", "{scn}",
+            code=4,
+        ),
         _case(
             "negative-decimal", None,
             "auction", "dfpa", "--value", "1", "--epsilon", "1/2", "--decimal", "-1",
@@ -355,6 +367,40 @@ def test_input_errors_exit_with_their_code(tmp_path, capsys, scenario, args, exp
     code, out, err = run(capsys, *(a.format(tmp=tmp_path, scn=path) for a in args))
     assert (code, out) == (expected, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        pytest.param(
+            ("analyze", "--curated", "aim-big", "--format", "csv"),
+            ("analyze", "--curated", "aim-big"),
+            id="csv-then-structured",
+        ),
+        pytest.param(
+            ("vcg", "run", "--curated", "example-e1", "--seed", "5"),
+            ("vcg", "run", "--curated", "example-e1"),
+            id="seed-then-default-seed",
+        ),
+        pytest.param(
+            ("analyze", "--no-such-flag"),
+            ("export", "--curated", "aim-big"),
+            id="usage-error-then-valid",
+        ),
+    ],
+)
+def test_the_reused_parser_leaks_nothing_between_calls(capsys, before, after):
+    """``main`` reuses one parser per process: a call after another prints
+    the same stdout and exit code as the same call made first."""
+    build_parser.cache_clear()
+    first = run(capsys, *after)
+    build_parser.cache_clear()
+    for args in (before, after, before, after):
+        code, out, _ = run(capsys, *args)
+    assert (code, out) == first[:2]
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(["vcg", "run"]).seed == 0
+    assert build_parser().parse_args(["analyze"]).format == "structured"
 
 
 def test_scenario_curated_and_voting_kinds(tmp_path, capsys):

@@ -12,14 +12,17 @@ from hypothesis import strategies as st
 from robustgames import concepts, instances, oracle
 from robustgames.concepts import (
     Concept,
+    FalsifyVerdict,
+    Refutation,
     concept_verdict,
     hierarchy_report,
     leximin_actions,
     loss_averse_actions,
+    mixed_loss_averse_falsify,
     multi_leximin_actions,
     verify_refutation,
 )
-from robustgames.core import AgentGame, mixed_utility
+from robustgames.core import INF, AgentGame, MixedAction, mixed_utility
 from robustgames.errors import CapacityError
 from robustgames.oracle import (
     naive_leximin,
@@ -189,6 +192,88 @@ def _assert_matches_the_oracle(game):
         assert set(members) == sets[concept]
     for src, dst in report.arrows:
         assert sets[src] <= sets[dst]
+
+
+def _first_argmin(row, indices):
+    low = min(row[j] for j in indices)
+    return next(j for j in indices if row[j] == low)
+
+
+def _naive_loss_averse_witness(game, concept, i, k):
+    """The refutation of action ``i`` by rival ``k`` under LA or LA*, from
+    the literal definition: the first states attaining the minima over the
+    difference set (LA) or over the two down-sets (LA*), or None."""
+    ra, rb = game.rows[i], game.rows[k]
+    states = range(len(game.states))
+    if concept is Concept.LOSS_AVERSE:
+        own = other = [j for j in states if ra[j] != rb[j]]
+    else:
+        own = [j for j in states if ra[j] < rb[j]]
+        other = [j for j in states if rb[j] < ra[j]]
+    if not own:
+        return None
+    ja = _first_argmin(ra, own)
+    if not other:
+        return Refutation(game.actions[i], game.actions[k], (game.states[ja],), ra[ja], INF)
+    jb = _first_argmin(rb, other)
+    if ra[ja] >= rb[jb]:
+        return None
+    labels = (game.states[ja], game.states[jb])
+    return Refutation(game.actions[i], game.actions[k], labels, ra[ja], rb[jb])
+
+
+def _assert_loss_averse_witnesses_are_literal(game):
+    """Each LA and LA* refutation is the literal one by the first rival in
+    table order that refutes, and the mixed falsifier finds the same LA
+    witness between pure actions."""
+    for concept in (Concept.LOSS_AVERSE, Concept.LOSS_AVERSE_STAR):
+        expected = []
+        for i in range(len(game.actions)):
+            rivals = (k for k in range(len(game.actions)) if k != i)
+            found = (_naive_loss_averse_witness(game, concept, i, k) for k in rivals)
+            if (ref := next((ref for ref in found if ref), None)) is not None:
+                expected.append(ref)
+        assert concept_verdict(game, concept).refutations == tuple(expected)
+    for i, a in enumerate(game.actions):
+        for k, b in enumerate(game.actions):
+            ref = _naive_loss_averse_witness(game, Concept.LOSS_AVERSE, i, k)
+            result = mixed_loss_averse_falsify(game, MixedAction.pure(a), [MixedAction.pure(b)])
+            found = (result.candidate_state, result.deviation_state)
+            assert (result.verdict is FalsifyVerdict.FALSIFIED) is (ref is not None)
+            assert ref is None or found == ref.states
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_small_games())
+def test_loss_averse_witnesses_match_the_definition(game):
+    _assert_loss_averse_witnesses_are_literal(game)
+
+
+@st.composite
+def _wide_games(draw, n_actions=3, n_states=40):
+    """Rows that agree on their lowest states: every row holds the same
+    values on a shared block of at least 30 states, below or tied with
+    the rest, so the first state where two rows differ lies deep in each
+    row's state order."""
+    shared = draw(st.integers(30, n_states - 1))
+    positions = draw(st.permutations(range(n_states)))
+    low = draw(st.lists(st.integers(-3, -1), min_size=shared, max_size=shared))
+    rest = st.lists(st.integers(-1, 2), min_size=n_states - shared, max_size=n_states - shared)
+    rows = []
+    for _ in range(n_actions):
+        row = [F(0)] * n_states
+        for p, v in zip(positions, low + draw(rest)):
+            row[p] = F(v)
+        rows.append(tuple(row))
+    actions = tuple(f"a{i}" for i in range(n_actions))
+    states = tuple(f"s{j}" for j in range(n_states))
+    return AgentGame("wide", actions, states, tuple(rows))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_wide_games())
+def test_loss_averse_witnesses_on_rows_that_agree_on_their_lowest_states(game):
+    _assert_loss_averse_witnesses_are_literal(game)
 
 
 def test_winner_determination_matches_naive_welfare():
