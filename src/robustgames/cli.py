@@ -568,38 +568,24 @@ def _adversary_lines(
     epsilon: Fraction | None,
     items: tuple[str, ...],
 ) -> list[str]:
-    kind = classification.kind
-    if kind is vcg.AttackKind.EXACT_BIDDING:
-        family = vcg.nature_state_family(
-            valuation.item_count, (Fraction(0), Fraction(1), Fraction(2))
-        )
-        certificate = vcg.truth_loss_averse_witnesses(valuation, bids, family)
-        lines = [f"certificate {certificate.mode}"]
-        if certificate.adversary is not None:
-            lines.append(
-                "adversary " + " ".join(format_scalar(v) for v in certificate.adversary.values)
-            )
-            lines.append(f"attack-utility {format_scalar(certificate.attack_utility)}")
-            lines.append(f"truth-utility {format_scalar(certificate.truth_utility)}")
-        return lines
-    if kind is vcg.AttackKind.OVERBIDDING:
-        report = vcg.overbidding_adversary(valuation, bids, epsilon=epsilon)
+    # Truth's certificate scans whole levels, the adversaries' family half steps too.
+    exact = classification.kind is vcg.AttackKind.EXACT_BIDDING
+    levels = (0, 1, 2) if exact else (0, Fraction(1, 2), 1, Fraction(3, 2), 2)
+    family = vcg.nature_state_family(valuation.item_count, levels)
+    _, found, check = vcg.certify_attack(valuation, bids, family, epsilon)
+    if exact:
+        lines = [f"certificate {found.mode}"]
     else:
-        report = vcg.underbidding_adversary(valuation, bids, epsilon=epsilon)
-    lines = [f"adversary-refuted {'yes' if report.refuted else 'no'}"]
-    if report.refuted:
-        lines.append(f"adversary-form {report.form}")
-        lines.append(f"adversary-witness {vcg.bundle_label(report.witness_mask, items)}")
-        lines.append(
-            "adversary " + " ".join(format_scalar(v) for v in report.adversary.values)
-        )
-        lines.append(f"attack-utility {format_scalar(report.attack_utility)}")
-        lines.append(f"truth-utility {format_scalar(report.truth_utility)}")
-    else:
-        family = vcg.nature_state_family(
-            valuation.item_count, (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
-        )
-        check = vcg.claim_family_check(valuation, bids, family, extra=report.tried)
+        lines = [f"adversary-refuted {'yes' if found.refuted else 'no'}"]
+        if found.refuted:
+            lines.append(f"adversary-form {found.form}")
+            lines.append(f"adversary-witness {vcg.bundle_label(found.witness_mask, items)}")
+    # A case-1 certificate and a refuting report both carry their nature bid.
+    if found.adversary is not None:
+        lines.append("adversary " + " ".join(format_scalar(v) for v in found.adversary.values))
+        lines.append(f"attack-utility {format_scalar(found.attack_utility)}")
+        lines.append(f"truth-utility {format_scalar(found.truth_utility)}")
+    elif check is not None:
         lines.append(f"family-size {check.family_size}")
         lines.append(f"difference-states {check.difference_states}")
         if check.standing == "equivalent":

@@ -40,21 +40,22 @@ postconditions against the mechanism's outcomes.  ``run_vcg`` is the one
 full mechanism run, and ``utility_against`` reads the attacker's utility
 from it; they are the reference route the scans are tested against.
 
-Each scan of attack against nature scales once: the family check and
-the exact-bidding certificates put the valuation, the bids and every
-state they scan on one denominator, and the refutation loop puts the
-valuation and the bids on one scale on which every adversary candidate
-(the grid step, the snapped midpoint, the equal per-item shares) is an
-integer.  ``Fraction``s and validated bid tables are built only for what
-a report carries.  Truth needs no mechanism run: by Clarke's pivot rule
-(Public Choice, 1971) a truthful bidder's utility is the optimal welfare
-of all bids less the others' optimum, whichever optimal allocation the
-tie-break picks (``_truth_utility``).  Only the false-name side (Yokoo,
-Sakurai & Matsubara, GEB 2004) needs the tie-broken search, and its
-side of every run is built once per scan (``_attack_runs``): the scan
-entries with the Sybil bids' welfare in each, and for each Sybil bid
-the partition table of the others, so a state costs one scan with one
-lookup per entry.
+Each attack is set up once (``_Attack``): its tables are checked and put,
+with the nature states it scans, on one integer scale on which every
+adversary candidate (the grid step, the snapped midpoint, the equal
+per-item shares) is an integer too.  Classification, the refutation loop,
+the family scan and truth's certificates are steps on that set-up.
+``certify_attack`` picks the steps by the attack's kind in one place; the
+public step functions run one step each.  ``Fraction``s and validated bid
+tables are built only for what a report carries.  Truth needs no
+mechanism run: by Clarke's pivot rule (Public Choice, 1971) a truthful
+bidder's utility is the optimal welfare of all bids less the others'
+optimum, whichever optimal allocation the tie-break picks
+(``_truth_utility``).  Only the false-name side (Yokoo, Sakurai &
+Matsubara, GEB 2004) needs the tie-broken search, and its side of every
+run is built once per attack (``_attack_runs``): the scan entries with
+the Sybil bids' welfare in each, and for each Sybil bid the partition
+table of the others, so a state costs one scan with one lookup per entry.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import getitem
 from typing import Callable, Iterable, Iterator, Sequence
@@ -222,9 +223,9 @@ def _unscaled(item_count: int, table: Sequence[int], scale: int) -> BundleTable:
     return BundleTable(item_count, tuple([Fraction(v, scale) for v in table]))
 
 
-def _scaled(tables: Sequence[BundleTable]) -> tuple[int, list[Sequence[int]]]:
-    """The tables' common denominator, and each table as integers over it."""
-    scale = math.lcm(*[table._integers[0] for table in tables])
+def _scaled(tables: Sequence[BundleTable], scale: int = 0) -> tuple[int, list[Sequence[int]]]:
+    """``scale`` (by default the tables' least common denominator) and each table over it."""
+    scale = scale or math.lcm(*[table._integers[0] for table in tables])
     out = []
     for table in tables:
         denominator, integers = table._integers
@@ -605,11 +606,9 @@ def classify_attack(valuation: CombValuation, bids: Sequence[CombBid]) -> Attack
     are every bundle of the winning kind, in ascending order, and the
     witness is the first of them.
     """
-    m = valuation.item_count
-    _check_bids(m, bids)
-    scale, (target, *tables) = _scaled([valuation, *bids])
-    kind, masks, value = _classify(target, tables, m)
-    return AttackClassification(kind, masks, tuple([Fraction(v, scale) for v in value]))
+    attack = _Attack(valuation, bids)
+    kind, masks, value = attack.classification()
+    return AttackClassification(kind, masks, tuple([Fraction(v, attack.scale) for v in value]))
 
 
 def _classify(
@@ -671,7 +670,8 @@ class AdversaryReport:
     adversary, ``refuted`` is False and the form is "none"; equivalence
     is then checked over a nature family plus the ``tried`` candidates.
     ``witness_mask`` and ``tilde`` are the refuting bundle and amount, or
-    the first ones tried when unrefuted.
+    the first ones tried when unrefuted.  The candidates tried are kept
+    as integer tables over ``_scale``; reports compare without them.
     """
 
     witness_mask: int
@@ -681,7 +681,18 @@ class AdversaryReport:
     truth_utility: Fraction | None
     refuted: bool
     form: str
-    tried: tuple[CombBid, ...] = ()
+    _tried: tuple[Sequence[int], ...] = field(default=(), compare=False, repr=False)
+    _scale: int = field(default=1, compare=False, repr=False)
+
+    @property
+    def tried(self) -> tuple[CombBid, ...]:
+        """Every candidate tried, in order, built at the first read; the last
+        is the adversary when refuted."""
+        if "_bids" not in self.__dict__:
+            tables = self._tried[:-1] if self.refuted else self._tried
+            bids = [_unscaled(len(t).bit_length() - 1, t, self._scale) for t in tables]
+            self.__dict__["_bids"] = tuple(bids + [self.adversary] if self.refuted else bids)
+        return self.__dict__["_bids"]
 
 
 def _candidate_forms(
@@ -723,71 +734,6 @@ def _adversary_table(item_count: int, mask: int, tilde: int, form: str, bar: int
     ]
 
 
-def _refute(
-    valuation: CombValuation,
-    bids: Sequence[CombBid],
-    kind: AttackKind,
-    epsilon: Fraction | None,
-) -> AdversaryReport:
-    """The refutation loop of both adversaries.
-
-    Every bundle the attack over- or underbids (by ``kind``), in ascending
-    mask order, gets each candidate of ``_candidate_forms``; the first one
-    the mechanism certifies is reported.  Everything runs on one scale on
-    which the valuation, the bids and the bid-grid step are integers, with
-    a factor 2 for the snapped midpoint and lcm(1..m) for the additive
-    shares, so every candidate table is an integer table too.
-    """
-    m = valuation.item_count
-    _check_bids(m, bids)
-    step = bid_grid_step(Fraction(1) if epsilon is None else scalar(epsilon), m)
-    base, (value, *tables) = _scaled([valuation, *bids])
-    scale = 2 * math.lcm(*range(1, m + 1)) * math.lcm(base, step.denominator)
-    factor = scale // base
-    value = [v * factor for v in value]
-    tables = [[v * factor for v in table] for table in tables]
-    found, masks, best = _classify(value, tables, m)
-    if found is not kind:
-        raise ValidationError(f"profile classifies as {found.value}, not {kind.value}")
-    grid = step.numerator * (scale // step.denominator)
-    bar = _adversary_ceiling(value, tables, scale, grid)
-    over = kind is AttackKind.OVERBIDDING
-    attack = _attack_runs(value, tables, m)
-    tried: list[list[int]] = []
-    first_tilde: int | None = None
-    for mask in masks:
-        for tilde, form in _candidate_forms(kind, value[mask], best[mask], grid):
-            adversary = _adversary_table(m, mask, tilde, form, bar)
-            if first_tilde is None:
-                first_tilde = tilde
-            tried.append(adversary)
-            attack_u = attack(adversary)
-            if (attack_u >= 0) if over else (attack_u != 0):
-                continue
-            truth_u = _truth_utility(value, adversary, m)
-            if over and truth_u < 0:
-                raise InternalConsistencyError(
-                    f"truthful bidding went negative ({Fraction(truth_u, scale)}) against "
-                    f"{_unscaled(m, adversary, scale).values}"
-                )
-            if over or truth_u > 0:
-                bids_tried = tuple([_unscaled(m, table, scale) for table in tried])
-                return AdversaryReport(
-                    mask,
-                    Fraction(tilde, scale),
-                    bids_tried[-1],
-                    Fraction(attack_u, scale),
-                    Fraction(truth_u, scale),
-                    True,
-                    form,
-                    bids_tried,
-                )
-    bids_tried = tuple([_unscaled(m, table, scale) for table in tried])
-    return AdversaryReport(
-        masks[0], Fraction(first_tilde, scale), None, None, None, False, "none", bids_tried
-    )
-
-
 def overbidding_adversary(
     valuation: CombValuation, bids: Sequence[CombBid], epsilon: Fraction | None = None
 ) -> AdversaryReport:
@@ -800,7 +746,8 @@ def overbidding_adversary(
     pins the bid grid the adversary's amounts are snapped to; without it
     the unit-grid step is used.
     """
-    return _refute(valuation, bids, AttackKind.OVERBIDDING, epsilon)
+    grid = Fraction(1) if epsilon is None else epsilon
+    return _Attack(valuation, bids, grid=grid).refute(AttackKind.OVERBIDDING)
 
 
 def underbidding_adversary(
@@ -814,7 +761,8 @@ def underbidding_adversary(
     pins the bid grid the adversary's amounts are snapped to; without
     it the unit-grid step is used.
     """
-    return _refute(valuation, bids, AttackKind.UNDERBIDDING, epsilon)
+    grid = Fraction(1) if epsilon is None else epsilon
+    return _Attack(valuation, bids, grid=grid).refute(AttackKind.UNDERBIDDING)
 
 
 def nature_state_family(item_count: int, levels: Sequence[Fraction]) -> tuple[CombBid, ...]:
@@ -878,25 +826,19 @@ def claim_family_check(
     truth earns 0; a zero-truth state has truth at 0 while the attack
     differs.  Both must be absent for the claim to hold on the family.
     """
-    states = [*family, *extra]
-    m, k = valuation.item_count, len(bids)
-    _check_bids(m, bids, states)
-    scale, (value, *tables) = _scaled([valuation, *bids, *states])
-    attack = _attack_runs(value, tables[:k], m)
-    utilities = [(attack(table), _truth_utility(value, table, m)) for table in tables[k:]]
-    return _family_check(states, utilities, scale)
+    return _Attack(valuation, bids, (*family, *extra)).scan()
 
 
 def _family_check(
-    states: Sequence[CombBid], utilities: Sequence[tuple[int, int]], scale: int
+    utilities: Sequence[tuple[int, int]], scale: int, state: Callable[[int], CombBid]
 ) -> FamilyCheck:
-    """The family check from each state's (attack, truth) utilities over ``scale``."""
+    """The family check from each state's (attack, truth) utilities; ``state(i)`` is state i."""
     diff = 0
     truth_min: int | None = None
     attack_min: int | None = None
     reversal = None
     zero_truth = None
-    for state, (u_attack, u_truth) in zip(states, utilities):
+    for i, (u_attack, u_truth) in enumerate(utilities):
         if u_attack == u_truth:
             continue
         diff += 1
@@ -905,16 +847,16 @@ def _family_check(
         if attack_min is None or u_attack < attack_min:
             attack_min = u_attack
         if reversal is None and u_attack > 0 and u_truth == 0:
-            reversal = state
+            reversal = i
         if zero_truth is None and u_truth == 0:
-            zero_truth = state
+            zero_truth = i
     return FamilyCheck(
-        len(states),
+        len(utilities),
         diff,
         None if truth_min is None else Fraction(truth_min, scale),
         None if attack_min is None else Fraction(attack_min, scale),
-        reversal,
-        zero_truth,
+        None if reversal is None else state(reversal),
+        None if zero_truth is None else state(zero_truth),
     )
 
 
@@ -1010,59 +952,182 @@ def truth_loss_averse_witnesses(
     the family share one scale, and each family state is scanned once:
     the case-2 check and the fallback read the same utilities.
     """
-    m, k = valuation.item_count, len(bids)
-    _check_bids(m, bids, family)
-    scale, (value, *tables) = _scaled([valuation, *bids, *family])
-    own, states = tables[:k], tables[k:]
-    kind = _classify(value, own, m)[0]
-    if kind is not AttackKind.EXACT_BIDDING:
-        raise ValidationError(f"profile classifies as {kind.value}, not exact bidding")
-    every = full_mask(m)
+    return _Attack(valuation, bids, family).truth_certificate()
 
-    case1_masks = [
-        mask for mask in range(1, 1 << m) if all(table[mask] < value[mask] for table in own)
-    ]
-    if every in case1_masks:
-        case1_masks.remove(every)
-        case1_masks.insert(0, every)
-    attack = _attack_runs(value, own, m)
-    for mask in case1_masks:
-        adversary = _case1_adversary(value, own, m, mask)
-        if adversary is None:
-            continue
-        attack_u = attack(adversary)
-        truth_u = _truth_utility(value, adversary, m)
-        if attack_u == 0 and truth_u > 0:
-            return TruthCertificate(
-                mode="case-1",
-                family_size=len(family),
-                witness_mask=mask,
-                adversary=_unscaled(m, adversary, scale),
-                attack_utility=Fraction(attack_u, scale),
-                truth_utility=Fraction(truth_u, scale),
-            )
 
-    # One scan of the family serves case 2 and the fallback.
-    utilities = [(attack(state), _truth_utility(value, state, m)) for state in states]
-    if not case1_masks:
-        matches = [sum(1 for mask in range(1 << m) if table[mask] == value[mask]) for table in own]
-        best_j = max(range(k), key=lambda j: (matches[j], -j))
-        single = _attack_runs(value, [own[best_j]], m)
-        dominated = all(
-            u_attack <= single(state) <= u_truth
-            for state, (u_attack, u_truth) in zip(states, utilities)
+class _Attack:
+    """One attack against nature, set up once for every step run on it.
+
+    The set-up checks the tables and puts the valuation, the bids and the
+    nature states on one integer scale.  Given the valuation grid step
+    ``grid``, the scale also makes the bid-grid step an integer, with a
+    factor 2 for the snapped midpoint and lcm(1..m) for the additive
+    shares, so every adversary candidate is an integer table on it.  The
+    states are multiplied out only when scanned; the classification and
+    the Sybil side of every run (``_attack_runs``) are built when first used.
+    """
+
+    _classification = _runs = None
+
+    def __init__(
+        self,
+        valuation: CombValuation,
+        bids: Sequence[CombBid],
+        states: Sequence[CombBid] = (),
+        grid: Fraction | None = None,
+    ) -> None:
+        m = self.item_count = valuation.item_count
+        _check_bids(m, bids, states)
+        scale = math.lcm(*[table._integers[0] for table in (valuation, *bids, *states)])
+        if grid is not None:
+            step = bid_grid_step(grid, m)
+            scale = 2 * math.lcm(*range(1, m + 1)) * math.lcm(scale, step.denominator)
+            self.grid = step.numerator * (scale // step.denominator)
+        self.scale, (self.value, *self.own) = _scaled([valuation, *bids], scale)
+        self.states = states
+
+    def classification(self) -> tuple[AttackKind, tuple[int, ...], Sequence[int]]:
+        if self._classification is None:
+            self._classification = _classify(self.value, self.own, self.item_count)
+        return self._classification
+
+    def runs(self) -> Callable[[Sequence[int]], int]:
+        if self._runs is None:
+            self._runs = _attack_runs(self.value, self.own, self.item_count)
+        return self._runs
+
+    def refute(self, kind: AttackKind) -> AdversaryReport:
+        """The refutation loop of both adversaries: every bundle the attack
+        over- or underbids (by ``kind``), in ascending mask order, gets each
+        candidate of ``_candidate_forms``; the first one certified is reported."""
+        found, masks, best = self.classification()
+        if found is not kind:
+            raise ValidationError(f"profile classifies as {found.value}, not {kind.value}")
+        m, scale, value, grid = self.item_count, self.scale, self.value, self.grid
+        bar = _adversary_ceiling(value, self.own, scale, grid)
+        over = kind is AttackKind.OVERBIDDING
+        attack = self.runs()
+        tried: list[list[int]] = []
+        for mask in masks:
+            for tilde, form in _candidate_forms(kind, value[mask], best[mask], grid):
+                adversary = _adversary_table(m, mask, tilde, form, bar)
+                tried.append(adversary)
+                attack_u = attack(adversary)
+                if (attack_u >= 0) if over else (attack_u != 0):
+                    continue
+                truth_u = _truth_utility(value, adversary, m)
+                if over and truth_u < 0:
+                    raise InternalConsistencyError(
+                        f"truthful bidding went negative ({Fraction(truth_u, scale)}) against "
+                        f"{_unscaled(m, adversary, scale).values}"
+                    )
+                if over or truth_u > 0:
+                    return AdversaryReport(
+                        mask,
+                        Fraction(tilde, scale),
+                        _unscaled(m, adversary, scale),
+                        Fraction(attack_u, scale),
+                        Fraction(truth_u, scale),
+                        True,
+                        form,
+                        tuple(tried),
+                        scale,
+                    )
+        first = _candidate_forms(kind, value[masks[0]], best[masks[0]], grid)[0][0]
+        return AdversaryReport(
+            masks[0], Fraction(first, scale), None, None, None, False, "none", tuple(tried), scale
         )
-        if dominated:
-            return TruthCertificate(
-                mode="case-2", family_size=len(family), best_sybil=best_j
-            )
 
-    check = _family_check(family, utilities, scale)
-    if check.standing:
-        return TruthCertificate(mode="family", family_size=check.family_size)
-    raise InternalConsistencyError(
-        f"no certificate found for an exact-bidding attack: {check}"
-    )
+    def scan(self, tried: Sequence[Sequence[int]] = ()) -> FamilyCheck:
+        """The family check over the states, then the ``tried`` tables on this scale."""
+        m, scale, value, attack = self.item_count, self.scale, self.value, self.runs()
+        states, count = self.states, len(self.states)
+        utilities = [
+            (attack(table), _truth_utility(value, table, m))
+            for table in (*_scaled(states, scale)[1], *tried)
+        ]
+
+        def state(i: int) -> CombBid:
+            return states[i] if i < count else _unscaled(m, tried[i - count], scale)
+
+        return _family_check(utilities, scale, state)
+
+    def truth_certificate(self) -> TruthCertificate:
+        """``truth_loss_averse_witnesses`` with the states as the family."""
+        kind = self.classification()[0]
+        if kind is not AttackKind.EXACT_BIDDING:
+            raise ValidationError(f"profile classifies as {kind.value}, not exact bidding")
+        m, scale, value, own = self.item_count, self.scale, self.value, self.own
+        family = self.states
+        every = full_mask(m)
+        case1_masks = [
+            mask for mask in range(1, 1 << m) if all(table[mask] < value[mask] for table in own)
+        ]
+        if every in case1_masks:
+            case1_masks.remove(every)
+            case1_masks.insert(0, every)
+        attack = self.runs()
+        for mask in case1_masks:
+            adversary = _case1_adversary(value, own, m, mask)
+            if adversary is None:
+                continue
+            attack_u = attack(adversary)
+            truth_u = _truth_utility(value, adversary, m)
+            if attack_u == 0 and truth_u > 0:
+                return TruthCertificate(
+                    mode="case-1",
+                    family_size=len(family),
+                    witness_mask=mask,
+                    adversary=_unscaled(m, adversary, scale),
+                    attack_utility=Fraction(attack_u, scale),
+                    truth_utility=Fraction(truth_u, scale),
+                )
+
+        # One scan of the family serves case 2 and the fallback.
+        states = _scaled(family, scale)[1]
+        utilities = [(attack(state), _truth_utility(value, state, m)) for state in states]
+        if not case1_masks:
+            matches = [sum(1 for mask in range(1 << m) if t[mask] == value[mask]) for t in own]
+            best_j = max(range(len(own)), key=lambda j: (matches[j], -j))
+            single = _attack_runs(value, [own[best_j]], m)
+            dominated = all(
+                u_attack <= single(state) <= u_truth
+                for state, (u_attack, u_truth) in zip(states, utilities)
+            )
+            if dominated:
+                return TruthCertificate(
+                    mode="case-2", family_size=len(family), best_sybil=best_j
+                )
+
+        check = _family_check(utilities, scale, family.__getitem__)
+        if check.standing:
+            return TruthCertificate(mode="family", family_size=check.family_size)
+        raise InternalConsistencyError(
+            f"no certificate found for an exact-bidding attack: {check}"
+        )
+
+
+def certify_attack(
+    valuation: CombValuation,
+    bids: Sequence[CombBid],
+    family: Sequence[CombBid],
+    epsilon: Fraction | None = None,
+) -> tuple[AttackKind, AdversaryReport | TruthCertificate, FamilyCheck | None]:
+    """The attack's kind, its certificate and its family check, on one set-up.
+
+    An exact bid gets truth's certificate and no check; an over- or
+    underbid gets its adversary's report, then the check over the family
+    and every candidate tried unless an overbid was refuted.  Each equals
+    what the public step of its name returns on the attack.
+    """
+    attack = _Attack(valuation, bids, family, Fraction(1) if epsilon is None else epsilon)
+    kind = attack.classification()[0]
+    if kind is AttackKind.EXACT_BIDDING:
+        return kind, attack.truth_certificate(), None
+    report = attack.refute(kind)
+    if kind is AttackKind.OVERBIDDING and report.refuted:
+        return kind, report, None
+    return kind, report, attack.scan(report._tried)
 
 
 @dataclass(frozen=True)

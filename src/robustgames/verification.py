@@ -298,29 +298,20 @@ def _handle_attack(
     family: tuple[vcg.CombBid, ...],
     tally: Counter,
 ) -> tuple[vcg.AttackKind, str | None]:
-    """Run the classification-specific certificate.
+    """Judge and tally the attack's certificate from ``vcg.certify_attack``.
 
-    An over- or underbid goes to its adversary.  A refuted overbid is
-    done; an underbid is always scanned over the family, so a reversal
-    fails it even when refuted.  An unrefuted attack stands when the scan
-    finds no reversal and it is outcome-equivalent to truth or dominated
-    by it in the worst case.  Returns the attack's kind and a failure
-    message, or None on success.
+    A reversal fails the attack, even when refuted.  An unrefuted attack
+    stands when it is outcome-equivalent to truth over the scan or
+    dominated by it in the worst case.  Returns the attack's kind and a
+    failure message, or None on success.
     """
-    kind = vcg.classify_attack(valuation, bids).kind
+    kind, report, check = vcg.certify_attack(valuation, bids, family, epsilon)
     if kind is vcg.AttackKind.EXACT_BIDDING:
-        certificate = vcg.truth_loss_averse_witnesses(valuation, bids, family)
-        tally[f"exact-{certificate.mode}"] += 1
+        tally[f"exact-{report.mode}"] += 1
         return kind, None
     over = kind is vcg.AttackKind.OVERBIDDING
-    adversary = vcg.overbidding_adversary if over else vcg.underbidding_adversary
-    report = adversary(valuation, bids, epsilon=epsilon)
-    if not (over and report.refuted):
-        check = vcg.claim_family_check(valuation, bids, family, extra=report.tried)
-        if check.reversal:
-            return kind, (
-                f"reversal state {check.reversal.values} on {_attack_text(valuation, bids)}"
-            )
+    if check is not None and check.reversal:
+        return kind, f"reversal state {check.reversal.values} on {_attack_text(valuation, bids)}"
     if report.refuted:
         pair = f"({report.attack_utility}, {report.truth_utility})"
         if over and not report.attack_utility < 0 <= report.truth_utility:

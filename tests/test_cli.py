@@ -115,6 +115,31 @@ def test_dfpa_decimal_column_is_display_only(capsys):
     assert "loss-averse-bid 9/10 (approx 0.90, display only)" in out
 
 
+def test_analyze_decimal_acts_on_vcg_attack_scenarios_only(tmp_path, capsys):
+    # On a vcg-attack scenario the payment and welfare lines carry the
+    # decimal suffix; on a game the flag changes no byte of the report.
+    path = str(tmp_path / "attack.scn")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(
+            "scenario v1\nkind: vcg-attack\nitems: 2\nepsilon: 1\n"
+            "valuation: 0 1 1 2\nbid: 0 5/4 0 2\nnature: 0 1 1 1\n"
+        )
+    code, plain, _ = run(capsys, "analyze", "--scenario", path)
+    code_decimal, out, _ = run(capsys, "analyze", "--scenario", path, "--decimal", "3")
+    assert (code, code_decimal) == (0, 0)
+    assert "allocation B b payment 3/4 (approx 0.750, display only)" in out
+    assert "observed-welfare 9/4 (approx 2.250, display only)" in out
+    assert "real-welfare 2 (approx 2.000, display only)" in out
+    suffixed = [line for line in out.splitlines() if "(approx " in line]
+    assert len(suffixed) == 6
+    assert [line.split(" (approx ")[0] for line in out.splitlines()] == plain.splitlines()
+    code, game, _ = run(capsys, "analyze", "--curated", "aim-big", "--decimal", "3")
+    assert code == 0
+    digest = hashlib.sha256(game.encode()).hexdigest()
+    assert digest.startswith("273769c1") and digest.endswith("821e")
+    assert run(capsys, "analyze", "--curated", "aim-big")[1] == game
+
+
 def test_allpay_and_witness_reports(capsys):
     code, out, _ = run(
         capsys, "auction", "allpay", "--value", "1", "--epsilon", "1/4", "--cap", "2"

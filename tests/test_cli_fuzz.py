@@ -30,11 +30,11 @@ TABLE_ENTRIES = ("0", "1/4", "1/2", "1", "3/2", "2")
 # no input reaches the documented low-cap warning.
 FIELDS = {
     "value": SCALARS,
-    "epsilon": ("0", "1", "1/2", "-1", "3/10", "1/0", "x", "1"),
+    "epsilon": ("0", "1", "1/2", "-1", "3/10", "1/0", "x", "1", "1/100000"),
     "cap": SCALARS,
     "bid": SCALARS,
     "type": SCALARS,
-    "grid-step": SCALARS,
+    "grid-step": SCALARS + ("1/100000000",),
     "agents": ("2", "3", "5", "1", "0", "-1", "x"),
     "rule": ("plurality", "approval", "x"),
     "utilities": ("1 0", "1 1/2 0", "1,1/2,0", "1 1/2", "0 1", "1 1 0", "1 1/0 0", "x"),

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustgames.core import (
     INF,
@@ -133,6 +135,38 @@ def test_scaled_table_leaves_equality_hash_and_round_trip_alone():
     assert game == twin and hash(game) == hash(twin)
     assert parse_game(format_game(game)) == game
     assert parse_game(format_game(game)).scaled == game.scaled
+
+
+# Cell values: zero, small integers of either sign, and fractions with
+# small and large denominators and numerators.
+_CELLS = st.one_of(
+    st.sampled_from((Fraction(0), Fraction(1), Fraction(-1))),
+    st.integers(-1000, 1000).map(Fraction),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.sampled_from((2, 3, 7, 10, 10**9 + 7))),
+)
+
+
+@st.composite
+def _games(draw):
+    """A 1 x N or N x 1 game up to N = 50, or a square game up to 5 x 5,
+    whose cells repeat values from a small drawn pool."""
+    n = draw(st.integers(1, 50))
+    k = draw(st.integers(1, 5))
+    rows, columns = draw(st.sampled_from(((1, n), (n, 1), (k, k))))
+    pool = draw(st.lists(_CELLS, min_size=1, max_size=6))
+    table = tuple(
+        tuple(draw(st.sampled_from(pool)) for _ in range(columns)) for _ in range(rows)
+    )
+    actions = tuple(f"a{i}" for i in range(rows))
+    return AgentGame("t", actions, tuple(f"s{j}" for j in range(columns)), table)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_games())
+def test_game_document_round_trips_generated_games(game):
+    parsed = parse_game(format_game(game))
+    assert parsed == game
+    assert parsed.scaled == game.scaled
 
 
 def test_game_document_round_trip():

@@ -1,9 +1,10 @@
 """Combinatorial auction mechanism, Sybil attack classification, adversaries."""
+import random
 from fractions import Fraction
 
 import pytest
 
-from robustgames import vcg
+from robustgames import vcg, verification
 from robustgames.errors import CapacityError, InternalConsistencyError, ValidationError
 from robustgames.vcg import (
     SEARCH_BUDGET,
@@ -21,6 +22,7 @@ from robustgames.vcg import (
     build_singleton_split_instance,
     build_split_pair_instance,
     bundle_label,
+    certify_attack,
     claim_family_check,
     classify_attack,
     enumerate_attacks,
@@ -408,3 +410,94 @@ def test_enumeration_budget_guard():
         next(enumerate_attacks(4, F(1), F(2), 1))
     with pytest.raises(CapacityError, match="attack lattice of 12076154 vectors"):
         next(enumerate_attacks(2, F(1, 8), F(2), 2))
+
+
+def test_certify_attack_scans_unless_an_overbid_is_refuted():
+    family = nature_state_family(2, (F(0), F(1)))
+    kind, report, check = certify_attack(_val(0, 1, 1, 2), [_bid(0, 2, 0, 2)], family, F(1))
+    assert (kind, report.refuted, check) == (AttackKind.OVERBIDDING, True, None)
+    # A shadowed overbid is unrefuted, so the family and its tried candidates are scanned.
+    kind, report, check = certify_attack(_val(0, 0, 2, 0), [_bid(0, 0, 2, 1)], family, F(1))
+    assert (kind, report.refuted) == (AttackKind.OVERBIDDING, False)
+    assert check.family_size == len(family) + len(report.tried)
+    # A refuted underbid is still scanned, so a reversal can fail it.
+    attacker = build_singleton_split_instance(F(1, 10)).profiles[0]
+    family = nature_state_family(3, (F(0), F(1)))
+    kind, report, check = certify_attack(attacker.valuation, attacker.bids, family, F(1, 10))
+    assert (kind, report.refuted) == (AttackKind.UNDERBIDDING, True)
+    assert check.family_size == len(family) + len(report.tried)
+    kind, certificate, check = certify_attack(_val(0, 1, 1, 2), [_val(0, 1, 1, 2)], family[:0])
+    assert (kind, certificate.mode, check) == (AttackKind.EXACT_BIDDING, "case-2", None)
+
+
+def test_certify_scan_reports_a_tried_candidate_as_its_bid_table():
+    # Against the half-priced state the overbid pays 1/2 for an item worth
+    # nothing while truth earns 0: a zero-truth state, past the family's one.
+    valuation, bids = _val(0, 0, 0, 0), [_bid(0, 1, 0, 1)]
+    family, state = (_bid(0, 0, 0, 0),), _bid(0, F(1, 2), 0, F(1, 2))
+    attack = vcg._Attack(valuation, bids, family, F(1))
+    check = attack.scan(vcg._scaled([state], attack.scale)[1])
+    assert (check.difference_states, check.zero_truth_state) == (1, state)
+    assert check == claim_family_check(valuation, bids, family, extra=[state])
+
+
+def _step_chain(valuation, bids, family, epsilon):
+    """The public steps one after another, as the sybil-lattice benchmark chains them."""
+    kind = classify_attack(valuation, bids).kind
+    if kind is AttackKind.EXACT_BIDDING:
+        return kind, truth_loss_averse_witnesses(valuation, bids, family), None
+    over = kind is AttackKind.OVERBIDDING
+    report = (overbidding_adversary if over else underbidding_adversary)(valuation, bids, epsilon)
+    if over and report.refuted:
+        return kind, report, None
+    return kind, report, claim_family_check(valuation, bids, family, extra=report.tried)
+
+
+def _tally_key(kind, found, check):
+    """The ``vcg-attack-properties`` tally kind of one certified attack."""
+    if kind is AttackKind.EXACT_BIDDING:
+        return f"exact-{found.mode}"
+    if found.refuted:
+        return "overbidding-punished" if kind is AttackKind.OVERBIDDING else "underbidding-refuted"
+    return f"{kind.value}-{check.standing}"
+
+
+def test_certify_attack_matches_the_public_step_chain():
+    """Every exact and every one-bid 2-item attack of the cap-2 lattice,
+    where the rarer tally kinds live, a seeded 300 of the rest of the
+    m <= 2 lattice and 60 random 3-item attacks: the one entry returns
+    what the step chain returns, tried candidates included."""
+    families = {m: verification._core_family(m) for m in (1, 2, 3)}
+    lattice = [
+        (valuation, bids, families[m])
+        for m in (1, 2)
+        for valuation in enumerate_valuations(m, F(1), F(2))
+        for bids in enumerate_attacks(m, F(1), F(2), 2)
+    ]
+    sample, rest = [], []
+    for case in lattice:
+        valuation, bids, _ = case
+        one_bid = valuation.item_count == 2 and len(bids) == 1
+        exact = classify_attack(valuation, bids).kind is AttackKind.EXACT_BIDDING
+        (sample if one_bid or exact else rest).append(case)
+    sample += random.Random(16).sample(rest, 300)
+    rng = random.Random(3)
+    sample += [(*verification._random_m3_instance(rng, i % 3), families[3]) for i in range(60)]
+    kinds = set()
+    for valuation, bids, family in sample:
+        kind, found, check = certify_attack(valuation, bids, family, F(1))
+        chained = _step_chain(valuation, bids, family, F(1))
+        assert (kind, found, check) == chained
+        if kind is not AttackKind.EXACT_BIDDING:
+            assert [b.values for b in found.tried] == [b.values for b in chained[1].tried]
+        kinds.add(_tally_key(kind, found, check))
+    assert kinds == {
+        "overbidding-punished",
+        "overbidding-dominated",
+        "overbidding-equivalent",
+        "underbidding-refuted",
+        "underbidding-equivalent",
+        "exact-case-1",
+        "exact-case-2",
+        "exact-family",
+    }

@@ -18,18 +18,25 @@ _UNREFUTED = pytest.mark.parametrize(
 )
 
 
+def _certified_with(monkeypatch, table, bids, family, check, epsilon=F(1)):
+    """Make ``vcg.certify_attack`` hand back the attack's own kind and
+    report with ``check`` as its family check."""
+    kind, report, _ = vcg.certify_attack(table, bids, family, epsilon)
+    monkeypatch.setattr(vcg, "certify_attack", lambda *args, **kwargs: (kind, report, check))
+    return kind
+
+
 @_UNREFUTED
 def test_reversal_failure_names_the_reversal_state(monkeypatch, valuation, attack):
     reversal = vcg.CombBid(2, (F(0), F(1), F(1), F(2)))
     zero_truth = vcg.CombBid(2, (F(0), F(3), F(3), F(5)))
     check = vcg.FamilyCheck(10, 1, F(0), F(1), reversal, zero_truth)
-    monkeypatch.setattr(vcg, "claim_family_check", lambda *args, **kwargs: check)
     table = vcg.CombValuation(2, tuple(F(v) for v in valuation))
     bids = (vcg.CombBid(2, tuple(F(v) for v in attack)),)
-    kind, failure = verification._handle_attack(
-        table, bids, F(1), vcg.nature_state_family(2, (F(0), F(1))), Counter()
-    )
-    assert kind is vcg.classify_attack(table, bids).kind
+    family = vcg.nature_state_family(2, (F(0), F(1)))
+    expected = _certified_with(monkeypatch, table, bids, family, check)
+    kind, failure = verification._handle_attack(table, bids, F(1), family, Counter())
+    assert kind is expected is vcg.classify_attack(table, bids).kind
     assert failure.startswith(f"reversal state {reversal.values} on valuation")
     assert str(zero_truth.values) not in failure
 
@@ -46,7 +53,8 @@ def test_unrefuted_over_and_underbids_share_one_rule(monkeypatch, valuation, att
         ("dominated", vcg.FamilyCheck(10, 2, F(1), F(1), None, None)),
         ("below", vcg.FamilyCheck(10, 2, F(0), F(1), None, None)),
     ):
-        monkeypatch.setattr(vcg, "claim_family_check", lambda *args, check=check, **kw: check)
+        monkeypatch.undo()
+        _certified_with(monkeypatch, table, bids, family, check)
         tally = Counter()
         outcomes[name] = verification._handle_attack(table, bids, F(1), family, tally), tally
     assert outcomes["equivalent"] == ((kind, None), Counter({f"{kind.value}-equivalent": 1}))
@@ -60,15 +68,13 @@ def test_unrefuted_over_and_underbids_share_one_rule(monkeypatch, valuation, att
     )
 
 
-def _raise(*args, **kwargs):
-    raise RuntimeError("boom")
-
-
 def test_refuted_overbids_skip_the_scan_and_refuted_underbids_do_not(monkeypatch):
+    # ``vcg.certify_attack`` holds the rule (tested in test_vcg); the
+    # battery tallies a refuted overbid, which carries no check, and fails
+    # a refuted underbid whose check finds a reversal.
     overbid = vcg.CombValuation(2, (F(0), F(1), F(1), F(2)))
-    tally = Counter()
-    monkeypatch.setattr(vcg, "claim_family_check", _raise)
     bids = (vcg.CombBid(2, (F(0), F(2), F(0), F(2))),)
+    tally = Counter()
     assert verification._handle_attack(overbid, bids, F(1), (), tally) == (
         vcg.AttackKind.OVERBIDDING, None
     )
@@ -76,13 +82,17 @@ def test_refuted_overbids_skip_the_scan_and_refuted_underbids_do_not(monkeypatch
     attacker = vcg.build_singleton_split_instance(F(1, 10)).profiles[0]
     reversal = vcg.CombBid(3, (F(0),) * 8)
     check = vcg.FamilyCheck(10, 1, F(0), F(1), reversal, None)
-    monkeypatch.setattr(vcg, "claim_family_check", lambda *args, **kwargs: check)
+    _certified_with(monkeypatch, attacker.valuation, attacker.bids, (), check, F(1, 10))
     assert vcg.underbidding_adversary(attacker.valuation, attacker.bids, F(1, 10)).refuted
     kind, failure = verification._handle_attack(
         attacker.valuation, attacker.bids, F(1, 10), (), Counter()
     )
     assert kind is vcg.AttackKind.UNDERBIDDING
     assert failure.startswith(f"reversal state {reversal.values} on valuation")
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("boom")
 
 
 @pytest.mark.parametrize(
