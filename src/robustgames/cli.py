@@ -284,7 +284,7 @@ def _vcg_attack_from(
 
 
 def _analyze_text(game: AgentGame, chosen: tuple[Concept, ...], fmt: str) -> str:
-    verdicts = [concepts.concept_verdict(game, c) for c in chosen]
+    verdicts = concepts.concept_verdicts(game, chosen)
     if fmt == "csv":
         lines = ["concept,actions"]
         for verdict in verdicts:

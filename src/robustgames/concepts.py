@@ -9,6 +9,15 @@ actions actually disagree; minima over empty sets are the top element
 (``AgentGame.scaled``); the values a refutation reports are read back
 from the rational table at the states it names.
 
+A verdict reports, for each action, the first rival in table order that
+refutes it.  By default that rival is found by testing the rivals in
+turn.  Leximin and multi-leximin are total preorders on one key per row,
+so a running maximum of the keys and a bisection find it instead.
+Loss aversion* refutes exactly the pairs loss aversion does (see
+``_LossAverseStar``), so it takes its first rivals from loss aversion's.
+Either way the reported witness is the concept's own ``pair`` rule on
+the one reported pair.
+
 All operations return plain data; ties inside any argmin or argmax are
 resolved towards the first-listed label so output is deterministic.
 """
@@ -17,9 +26,12 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -120,6 +132,28 @@ class _Inequality:
     def rivals(self, i: int) -> Iterable[int | None]:
         return (k for k in range(len(self.rows)) if k != i)
 
+    def refutations(self) -> list[Refutation | None]:
+        """Each action's refutation by its first refuting rival, or None:
+        the rivals tested in turn, unless a concept knows a shorter route."""
+        return [
+            next((ref for k in self.rivals(i) if (ref := self.pair(i, k))), None)
+            for i in range(len(self.rows))
+        ]
+
+    def witnessed(self, first_rivals: Sequence[int | None]) -> list[Refutation | None]:
+        """Each action's refutation by the first rival a shorter route found
+        for it (None: no rival refutes it), read from ``pair``."""
+        refutations = []
+        for i, k in enumerate(first_rivals):
+            ref = None if k is None else self.pair(i, k)
+            if k is not None and ref is None:
+                raise InternalConsistencyError(
+                    f"{type(self).__name__}: rival {self.actions[k]!r} was routed to "
+                    f"refute {self.actions[i]!r} but does not"
+                )
+            refutations.append(ref)
+        return refutations
+
     def refutation(self, i, k, states, self_value, other_value) -> Refutation:
         """The refutation of action ``i`` by rival ``k`` at state indices ``states``."""
         competitor = None if k is None else self.actions[k]
@@ -142,7 +176,21 @@ class _ByStateOrder(_Inequality):
 
 
 class _LossAverse(_ByStateOrder):
-    """Loss aversion between the two actions' rows."""
+    """Loss aversion between the two actions' rows.  Its refutations are
+    found once per instance, since loss aversion* reads its rivals too."""
+
+    def __init__(self, game: AgentGame):
+        super().__init__(game)
+        self.found: list[Refutation | None] | None = None
+
+    def refutations(self):
+        if self.found is None:
+            self.found = super().refutations()
+        return self.found
+
+    def first_rivals(self) -> list[int | None]:
+        index = {a: k for k, a in enumerate(self.actions)}
+        return [None if ref is None else index[ref.competitor] for ref in self.refutations()]
 
     def pair(self, i, k):
         found = _loss_averse_refutation(self.rows[i], self.rows[k], self.order(i), self.order(k))
@@ -156,7 +204,38 @@ class _LossAverseStar(_ByStateOrder):
     """The action's worst utility over the states where it is strictly worse
     is at least the rival's over the states where *that* one is (``INF``
     over no states).  Each worst state is the first state in that row's
-    order where it is the strictly worse one."""
+    order where it is the strictly worse one.
+
+    On a finite game this refutes exactly the pairs loss aversion does.
+    Let c be row a's least value over the states where a is strictly
+    worse than b (here), or over the states where the rows differ (loss
+    aversion): both are the same value whenever either refutes.  Under
+    either definition b refutes a iff all three hold:
+
+    - b = a wherever a < c;
+    - b >= c wherever a = c, with b > c at one of those states;
+    - b > c wherever a > c.
+
+    The proof needs only that each minimum is attained, so the satisfying
+    set and every action's first rival are loss aversion's; only the
+    witness states differ.  Given ``loss_averse``, the loss-aversion
+    relation a verdict of the same call finds anyway, this concept takes
+    its first rivals and the rows' state orders from it; alone, it scans
+    its own pairs, which costs as much.  The two concepts separate only
+    where infima over a continuum of states are not attained, as in
+    ``instances.aim_big_exact_verdicts``.
+    """
+
+    def __init__(self, game: AgentGame, loss_averse: _LossAverse | None = None):
+        super().__init__(game)
+        self.loss_averse = loss_averse
+        if loss_averse is not None:
+            self.orders = loss_averse.orders
+
+    def refutations(self):
+        if self.loss_averse is None:
+            return super().refutations()
+        return self.witnessed(self.loss_averse.first_rivals())
 
     def pair(self, i, k):
         ra, rb = self.rows[i], self.rows[k]
@@ -221,7 +300,7 @@ class _StrictlyDominated(_WeaklyDominant):
     """
 
     def pair(self, i, k):
-        if any(x > y for x, y in zip(self.rows[i], self.rows[k])):
+        if not all(map(operator.le, self.rows[i], self.rows[k])):
             return None
         return super().pair(i, k)
 
@@ -230,21 +309,36 @@ class _Leximin(_Inequality):
     """Ascending outcome sequences compared in the round-by-round
     minimum-stripping order: at the first position where they differ the
     larger value wins, and a sequence that is exhausted while the other
-    still has values wins (its next minimum is the top element ``INF``)."""
+    still has values wins (its next minimum is the top element ``INF``).
+
+    So each row has one key, its ascending sequence, and the larger key
+    wins.  The set version ends every key with ``top``, an integer above
+    every entry, which plays the top element.  The first rival beating
+    row i is the first row where the running maximum of the keys exceeds
+    row i's.
+    """
 
     def __init__(self, game: AgentGame, multiset: bool = False):
         super().__init__(game)
-        self.outcomes = [tuple(sorted(row if multiset else set(row))) for row in self.rows]
+        self.top = max(map(max, self.rows)) + 1
+        if multiset:
+            self.keys = [tuple(sorted(row)) for row in self.rows]
+        else:
+            self.keys = [(*sorted(set(row)), self.top) for row in self.rows]
+
+    def refutations(self):
+        best = list(accumulate(self.keys, max))
+        found = [bisect_right(best, key) for key in self.keys]
+        return self.witnessed([None if k == len(best) else k for k in found])
 
     def pair(self, i, k):
-        xs, ys = self.outcomes[i], self.outcomes[k]
-        p = next((p for p, (x, y) in enumerate(zip(xs, ys)) if x != y), min(len(xs), len(ys)))
-        own = xs[p] if p < len(xs) else INF
-        other = ys[p] if p < len(ys) else INF
-        if own >= other:
+        xs, ys = self.keys[i], self.keys[k]
+        p = next((p for p, (x, y) in enumerate(zip(xs, ys)) if x != y), None)
+        if p is None or xs[p] >= ys[p]:
             return None
+        own, other = xs[p], ys[p]
         ja = self.rows[i].index(own)
-        if other is INF:
+        if other == self.top:
             return self.refutation(i, k, (ja,), self.values[i][ja], INF)
         jb = self.rows[k].index(other)
         return self.refutation(i, k, (ja, jb), self.values[i][ja], self.values[k][jb])
@@ -290,22 +384,38 @@ _INEQUALITIES: dict[Concept, Callable[[AgentGame], _Inequality]] = {
 }
 
 
-def concept_verdict(game: AgentGame, concept: Concept) -> ConceptVerdict:
-    """Compute a concept's satisfying set together with witnesses.
+def concept_verdicts(game: AgentGame, chosen: Iterable[Concept]) -> list[ConceptVerdict]:
+    """Compute each chosen concept's satisfying set together with witnesses.
 
     Each action keeps its first refutation in its rival order; the actions
-    without one satisfy the concept (for ``STRICTLY_DOMINATED``, those with one).
+    without one satisfy the concept (for ``STRICTLY_DOMINATED``, those with
+    one).  When loss aversion is among them, a loss-aversion* verdict reads
+    its first rivals from loss aversion's relation, found once.
     """
-    inequality = _INEQUALITIES[concept](game)
-    refutations = [
-        next((ref for k in inequality.rivals(i) if (ref := inequality.pair(i, k))), None)
-        for i in range(len(game.actions))
-    ]
-    inverted = concept is Concept.STRICTLY_DOMINATED
-    satisfying = tuple(
-        a for a, ref in zip(game.actions, refutations) if (ref is not None) is inverted
-    )
-    return ConceptVerdict(concept, satisfying, tuple(ref for ref in refutations if ref))
+    chosen = tuple(chosen)
+    loss_averse = _LossAverse(game) if Concept.LOSS_AVERSE in chosen else None
+    verdicts = []
+    for concept in chosen:
+        if concept is Concept.LOSS_AVERSE:
+            inequality = loss_averse
+        elif concept is Concept.LOSS_AVERSE_STAR:
+            inequality = _LossAverseStar(game, loss_averse)
+        else:
+            inequality = _INEQUALITIES[concept](game)
+        refutations = inequality.refutations()
+        inverted = concept is Concept.STRICTLY_DOMINATED
+        satisfying = tuple(
+            a for a, ref in zip(game.actions, refutations) if (ref is not None) is inverted
+        )
+        verdicts.append(
+            ConceptVerdict(concept, satisfying, tuple(ref for ref in refutations if ref))
+        )
+    return verdicts
+
+
+def concept_verdict(game: AgentGame, concept: Concept) -> ConceptVerdict:
+    """One concept's verdict (see ``concept_verdicts``)."""
+    return concept_verdicts(game, (concept,))[0]
 
 
 def verify_refutation(game: AgentGame, concept: Concept, ref: Refutation) -> bool:
@@ -423,7 +533,7 @@ class HierarchyReport:
 
 def hierarchy_report(game: AgentGame) -> HierarchyReport:
     """Compute the reported concept sets and check every implication arrow."""
-    ordered = {c: concept_verdict(game, c).satisfying for c in _REPORT_CONCEPTS}
+    ordered = {v.concept: v.satisfying for v in concept_verdicts(game, _REPORT_CONCEPTS)}
     computed = {c: set(members) for c, members in ordered.items()}
     for src, dst in _HIERARCHY_ARROWS:
         if not computed[src] <= computed[dst]:

@@ -71,9 +71,11 @@ def parse_scalar(text: str) -> Fraction:
     """Parse ``p/q`` or integer text into a Fraction."""
     if not _SCALAR_RE.match(text):
         raise ParseError(f"not a rational literal: {text!r}")
-    num, _, den = text.partition("/")
+    num, slash, den = text.partition("/")
     try:
-        num, den = int(num), int(den or "1")
+        if not slash:  # an integer: already in lowest terms
+            return Fraction(int(num))
+        num, den = int(num), int(den)
     except ValueError:  # more digits than int() converts
         raise ParseError(f"rational literal of {len(text)} characters is too long") from None
     if den == 0:
@@ -82,10 +84,8 @@ def parse_scalar(text: str) -> Fraction:
 
 
 def format_scalar(value: Fraction) -> str:
-    """Render a Fraction as ``p/q`` (or ``p`` when integral)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a Fraction as ``p/q`` (or ``p`` when integral), which is its ``str``."""
+    return str(value)
 
 
 class _Infinite:
@@ -300,7 +300,7 @@ def format_game(game: AgentGame) -> str:
         "utilities",
     ]
     for row in game.rows:
-        lines.append(" ".join(format_scalar(v) for v in row))
+        lines.append(" ".join(map(format_scalar, row)))
     lines.append("end")
     return "\n".join(lines) + "\n"
 

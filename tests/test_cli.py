@@ -538,6 +538,21 @@ def test_analyze_reports_match_their_recorded_digests(tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == expected, (name, fmt)
 
 
+def test_analyze_on_the_201_bid_auction_matches_its_recorded_digest(tmp_path, capsys):
+    """The 201 x 204 auction at value 1 and step 1/200, where leximin and
+    loss aversion* take their first rivals from order keys and loss
+    aversion's relation rather than from pair scans."""
+    game = singleitem.dfpa_game(singleitem.default_dfpa_spec(Fraction(1), Fraction(1, 200)))
+    assert (len(game.actions), len(game.states)) == (201, 204)
+    path = tmp_path / "dfpa-201.game"
+    path.write_text(format_game(game))
+    code, out, _ = run(capsys, "analyze", "--game", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a9b31c87431ced9586a22cf09a1c0a6c63417f90969a3a28bcbf12b2097e34ef"
+    )
+
+
 # One vcg-attack scenario per adversary branch: (valuation, bids, nature,
 # epsilon).  The underbid is the three-item singleton split at 1/10; the
 # attack that overbids every bundle pins the ascending order of the bundles

@@ -48,6 +48,16 @@ def test_format_scalar_round_trips():
         assert format_scalar(parse_scalar(text)) == text
 
 
+def test_parse_scalar_values_are_in_lowest_terms():
+    for text, value in (("+7", 7), ("-0", 0), ("007", 7), ("4/2", 2), ("-6/4", Fraction(-3, 2))):
+        parsed = parse_scalar(text)
+        assert type(parsed) is Fraction and parsed == value
+        assert format_scalar(parsed) == str(Fraction(value))
+    for text in ("1" * 5000, "1/" + "1" * 5000):
+        with pytest.raises(ParseError, match="too long"):
+            parse_scalar(text)
+
+
 def test_parse_scalar_rejects_whitespace():
     with pytest.raises(ParseError):
         parse_scalar(" 1/2")

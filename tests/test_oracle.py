@@ -14,7 +14,11 @@ from robustgames.concepts import (
     Concept,
     FalsifyVerdict,
     Refutation,
+    _Leximin,
+    _LossAverse,
+    _LossAverseStar,
     concept_verdict,
+    concept_verdicts,
     hierarchy_report,
     leximin_actions,
     loss_averse_actions,
@@ -23,7 +27,7 @@ from robustgames.concepts import (
     verify_refutation,
 )
 from robustgames.core import INF, AgentGame, MixedAction, mixed_utility
-from robustgames.errors import CapacityError
+from robustgames.errors import CapacityError, InternalConsistencyError
 from robustgames.oracle import (
     naive_leximin,
     naive_loss_averse,
@@ -222,18 +226,66 @@ def _naive_loss_averse_witness(game, concept, i, k):
     return Refutation(game.actions[i], game.actions[k], labels, ra[ja], rb[jb])
 
 
+def _naive_leximin_witness(game, concept, i, k):
+    """The refutation of action ``i`` by rival ``k`` under (multi-)leximin,
+    by literal minimum stripping: each round compares the two minima and
+    strips one copy (multi-leximin) or the value (leximin); an exhausted
+    sequence's minimum is ``INF``.  The first round whose minima differ
+    decides, and each value's state is the first state attaining it."""
+    xs, ys = list(game.rows[i]), list(game.rows[k])
+    if concept is Concept.LEXIMIN:
+        xs, ys = list(set(xs)), list(set(ys))
+    while xs or ys:
+        own, other = min(xs, default=INF), min(ys, default=INF)
+        if own != other:
+            break
+        xs.remove(own)
+        ys.remove(other)
+    else:
+        return None
+    if not own < other:
+        return None
+    ja = game.rows[i].index(own)
+    if other == INF:
+        return Refutation(game.actions[i], game.actions[k], (game.states[ja],), own, INF)
+    jb = game.rows[k].index(other)
+    labels = (game.states[ja], game.states[jb])
+    return Refutation(game.actions[i], game.actions[k], labels, own, other)
+
+
+def _naive_domination_certificate(game, concept, i, k):
+    """Rival ``k``'s certificate that it strictly dominates action ``i``: the
+    first state where it is better, when it is nowhere worse, or None."""
+    ra, rb = game.rows[i], game.rows[k]
+    if any(y < x for x, y in zip(ra, rb)):
+        return None
+    j = next((j for j, (x, y) in enumerate(zip(ra, rb)) if y > x), None)
+    if j is None:
+        return None
+    return Refutation(game.actions[i], game.actions[k], (game.states[j],), ra[j], rb[j])
+
+
+def _literal_first_refutations(game, concept, witness):
+    """Each action's literal refutation by its first refuting rival in table order."""
+    expected = []
+    for i in range(len(game.actions)):
+        rivals = (k for k in range(len(game.actions)) if k != i)
+        found = (witness(game, concept, i, k) for k in rivals)
+        if (ref := next((ref for ref in found if ref), None)) is not None:
+            expected.append(ref)
+    return tuple(expected)
+
+
 def _assert_loss_averse_witnesses_are_literal(game):
     """Each LA and LA* refutation is the literal one by the first rival in
-    table order that refutes, and the mixed falsifier finds the same LA
+    table order that refutes, whether LA* scans its own pairs or reads its
+    rivals from LA's relation, and the mixed falsifier finds the same LA
     witness between pure actions."""
     for concept in (Concept.LOSS_AVERSE, Concept.LOSS_AVERSE_STAR):
-        expected = []
-        for i in range(len(game.actions)):
-            rivals = (k for k in range(len(game.actions)) if k != i)
-            found = (_naive_loss_averse_witness(game, concept, i, k) for k in rivals)
-            if (ref := next((ref for ref in found if ref), None)) is not None:
-                expected.append(ref)
-        assert concept_verdict(game, concept).refutations == tuple(expected)
+        expected = _literal_first_refutations(game, concept, _naive_loss_averse_witness)
+        assert concept_verdict(game, concept).refutations == expected
+    routed = concept_verdicts(game, (Concept.LOSS_AVERSE_STAR, Concept.LOSS_AVERSE))
+    assert routed == [concept_verdict(game, v.concept) for v in routed]
     for i, a in enumerate(game.actions):
         for k, b in enumerate(game.actions):
             ref = _naive_loss_averse_witness(game, Concept.LOSS_AVERSE, i, k)
@@ -243,10 +295,30 @@ def _assert_loss_averse_witnesses_are_literal(game):
             assert ref is None or found == ref.states
 
 
+def _assert_first_rivals_are_literal(game):
+    """Each leximin, multi-leximin and strict-domination refutation is the
+    literal one by the first rival in table order, alone or in one call
+    with every other concept."""
+    for concept, witness in (
+        (Concept.LEXIMIN, _naive_leximin_witness),
+        (Concept.MULTI_LEXIMIN, _naive_leximin_witness),
+        (Concept.STRICTLY_DOMINATED, _naive_domination_certificate),
+    ):
+        expected = _literal_first_refutations(game, concept, witness)
+        assert concept_verdict(game, concept).refutations == expected
+    assert concept_verdicts(game, Concept) == [concept_verdict(game, c) for c in Concept]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_small_games())
 def test_loss_averse_witnesses_match_the_definition(game):
     _assert_loss_averse_witnesses_are_literal(game)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_small_games())
+def test_order_key_and_domination_rivals_match_the_definition(game):
+    _assert_first_rivals_are_literal(game)
 
 
 @st.composite
@@ -274,6 +346,55 @@ def _wide_games(draw, n_actions=3, n_states=40):
 @given(_wide_games())
 def test_loss_averse_witnesses_on_rows_that_agree_on_their_lowest_states(game):
     _assert_loss_averse_witnesses_are_literal(game)
+    _assert_first_rivals_are_literal(game)
+
+
+@st.composite
+def _tie_heavy_games(draw):
+    """One row or one column of up to 20 cells, or a table of up to 8 x 12,
+    over at most three values; some rows copy earlier ones, some are constant."""
+    shape = draw(st.sampled_from(("row", "column", "table")))
+    n_actions = 1 if shape == "row" else draw(st.integers(1, 8 if shape == "table" else 20))
+    n_states = 1 if shape == "column" else draw(st.integers(1, 12 if shape == "table" else 20))
+    values = st.sampled_from(draw(st.lists(_GAME_VALUES, min_size=1, max_size=3)))
+    rows = []
+    for i in range(n_actions):
+        kind = draw(st.sampled_from(("fresh", "fresh", "copy", "constant")))
+        if kind == "copy" and rows:
+            rows.append(rows[draw(st.integers(0, i - 1))])
+        elif kind == "constant":
+            rows.append((draw(values),) * n_states)
+        else:
+            rows.append(tuple(draw(values) for _ in range(n_states)))
+    actions = tuple(f"a{i}" for i in range(n_actions))
+    states = tuple(f"s{j}" for j in range(n_states))
+    return AgentGame("ties", actions, states, tuple(rows))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_tie_heavy_games(), _wide_games(n_actions=4)))
+def test_loss_aversion_and_its_star_refute_the_same_pairs(game):
+    """On a finite game LA and LA* refute exactly the same ordered pairs,
+    the theorem LA*'s verdict takes its first rivals by."""
+    la, star = _LossAverse(game), _LossAverseStar(game)
+    for i in range(len(game.actions)):
+        for k in range(len(game.actions)):
+            assert (la.pair(i, k) is None) is (star.pair(i, k) is None), (i, k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_tie_heavy_games())
+def test_rerouted_concepts_match_the_definition_on_tie_heavy_tables(game):
+    _assert_loss_averse_witnesses_are_literal(game)
+    _assert_first_rivals_are_literal(game)
+
+
+def test_a_routed_rival_that_does_not_refute_is_an_internal_error():
+    game = AgentGame("t", ("a", "b"), ("s",), ((F(0),), (F(1),)))
+    inequality = _Leximin(game)
+    assert inequality.witnessed([1, None])[0] == inequality.pair(0, 1)
+    with pytest.raises(InternalConsistencyError):
+        inequality.witnessed([None, 0])
 
 
 def test_winner_determination_matches_naive_welfare():
