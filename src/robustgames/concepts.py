@@ -13,8 +13,9 @@ A verdict reports, for each action, the first rival in table order that
 refutes it.  By default that rival is found by testing the rivals in
 turn.  Leximin and multi-leximin are total preorders on one key per row,
 so a running maximum of the keys and a bisection find it instead.
-Loss aversion* refutes exactly the pairs loss aversion does (see
-``_LossAverseStar``), so it takes its first rivals from loss aversion's.
+Loss aversion and loss aversion* refute exactly the same pairs (see
+``_LossAverse``), so when one call asks for both, the second takes its
+first rivals from the first one's scan.
 Either way the reported witness is the concept's own ``pair`` rule on
 the one reported pair.
 
@@ -161,54 +162,16 @@ class _Inequality:
         return Refutation(self.actions[i], competitor, labels, self_value, other_value)
 
 
-class _ByStateOrder(_Inequality):
-    """An inequality that reads each row in its ``_state_order``, built the
-    first time a pair reads that row."""
+class _LossAverse(_Inequality):
+    """Loss aversion: over the states where the two actions' rows differ,
+    the action's worst utility is at least the rival's.  ``one_sided`` is
+    loss aversion*: the action's worst utility over the states where it is
+    strictly worse is at least the rival's over the states where *that*
+    one is (``INF`` over no states).
 
-    def __init__(self, game: AgentGame):
-        super().__init__(game)
-        self.orders: list[list[int] | None] = [None] * len(self.rows)
-
-    def order(self, i: int) -> list[int]:
-        if self.orders[i] is None:
-            self.orders[i] = _state_order(self.rows[i])
-        return self.orders[i]
-
-
-class _LossAverse(_ByStateOrder):
-    """Loss aversion between the two actions' rows.  Its refutations are
-    found once per instance, since loss aversion* reads its rivals too."""
-
-    def __init__(self, game: AgentGame):
-        super().__init__(game)
-        self.found: list[Refutation | None] | None = None
-
-    def refutations(self):
-        if self.found is None:
-            self.found = super().refutations()
-        return self.found
-
-    def first_rivals(self) -> list[int | None]:
-        index = {a: k for k, a in enumerate(self.actions)}
-        return [None if ref is None else index[ref.competitor] for ref in self.refutations()]
-
-    def pair(self, i, k):
-        found = _loss_averse_refutation(self.rows[i], self.rows[k], self.order(i), self.order(k))
-        if found is None:
-            return None
-        ja, jb = found
-        return self.refutation(i, k, found, self.values[i][ja], self.values[k][jb])
-
-
-class _LossAverseStar(_ByStateOrder):
-    """The action's worst utility over the states where it is strictly worse
-    is at least the rival's over the states where *that* one is (``INF``
-    over no states).  Each worst state is the first state in that row's
-    order where it is the strictly worse one.
-
-    On a finite game this refutes exactly the pairs loss aversion does.
-    Let c be row a's least value over the states where a is strictly
-    worse than b (here), or over the states where the rows differ (loss
+    On a finite game the two refute exactly the same pairs.  Let c be row
+    a's least value over the states where a is strictly worse than b
+    (loss aversion*), or over the states where the rows differ (loss
     aversion): both are the same value whenever either refutes.  Under
     either definition b refutes a iff all three hold:
 
@@ -216,37 +179,39 @@ class _LossAverseStar(_ByStateOrder):
     - b >= c wherever a = c, with b > c at one of those states;
     - b > c wherever a > c.
 
-    The proof needs only that each minimum is attained, so the satisfying
-    set and every action's first rival are loss aversion's; only the
-    witness states differ.  Given ``loss_averse``, the loss-aversion
-    relation a verdict of the same call finds anyway, this concept takes
-    its first rivals and the rows' state orders from it; alone, it scans
-    its own pairs, which costs as much.  The two concepts separate only
-    where infima over a continuum of states are not attained, as in
-    ``instances.aim_big_exact_verdicts``.
+    The proof needs only that each minimum is attained, so
+    ``_loss_averse_refutation`` decides every pair of both, and loss
+    aversion* changes only the witness.  Its first state is loss
+    aversion's: where b refutes a, b exceeds a at the first state in a's
+    order where the rows differ, so that is also a's first strictly worse
+    state.  Its second is the first state in b's order where b is strictly
+    worse, and with no such state the witness is the one state and
+    ``INF``.  The two concepts separate only where infima over a continuum
+    of states are not attained, as in ``instances.aim_big_exact_verdicts``.
+
+    Each row's ``_state_order`` is built the first time a pair reads it.
     """
 
-    def __init__(self, game: AgentGame, loss_averse: _LossAverse | None = None):
+    def __init__(self, game: AgentGame, one_sided: bool = False):
         super().__init__(game)
-        self.loss_averse = loss_averse
-        if loss_averse is not None:
-            self.orders = loss_averse.orders
+        self.one_sided = one_sided
+        self.orders: list[list[int] | None] = [None] * len(self.rows)
 
-    def refutations(self):
-        if self.loss_averse is None:
-            return super().refutations()
-        return self.witnessed(self.loss_averse.first_rivals())
+    def order(self, i: int) -> list[int]:
+        if self.orders[i] is None:
+            self.orders[i] = _state_order(self.rows[i])
+        return self.orders[i]
 
     def pair(self, i, k):
         ra, rb = self.rows[i], self.rows[k]
-        ja = next((j for j in self.order(i) if ra[j] < rb[j]), None)
-        if ja is None:
+        found = _loss_averse_refutation(ra, rb, self.order(i), self.order(k))
+        if found is None:
             return None
-        jb = next((j for j in self.order(k) if rb[j] < ra[j]), None)
-        if jb is None:
-            return self.refutation(i, k, (ja,), self.values[i][ja], INF)
-        if ra[ja] >= rb[jb]:
-            return None
+        ja, jb = found
+        if self.one_sided:
+            jb = next((j for j in self.order(k) if rb[j] < ra[j]), None)
+            if jb is None:
+                return self.refutation(i, k, (ja,), self.values[i][ja], INF)
         return self.refutation(i, k, (ja, jb), self.values[i][ja], self.values[k][jb])
 
 
@@ -373,7 +338,7 @@ class _MinMaxRegret(_Inequality):
 
 _INEQUALITIES: dict[Concept, Callable[[AgentGame], _Inequality]] = {
     Concept.LOSS_AVERSE: _LossAverse,
-    Concept.LOSS_AVERSE_STAR: _LossAverseStar,
+    Concept.LOSS_AVERSE_STAR: partial(_LossAverse, one_sided=True),
     Concept.SAFETY_LEVEL: _SafetyLevel,
     Concept.INDIVIDUALLY_RATIONAL: _IndividuallyRational,
     Concept.WEAKLY_DOMINANT: _WeaklyDominant,
@@ -389,20 +354,23 @@ def concept_verdicts(game: AgentGame, chosen: Iterable[Concept]) -> list[Concept
 
     Each action keeps its first refutation in its rival order; the actions
     without one satisfy the concept (for ``STRICTLY_DOMINATED``, those with
-    one).  When loss aversion is among them, a loss-aversion* verdict reads
-    its first rivals from loss aversion's relation, found once.
+    one).  Loss aversion and loss aversion* share one relation: the first
+    of them to be chosen scans its rivals, and the other reads that scan's
+    first rivals and row orders.
     """
-    chosen = tuple(chosen)
-    loss_averse = _LossAverse(game) if Concept.LOSS_AVERSE in chosen else None
+    relation = None  # the first loss-aversion scan: its row orders and refutations
     verdicts = []
     for concept in chosen:
-        if concept is Concept.LOSS_AVERSE:
-            inequality = loss_averse
-        elif concept is Concept.LOSS_AVERSE_STAR:
-            inequality = _LossAverseStar(game, loss_averse)
+        inequality = _INEQUALITIES[concept](game)
+        if isinstance(inequality, _LossAverse) and relation is not None:
+            inequality.orders, scanned = relation
+            refutations = inequality.witnessed(
+                [None if ref is None else game.action_index(ref.competitor) for ref in scanned]
+            )
         else:
-            inequality = _INEQUALITIES[concept](game)
-        refutations = inequality.refutations()
+            refutations = inequality.refutations()
+            if isinstance(inequality, _LossAverse):
+                relation = inequality.orders, refutations
         inverted = concept is Concept.STRICTLY_DOMINATED
         satisfying = tuple(
             a for a, ref in zip(game.actions, refutations) if (ref is not None) is inverted
@@ -457,10 +425,6 @@ def safety_level(game: AgentGame) -> Fraction:
 
 def safety_level_actions(game: AgentGame) -> set[str]:
     return set(concept_verdict(game, Concept.SAFETY_LEVEL).satisfying)
-
-
-def individually_rational_actions(game: AgentGame) -> set[str]:
-    return set(concept_verdict(game, Concept.INDIVIDUALLY_RATIONAL).satisfying)
 
 
 def weakly_dominant_actions(game: AgentGame) -> set[str]:
@@ -779,36 +743,31 @@ class MixtureAugmentation:
 
 def augment_with_mixed_nature(game: AgentGame, aug: MixtureAugmentation) -> AgentGame:
     """Append the augmentation's synthetic states to the game."""
-    game.state_index(aug.bar_state)
-    game.state_index(aug.floor_state)
-    seen: set[Fraction] = set()
-    for eps in aug.epsilons:
-        eps = scalar(eps)
+    bar = game.state_index(aug.bar_state)
+    floor = game.state_index(aug.floor_state)
+    epsilons: list[Fraction] = []
+    for eps in map(scalar, aug.epsilons):
         if not (0 < eps < 1):
             raise ValidationError(f"mixture weight {eps} is not strictly inside (0, 1)")
-        if eps in seen:
+        if eps in epsilons:
             raise ValidationError(f"duplicate mixture weight {eps}")
-        seen.add(eps)
+        epsilons.append(eps)
     level = safety_level(game)
-    for a in game.actions:
-        if game.utility(a, aug.floor_state) > level:
+    for a, row in zip(game.actions, game.rows):
+        if row[floor] > level:
             raise ValidationError(
                 f"floor state {aug.floor_state!r} does not force action {a!r} "
                 f"down to the safety level"
             )
-    if not aug.epsilons:
-        return AgentGame(game.type_label, game.actions, game.states, game.rows)
-    bar = game.state_index(aug.bar_state)
-    floor = game.state_index(aug.floor_state)
     new_labels = []
-    for eps in aug.epsilons:
-        label = f"mix-{scalar(eps)}"
+    for eps in epsilons:
+        label = f"mix-{eps}"
         if label in game.states or label in new_labels:
             raise ValidationError(f"synthetic state label {label!r} collides")
         new_labels.append(label)
     states = game.states + tuple(new_labels)
     rows = tuple(
-        row + tuple(scalar(eps) * row[bar] + (1 - scalar(eps)) * row[floor] for eps in aug.epsilons)
+        row + tuple(eps * row[bar] + (1 - eps) * row[floor] for eps in epsilons)
         for row in game.rows
     )
     return AgentGame(game.type_label, game.actions, states, rows)

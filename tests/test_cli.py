@@ -553,6 +553,49 @@ def test_analyze_on_the_201_bid_auction_matches_its_recorded_digest(tmp_path, ca
     )
 
 
+def _tie_heavy_table():
+    """Eight actions over three values: two copied rows, two constant ones."""
+    half = Fraction(1, 2)
+    rows = [
+        (0, 1, 1, 0, half, 1, 0, 1, half),
+        (0, 1, 1, 0, half, 1, 0, 1, half),
+        (half,) * 9,
+        (1, 1, 0, 1, 1, half, 1, 1, 0),
+        (0,) * 9,
+        (half, 1, half, 1, half, 1, half, 1, half),
+        (1, 1, 0, 1, 1, half, 1, 1, 0),
+        (1,) * 9,
+    ]
+    return AgentGame(
+        "ties",
+        tuple(f"a{i}" for i in range(len(rows))),
+        tuple(f"s{j}" for j in range(9)),
+        tuple(tuple(map(Fraction, row)) for row in rows),
+    )
+
+
+def test_loss_aversion_and_its_star_report_alike_in_either_order(tmp_path, capsys):
+    """Asked for together, in either order, LA and LA* print the blocks
+    their single-concept runs print."""
+    pair = ("loss-averse-star", "loss-averse")
+    games = {"dfpa": _golden_games()["dfpa"], "ties": _tie_heavy_table()}
+    sources = [("--curated", "aim-big")]
+    for name, game in games.items():
+        path = tmp_path / f"{name}.game"
+        path.write_text(format_game(game))
+        sources.append(("--game", str(path)))
+    for source in sources:
+        blocks = {}
+        for concept in pair:
+            code, out, _ = run(capsys, "analyze", *source, "--concepts", concept)
+            assert code == 0
+            blocks[concept], _, game_text = out.partition("\nagentgame v1\n")
+        for first, second in (pair, pair[::-1]):
+            code, out, _ = run(capsys, "analyze", *source, "--concepts", f"{first},{second}")
+            assert code == 0
+            assert out == blocks[first] + blocks[second] + "\nagentgame v1\n" + game_text, source
+
+
 # One vcg-attack scenario per adversary branch: (valuation, bids, nature,
 # epsilon).  The underbid is the three-item singleton split at 1/10; the
 # attack that overbids every bundle pins the ascending order of the bundles

@@ -13,9 +13,9 @@ from robustgames.concepts import (
     MixtureAugmentation,
     augment_with_mixed_nature,
     concept_verdict,
+    concept_verdicts,
     format_verdict,
     hierarchy_report,
-    individually_rational_actions,
     leximin_actions,
     loss_averse_actions,
     loss_averse_star_actions,
@@ -90,7 +90,7 @@ def test_safety_level_and_ir():
     game = _game([[2, -1], [0, 0], [5, 1]], ("a", "b", "c"))
     assert safety_level(game) == 1
     assert safety_level_actions(game) == {"c"}
-    assert individually_rational_actions(game) == {"b", "c"}
+    assert concept_verdict(game, Concept.INDIVIDUALLY_RATIONAL).satisfying == ("b", "c")
 
 
 def test_weakly_dominant_and_dominated():
@@ -120,13 +120,18 @@ def test_max_regret_and_min_max_regret():
 
 
 def _verdicts():
-    """Every concept's verdict on the curated games and 40 seeded random ones."""
+    """Every concept's verdict on the curated games and 40 seeded random ones,
+    one concept per call and all nine in one call, with loss aversion
+    before loss aversion* and after it."""
     rng = random.Random(7)
     games = [instances.curated_game(name) for name in sorted(instances.CURATED_GAMES)]
     games += [instances.random_game(rng) for _ in range(40)]
     for game in games:
         for concept in Concept:
             yield game, concept_verdict(game, concept)
+        for chosen in (tuple(Concept), tuple(reversed(Concept))):
+            for verdict in concept_verdicts(game, chosen):
+                yield game, verdict
 
 
 def test_concept_verdicts_carry_verifiable_refutations():
@@ -326,6 +331,7 @@ def test_augmentation_adds_labeled_states():
     added = set(bigger.states) - set(game.states)
     assert added and all(label.startswith("mix-") for label in added)
     assert set(bigger.actions) == set(game.actions)
+    assert augment_with_mixed_nature(game, replace(augmentation, epsilons=())) == game
 
 
 def test_solve_2x2_pure_shortcut_and_shape_guard():

@@ -16,7 +16,6 @@ from robustgames.concepts import (
     Refutation,
     _Leximin,
     _LossAverse,
-    _LossAverseStar,
     concept_verdict,
     concept_verdicts,
     hierarchy_report,
@@ -95,7 +94,7 @@ _CONCEPT_ROUTES = {
     Concept.LOSS_AVERSE_STAR: (concepts.loss_averse_star_actions, oracle.naive_loss_averse_star),
     Concept.SAFETY_LEVEL: (concepts.safety_level_actions, oracle.naive_safety_level),
     Concept.INDIVIDUALLY_RATIONAL: (
-        concepts.individually_rational_actions,
+        lambda g: set(concept_verdict(g, Concept.INDIVIDUALLY_RATIONAL).satisfying),
         oracle.naive_individually_rational,
     ),
     Concept.WEAKLY_DOMINANT: (concepts.weakly_dominant_actions, oracle.naive_weakly_dominant),
@@ -278,9 +277,9 @@ def _literal_first_refutations(game, concept, witness):
 
 def _assert_loss_averse_witnesses_are_literal(game):
     """Each LA and LA* refutation is the literal one by the first rival in
-    table order that refutes, whether LA* scans its own pairs or reads its
-    rivals from LA's relation, and the mixed falsifier finds the same LA
-    witness between pure actions."""
+    table order that refutes, whether each scans its own pairs or reads
+    its rivals from the other's scan, and the mixed falsifier finds the
+    same LA witness between pure actions."""
     for concept in (Concept.LOSS_AVERSE, Concept.LOSS_AVERSE_STAR):
         expected = _literal_first_refutations(game, concept, _naive_loss_averse_witness)
         assert concept_verdict(game, concept).refutations == expected
@@ -298,7 +297,7 @@ def _assert_loss_averse_witnesses_are_literal(game):
 def _assert_first_rivals_are_literal(game):
     """Each leximin, multi-leximin and strict-domination refutation is the
     literal one by the first rival in table order, alone or in one call
-    with every other concept."""
+    with every other concept, in either order."""
     for concept, witness in (
         (Concept.LEXIMIN, _naive_leximin_witness),
         (Concept.MULTI_LEXIMIN, _naive_leximin_witness),
@@ -306,7 +305,9 @@ def _assert_first_rivals_are_literal(game):
     ):
         expected = _literal_first_refutations(game, concept, witness)
         assert concept_verdict(game, concept).refutations == expected
-    assert concept_verdicts(game, Concept) == [concept_verdict(game, c) for c in Concept]
+    alone = [concept_verdict(game, c) for c in Concept]
+    assert concept_verdicts(game, Concept) == alone
+    assert concept_verdicts(game, reversed(Concept)) == alone[::-1]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -374,12 +375,13 @@ def _tie_heavy_games(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.one_of(_tie_heavy_games(), _wide_games(n_actions=4)))
 def test_loss_aversion_and_its_star_refute_the_same_pairs(game):
-    """On a finite game LA and LA* refute exactly the same ordered pairs,
-    the theorem LA*'s verdict takes its first rivals by."""
-    la, star = _LossAverse(game), _LossAverseStar(game)
+    """On a finite game LA and LA* refute exactly the same ordered pairs, so
+    LA*'s pair, decided by LA's rule, is the literal one-sided witness."""
+    star = _LossAverse(game, one_sided=True)
     for i in range(len(game.actions)):
         for k in range(len(game.actions)):
-            assert (la.pair(i, k) is None) is (star.pair(i, k) is None), (i, k)
+            literal = _naive_loss_averse_witness(game, Concept.LOSS_AVERSE_STAR, i, k)
+            assert star.pair(i, k) == literal, (i, k)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
