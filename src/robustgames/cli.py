@@ -35,10 +35,19 @@ GAME_REGISTRY = tuple(sorted(instances.CURATED_GAMES))
 AUCTION_REGISTRY = ("example-e1", "example-e2")
 
 
+# More places than this is a usage error; the digits stay far below str()'s int limit.
+MAX_DECIMAL_PLACES = 100
+
+
 def _decimal_suffix(value: Fraction, places: int | None) -> str:
+    """``value`` rounded half to even at ``places`` decimals; a negative value
+    that rounds to zero keeps its sign, as float formatting does."""
     if places is None:
         return ""
-    return f" (approx {float(value):.{places}f}, display only)"
+    digits = str(abs(round(value * 10**places))).rjust(places + 1, "0")
+    if places:
+        digits = f"{digits[:-places]}.{digits[-places:]}"
+    return f" (approx {'-' if value < 0 else ''}{digits}, display only)"
 
 
 def _scalar_cell(value: Fraction, places: int | None) -> str:
@@ -123,9 +132,23 @@ SCENARIO_COMMON = {"concepts", "format"}
 
 
 class Scenario:
-    """A parsed scenario file: a kind plus validated key/value fields."""
+    """A testbed's inputs: a kind plus key/value fields, checked against
+    ``SCENARIO_SCHEMA``.  ``source`` names where they came from (a scenario
+    file or a command's flags) in the messages."""
 
-    def __init__(self, kind: str, fields: dict[str, list[str]], base_dir: str):
+    def __init__(self, kind: str, fields: dict[str, list[str]], source: str, base_dir: str = ""):
+        if kind not in SCENARIO_SCHEMA:
+            known = ", ".join(sorted(SCENARIO_SCHEMA))
+            raise ValidationError(f"{source}: unknown scenario kind {kind!r}; known: {known}")
+        required, optional = SCENARIO_SCHEMA[kind]
+        for key in fields:
+            if key not in required | optional | SCENARIO_COMMON:
+                raise ValidationError(f"{source}: field {key!r} is not valid for kind {kind!r}")
+        missing = required - set(fields)
+        if missing:
+            raise ParseError(
+                f"{source}: kind {kind!r} is missing field(s) {', '.join(sorted(missing))}"
+            )
         self.kind = kind
         self.fields = fields
         self.base_dir = base_dir
@@ -163,19 +186,7 @@ def parse_scenario(path: str) -> Scenario:
     if len(fields["kind"]) != 1:
         raise ParseError(f"{path}: 'kind' given more than once")
     kind = fields.pop("kind")[0]
-    if kind not in SCENARIO_SCHEMA:
-        raise ValidationError(
-            f"{path}: unknown scenario kind {kind!r}; known: "
-            + ", ".join(sorted(SCENARIO_SCHEMA))
-        )
-    required, optional = SCENARIO_SCHEMA[kind]
-    for key in fields:
-        if key not in required | optional | SCENARIO_COMMON:
-            raise ValidationError(f"{path}: field {key!r} is not valid for kind {kind!r}")
-    missing = required - set(fields)
-    if missing:
-        raise ParseError(f"{path}: kind {kind!r} is missing field(s) {', '.join(sorted(missing))}")
-    scenario = Scenario(kind, fields, os.path.dirname(os.path.abspath(path)))
+    scenario = Scenario(kind, fields, path, os.path.dirname(os.path.abspath(path)))
     # The common fields are checked here, so every command refuses a bad one.
     _parse_concepts(scenario.optional("concepts"))
     fmt = scenario.optional("format")
@@ -193,64 +204,60 @@ def _scenario_game(scenario: Scenario) -> AgentGame:
             path = os.path.join(scenario.base_dir, path)
         return parse_game(_read_text(path, "game file"))
     if kind == "dfpa":
-        spec = _dfpa_spec(
-            scenario.single("value"), scenario.single("epsilon"), scenario.optional("cap")
-        )
-        return singleitem.dfpa_game(spec)
+        return singleitem.dfpa_game(_dfpa_spec(scenario))
     if kind == "all-pay":
-        return singleitem.all_pay_game(
-            parse_scalar(scenario.single("value")),
-            parse_scalar(scenario.single("epsilon")),
-            parse_scalar(scenario.single("cap")),
-        )
+        return singleitem.all_pay_game(*_scalars(scenario, "value", "epsilon", "cap"))
     if kind == "facility":
-        return mechanisms.facility_game(_facility_spec_from(scenario))
+        return mechanisms.facility_game(_facility_spec(scenario))
     if kind == "voting":
-        return mechanisms.psr_game(_psr_spec_from(scenario))
+        return mechanisms.psr_game(_psr_spec(scenario)[1])
     if kind == "curated":
         return instances.curated_game(scenario.single("name"))
     raise ValidationError(f"scenario kind {kind!r} does not describe a single game")
 
 
-def _dfpa_spec(value: str, epsilon: str, cap: str | None) -> singleitem.DfpaSpec:
-    value, epsilon = parse_scalar(value), parse_scalar(epsilon)
+def _flag_scenario(kind: str, args: argparse.Namespace) -> Scenario:
+    """The scenario of ``kind`` whose fields are the flags that kind takes;
+    the command's other flags are ignored."""
+    required, optional = SCENARIO_SCHEMA[kind]
+    values = {key: getattr(args, key.replace("-", "_")) for key in sorted(required | optional)}
+    fields = {key: [value] for key, value in values.items() if value is not None}
+    return Scenario(kind, fields, f"{args.command} flags")
+
+
+def _scalars(scenario: Scenario, *keys: str) -> tuple[Fraction, ...]:
+    return tuple(map(parse_scalar, [scenario.single(key) for key in keys]))
+
+
+def _dfpa_spec(scenario: Scenario) -> singleitem.DfpaSpec:
+    cap = scenario.optional("cap")
+    value, epsilon = _scalars(scenario, "value", "epsilon")
     if not cap:
         return singleitem.default_dfpa_spec(value, epsilon)
     return singleitem.DfpaSpec(value, epsilon, parse_scalar(cap))
 
 
-def _facility_spec(agents: int, my_type: str, grid_step: str | None) -> mechanisms.FacilitySpec:
+def _facility_spec(scenario: Scenario) -> mechanisms.FacilitySpec:
+    agents = _parse_int(scenario.single("agents"), "agents")
+    my_type, step = scenario.single("type"), scenario.optional("grid-step")
     # The default grid step 1/(4n) is defined only once n is a valid count.
     if agents < 2:
         raise ValidationError(f"need at least 2 agents, got {agents}")
-    step = parse_scalar(grid_step) if grid_step else Fraction(1, 4 * agents)
+    step = parse_scalar(step) if step else Fraction(1, 4 * agents)
     return mechanisms.FacilitySpec(agents, parse_scalar(my_type), step)
 
 
-def _facility_spec_from(scenario: Scenario) -> mechanisms.FacilitySpec:
-    return _facility_spec(
-        _parse_int(scenario.single("agents"), "agents"),
-        scenario.single("type"),
-        scenario.optional("grid-step"),
-    )
-
-
-def _psr_spec(rule: str, utilities: str, tally_cap: int | None) -> mechanisms.PsrSpec:
+def _psr_spec(scenario: Scenario) -> tuple[str, mechanisms.PsrSpec]:
+    """The voting rule's name and its spec."""
+    rule, utilities = scenario.single("rule"), scenario.single("utilities")
+    cap = scenario.optional("tally-cap")
+    cap = _parse_int(cap, "tally-cap") if cap is not None else None
     values = tuple(parse_scalar(tok) for tok in utilities.replace(",", " ").split())
     if rule == "plurality":
-        return mechanisms.plurality_spec(len(values), values, tally_cap)
+        return rule, mechanisms.plurality_spec(len(values), values, cap)
     if rule == "approval":
-        return mechanisms.approval_spec(len(values), values, tally_cap)
+        return rule, mechanisms.approval_spec(len(values), values, cap)
     raise ValidationError(f"unknown voting rule {rule!r}; known: plurality, approval")
-
-
-def _psr_spec_from(scenario: Scenario) -> mechanisms.PsrSpec:
-    cap = scenario.optional("tally-cap")
-    return _psr_spec(
-        scenario.single("rule"),
-        scenario.single("utilities"),
-        _parse_int(cap, "tally-cap") if cap is not None else None,
-    )
 
 
 def _payment_rule(name: str) -> vcg.PaymentRule:
@@ -312,10 +319,7 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
             chosen = _parse_concepts(raw)
         fmt = scenario.optional("format", fmt)
         if scenario.kind == "fpa-witness":
-            return _fpa_witness_text(
-                parse_scalar(scenario.single("value")),
-                parse_scalar(scenario.single("bid")),
-            )
+            return _fpa_witness_text(*_scalars(scenario, "value", "bid"))
         if scenario.kind == "vcg-attack":
             return _vcg_run_scenario_text(scenario, "clarke", args.decimal)
         game = _scenario_game(scenario)
@@ -336,6 +340,14 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
 # auctions
 
 
+def _check_formula(what: str, engine: set[str], formula: tuple[Fraction, ...]) -> None:
+    if engine != {format_scalar(bid) for bid in formula}:
+        bids = " ".join(map(format_scalar, formula))
+        raise InternalConsistencyError(
+            f"engine {what} bids {sorted(engine)} differ from the formula's {bids}"
+        )
+
+
 def _dfpa_text(spec: singleitem.DfpaSpec, decimal: int | None) -> str:
     value, epsilon = spec.value, spec.epsilon
     game = singleitem.dfpa_game(spec)
@@ -345,18 +357,9 @@ def _dfpa_text(spec: singleitem.DfpaSpec, decimal: int | None) -> str:
     engine_la = concepts.loss_averse_actions(game)
     engine_regret = concepts.min_max_regret_actions(game)
     engine_leximin = concepts.leximin_actions(game)
-    if engine_la != {format_scalar(la_bid)}:
-        raise InternalConsistencyError(
-            f"engine loss-averse bids {sorted(engine_la)} differ from the formula {la_bid}"
-        )
-    if engine_regret != {format_scalar(b) for b in regret_set}:
-        raise InternalConsistencyError(
-            f"engine regret bids {sorted(engine_regret)} differ from the formula {regret_set}"
-        )
-    if engine_leximin != {format_scalar(b) for b in leximin_set}:
-        raise InternalConsistencyError(
-            f"engine leximin bids {sorted(engine_leximin)} differ from the formula {leximin_set}"
-        )
+    _check_formula("loss-averse", engine_la, (la_bid,))
+    _check_formula("regret", engine_regret, regret_set)
+    _check_formula("leximin", engine_leximin, leximin_set)
     lines = [
         "dfpa report v1",
         f"value {format_scalar(spec.value)}",
@@ -377,10 +380,7 @@ def _allpay_text(value: Fraction, epsilon: Fraction, cap: Fraction, decimal: int
     game = singleitem.all_pay_game(value, epsilon, cap)
     closed = singleitem.all_pay_loss_averse_bid(value)
     engine_la = concepts.loss_averse_actions(game)
-    if engine_la != {format_scalar(closed)}:
-        raise InternalConsistencyError(
-            f"engine loss-averse bids {sorted(engine_la)} differ from the formula {closed}"
-        )
+    _check_formula("loss-averse", engine_la, (closed,))
     lines = [
         "all-pay report v1",
         f"value {format_scalar(value)}",
@@ -410,20 +410,16 @@ def _fpa_witness_text(value: Fraction, bid: Fraction) -> str:
     return "\n".join(lines) + "\n"
 
 
+_AUCTION_KINDS = {"dfpa": "dfpa", "allpay": "all-pay", "fpa-witness": "fpa-witness"}
+
+
 def _cmd_auction(args: argparse.Namespace) -> str:
-    if args.mechanism == "dfpa":
-        if args.value is None or args.epsilon is None:
-            raise ParseError("auction dfpa needs --value and --epsilon")
-        return _dfpa_text(_dfpa_spec(args.value, args.epsilon, args.cap), args.decimal)
-    if args.mechanism == "allpay":
-        if args.value is None or args.epsilon is None or args.cap is None:
-            raise ParseError("auction allpay needs --value, --epsilon, and --cap")
-        return _allpay_text(
-            parse_scalar(args.value), parse_scalar(args.epsilon), parse_scalar(args.cap), args.decimal
-        )
-    if args.value is None or args.bid is None:
-        raise ParseError("auction fpa-witness needs --value and --bid")
-    return _fpa_witness_text(parse_scalar(args.value), parse_scalar(args.bid))
+    scenario = _flag_scenario(_AUCTION_KINDS[args.mechanism], args)
+    if scenario.kind == "dfpa":
+        return _dfpa_text(_dfpa_spec(scenario), args.decimal)
+    if scenario.kind == "all-pay":
+        return _allpay_text(*_scalars(scenario, "value", "epsilon", "cap"), args.decimal)
+    return _fpa_witness_text(*_scalars(scenario, "value", "bid"))
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +606,7 @@ def _verify_theorem_text(budget: str, seed: int) -> str:
 
 
 def _cmd_facility(args: argparse.Namespace) -> str:
-    if args.agents is None or args.type is None:
-        raise ParseError("facility needs --agents and --type")
-    spec = _facility_spec(args.agents, args.type, args.grid_step)
+    spec = _facility_spec(_flag_scenario("facility", args))
     agents, my_type, step = spec.agent_count, spec.my_type, spec.others_grid_step
     game = mechanisms.facility_game(spec)
     closed = mechanisms.facility_loss_averse_report(my_type, agents)
@@ -634,22 +628,20 @@ def _cmd_facility(args: argparse.Namespace) -> str:
 
 
 def _cmd_voting(args: argparse.Namespace) -> str:
-    if args.utilities is None:
-        raise ParseError("voting needs --utilities")
-    spec = _psr_spec(args.rule, args.utilities, args.tally_cap)
+    rule, spec = _psr_spec(_flag_scenario("voting", args))
     utilities = spec.cardinal_utilities
     game = mechanisms.psr_game(spec)
     frontier = mechanisms.voting_pareto_frontier_loss_averse(spec)
     engine_la = concepts.loss_averse_actions(game)
     lines = [
         "voting report v1",
-        f"rule {args.rule}",
+        f"rule {rule}",
         "utilities " + " ".join(format_scalar(u) for u in utilities),
         f"tally-cap {spec.tally_cap}",
         "frontier " + " ".join(mechanisms.ballot_label(v) for v in frontier),
         f"engine-loss-averse {_set_line(game, engine_la)}",
     ]
-    if args.rule == "plurality":
+    if rule == "plurality":
         mixture = mechanisms.plurality_mixed_loss_averse(utilities)
         equalization = mechanisms.plurality_mixed_equalization(utilities)
         lines.append(
@@ -704,10 +696,10 @@ def _cmd_export(args: argparse.Namespace) -> str:
 
 
 def _places(text: str) -> int:
-    """A ``--decimal`` value: a count of places, which cannot be negative."""
-    if not text.isdecimal():
+    """A ``--decimal`` value: a count of places, from 0 to ``MAX_DECIMAL_PLACES``."""
+    if not text.isdecimal() or len(text) > 3 or int(text) > MAX_DECIMAL_PLACES:
         raise argparse.ArgumentTypeError(
-            f"decimal places must be a non-negative integer, got {text[:40]!r}"
+            f"decimal places must be an integer from 0 to {MAX_DECIMAL_PLACES}, got {text[:40]!r}"
         )
     return int(text)
 
@@ -773,15 +765,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("facility", help="facility location under the mean rule")
-    p.add_argument("--agents", type=int)
+    p.add_argument("--agents", help="number of agents reporting, at least 2")
     p.add_argument("--type", help="agent's ideal point in [0, 1]")
     p.add_argument("--grid-step", help="grid step for the others' report sum")
     add_common(p)
 
     p = sub.add_parser("voting", help="positional scoring rule testbeds")
-    p.add_argument("--rule", choices=("plurality", "approval"), required=True)
+    p.add_argument("--rule", choices=("plurality", "approval"))
     p.add_argument("--utilities", help="comma-separated cardinal utilities, 1 down to 0")
-    p.add_argument("--tally-cap", type=int, help="max aggregate score from other voters")
+    p.add_argument("--tally-cap", help="max aggregate score from other voters")
     add_common(p)
 
     # verify-all and export print no value that a decimal could follow.

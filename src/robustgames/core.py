@@ -45,11 +45,11 @@ MAX_GAME_CELLS = 10**6
 
 
 def check_game_cells(kind: str, actions: int, states: int) -> None:
-    """Refuse a game above ``MAX_GAME_CELLS`` cells before it is built or read."""
+    """Refuse a game above ``MAX_GAME_CELLS`` cells before it is built or read.
+    A count above the budget is not printed: ``str`` may refuse its digits."""
     if actions * states > MAX_GAME_CELLS:
-        raise CapacityError(
-            f"{kind} game of {actions} x {states} cells exceeds the budget of {MAX_GAME_CELLS}"
-        )
+        a, s = (n if n <= MAX_GAME_CELLS else f"over {MAX_GAME_CELLS}" for n in (actions, states))
+        raise CapacityError(f"{kind} game of {a} x {s} cells exceeds the budget of {MAX_GAME_CELLS}")
 
 
 def scalar(value: int | str | Fraction) -> Fraction:

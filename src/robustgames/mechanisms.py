@@ -21,7 +21,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import concepts
-from .core import AgentGame, MixedAction, check_game_cells, format_scalar, mixed_utility, scalar
+from .core import (
+    MAX_GAME_CELLS, AgentGame, MixedAction, check_game_cells, format_scalar, mixed_utility, scalar
+)
 from .errors import InternalConsistencyError, ValidationError
 
 
@@ -171,6 +173,7 @@ def plurality_spec(
     candidate_count: int, cardinal_utilities: Sequence[Fraction], tally_cap: int | None = None
 ) -> PsrSpec:
     n = candidate_count
+    check_game_cells("plurality ballots", n, n)
     vectors = tuple(
         tuple(Fraction(1) if k == j else Fraction(0) for k in range(n)) for j in range(n)
     )
@@ -181,6 +184,7 @@ def approval_spec(
     candidate_count: int, cardinal_utilities: Sequence[Fraction], tally_cap: int | None = None
 ) -> PsrSpec:
     n = candidate_count
+    check_game_cells("approval ballots", 2**n, n)
     vectors = tuple(
         tuple(Fraction(b) for b in combo) for combo in itertools.product((0, 1), repeat=n)
     )
@@ -196,6 +200,9 @@ def psr_winner(scores: Sequence[Fraction]) -> int:
 def psr_game(spec: PsrSpec) -> AgentGame:
     """Ballots vs all aggregate tallies of the other voters."""
     n = spec.candidate_count
+    # Counted before any tally is built; a cap above the budget is refused either way.
+    tally_count = (min(spec.tally_cap, MAX_GAME_CELLS) + 1) ** n
+    check_game_cells("psr", len(spec.permissible_vectors), tally_count)
     max_score = max(max(vec) for vec in spec.permissible_vectors)
     if spec.tally_cap < max_score:
         warnings.warn(

@@ -10,8 +10,10 @@ witness construction only; its state space is a continuum.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .core import AgentGame, check_game_cells, format_scalar, scalar
 from .errors import InternalConsistencyError, ValidationError
@@ -72,14 +74,22 @@ def default_dfpa_spec(value: Fraction, epsilon: Fraction) -> DfpaSpec:
     return DfpaSpec(value, epsilon, cap)
 
 
-def _grids(spec: DfpaSpec, kind: str) -> tuple[list[Fraction], list[Fraction]]:
-    """The bid grid and the rival grid, counted against the cell budget
-    before either is built; the no-rival state adds one column."""
-    bids, rivals = (
-        range(int(limit / spec.epsilon) + 1) for limit in (spec.value, spec.nature_bid_cap)
+def _auction_game(kind: str, spec: DfpaSpec, lost: Callable[[Fraction], Fraction]) -> AgentGame:
+    """Bids against the top rival bid, both on the step grid, plus the
+    no-rival state.  A bid wins against a strictly lower rival and earns
+    value − bid; it earns ``lost(bid)`` otherwise.  Both grids are counted
+    in integers against the cell budget before either is built."""
+    step = spec.epsilon
+    bid_count, rival_count = spec.value // step + 1, spec.nature_bid_cap // step + 1
+    check_game_cells(kind, bid_count, rival_count + 1)
+    bids = [step * k for k in range(bid_count)]
+    states = tuple(format_scalar(step * j) for j in range(rival_count)) + (NO_RIVAL,)
+    # Bid k beats the rivals below index k; the cap leaves a rival above every bid.
+    rows = tuple(
+        (spec.value - b,) * k + (lost(b),) * (rival_count - k) + (spec.value - b,)
+        for k, b in enumerate(bids)
     )
-    check_game_cells(kind, len(bids), len(rivals) + 1)
-    return [spec.epsilon * k for k in bids], [spec.epsilon * k for k in rivals]
+    return AgentGame(kind, tuple(format_scalar(b) for b in bids), states, rows)
 
 
 def dfpa_game(spec: DfpaSpec) -> AgentGame:
@@ -88,14 +98,7 @@ def dfpa_game(spec: DfpaSpec) -> AgentGame:
     Utility is value − bid on a win (competing bid strictly lower, or
     the no-rival state), 0 otherwise.
     """
-    bids, rivals = _grids(spec, "dfpa")
-    states = tuple(format_scalar(s) for s in rivals) + (NO_RIVAL,)
-    rows = tuple(
-        tuple(spec.value - b if b > s else Fraction(0) for s in rivals)
-        + (spec.value - b,)
-        for b in bids
-    )
-    return AgentGame("dfpa", tuple(format_scalar(b) for b in bids), states, rows)
+    return _auction_game("dfpa", spec, lambda bid: Fraction(0))
 
 
 def dfpa_loss_averse_bid(value: Fraction, epsilon: Fraction) -> Fraction:
@@ -223,14 +226,7 @@ def verify_fpa_witness(w: FpaWitness) -> bool:
 
 def all_pay_game(value: Fraction, epsilon: Fraction, nature_bid_cap: Fraction) -> AgentGame:
     """All-pay variant on the same grids: the bid is paid win or lose."""
-    spec = DfpaSpec(value, epsilon, nature_bid_cap)
-    bids, rivals = _grids(spec, "all-pay")
-    states = tuple(format_scalar(s) for s in rivals) + (NO_RIVAL,)
-    rows = tuple(
-        tuple(spec.value - b if b > s else -b for s in rivals) + (spec.value - b,)
-        for b in bids
-    )
-    return AgentGame("all-pay", tuple(format_scalar(b) for b in bids), states, rows)
+    return _auction_game("all-pay", DfpaSpec(value, epsilon, nature_bid_cap), operator.neg)
 
 
 def all_pay_loss_averse_bid(value: Fraction) -> Fraction:

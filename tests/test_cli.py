@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from robustgames import mechanisms, singleitem, vcg
-from robustgames.cli import build_parser, main
+from robustgames.cli import MAX_DECIMAL_PLACES, _decimal_suffix, build_parser, main
 from robustgames.core import AgentGame, format_game, parse_game
 from robustgames.instances import curated_game
 
@@ -113,6 +113,31 @@ def test_dfpa_decimal_column_is_display_only(capsys):
     )
     assert code == 0
     assert "loss-averse-bid 9/10 (approx 0.90, display only)" in out
+
+
+def test_decimal_rounds_the_exact_value_half_to_even():
+    # 1789/200 = 8.945 exactly; the nearest float is above it and prints 8.95.
+    assert _decimal_suffix(Fraction(1789, 200), 2) == " (approx 8.94, display only)"
+    assert _decimal_suffix(Fraction(1791, 200), 2) == " (approx 8.96, display only)"
+    assert _decimal_suffix(Fraction(5, 2), 0) == " (approx 2, display only)"
+    assert _decimal_suffix(Fraction(1, 3), 4) == " (approx 0.3333, display only)"
+    # A negative value that rounds to zero keeps its sign.
+    assert _decimal_suffix(Fraction(-1, 1000), 2) == " (approx -0.00, display only)"
+    assert _decimal_suffix(Fraction(-2, 5), 0) == " (approx -0, display only)"
+    assert _decimal_suffix(Fraction(-7, 4), 1) == " (approx -1.8, display only)"
+
+
+def test_decimal_prints_values_past_a_float_and_up_to_its_bound(capsys):
+    big = "1" + "0" * 400
+    code, out, _ = run(capsys, "auction", "dfpa", "--value", big, "--epsilon", big, "--decimal", "2")
+    assert code == 0
+    assert f"leximin-bids {big} (approx {big}.00, display only)" in out
+    code, out, _ = run(
+        capsys, "auction", "dfpa", "--value", "1", "--epsilon", "1/3",
+        "--decimal", str(MAX_DECIMAL_PLACES),
+    )
+    assert code == 0
+    assert f"loss-averse-bid 2/3 (approx 0.{'6' * 99}7, display only)" in out
 
 
 def test_analyze_decimal_acts_on_vcg_attack_scenarios_only(tmp_path, capsys):
@@ -360,6 +385,52 @@ def _case(name, scenario, *args, code):
             "facility", "--agents", "3", "--type", "1/2", "--grid-step", "1/100000000",
             code=4,
         ),
+        # Grid points are counted as integers, past what range() can hold.
+        _case(
+            "dfpa-grid-past-2-to-the-63-points", None,
+            "auction", "dfpa", "--value", "1", "--epsilon", "1/1000000000000000000000",
+            code=4,
+        ),
+        _case(
+            "scenario-dfpa-grid-past-2-to-the-63-points",
+            "kind: dfpa\nvalue: 1\nepsilon: 1/1000000000000000000000\n",
+            "analyze", "--scenario", "{scn}",
+            code=4,
+        ),
+        _case(
+            "grid-counts-with-more-digits-than-str-converts", None,
+            "auction", "dfpa", "--value", "1" + "0" * 4000, "--epsilon", "1/1" + "0" * 4000,
+            code=4,
+        ),
+        # The voting builders count ballots and tallies before building them.
+        _case(
+            "voting-tallies-above-the-cell-budget", None,
+            "voting", "--rule", "plurality", "--utilities", "1,0", "--tally-cap", "1000000",
+            code=4,
+        ),
+        _case(
+            "approval-ballots-above-the-cell-budget", None,
+            "voting", "--rule", "approval",
+            "--utilities", ",".join(["1", *(f"{k}/30" for k in range(28, 0, -1)), "0"]),
+            code=4,
+        ),
+        _case(
+            "decimal-places-past-the-bound", None,
+            "auction", "dfpa", "--value", "1", "--epsilon", "1/2", "--decimal", "101",
+            code=2,
+        ),
+        _case(
+            "decimal-places-past-the-float-precision-limit", None,
+            "auction", "dfpa", "--value", "1", "--epsilon", "1/2", "--decimal", "99999999999",
+            code=2,
+        ),
+        _case("flag-agents-not-an-integer", None, "facility", "--agents", "two", "--type", "1/2", code=2),
+        _case(
+            "flag-tally-cap-not-an-integer", None,
+            "voting", "--rule", "plurality", "--utilities", "1,0", "--tally-cap", "1.5",
+            code=2,
+        ),
+        _case("flag-missing-voting-rule", None, "voting", "--utilities", "1,0", code=2),
         # A game document is refused on its header, before any row is read.
         _case(
             "game-document-above-the-cell-budget",
@@ -715,6 +786,40 @@ def test_voting_reports_match_their_recorded_digests_and_scenarios(tmp_path, cap
         code, game, _ = run(capsys, "export", "--scenario", str(path))
         assert code == 0
         assert report.endswith("\n" + game)
+
+
+@pytest.mark.parametrize(
+    "kind, command, fields",
+    [
+        ("dfpa", ("auction", "dfpa"), {"value": "1", "epsilon": "3/10"}),
+        ("dfpa", ("auction", "dfpa"), {"value": "7/3", "epsilon": "1/7", "cap": "4"}),
+        ("all-pay", ("auction", "allpay"), {"value": "1", "epsilon": "1/4", "cap": "2"}),
+        ("facility", ("facility",), {"agents": "3", "type": "5/12"}),
+        ("facility", ("facility",), {"agents": "4", "type": "1/3", "grid-step": "1/7"}),
+        ("voting", ("voting",), {"rule": "plurality", "utilities": "1 2/3 1/3 0"}),
+        ("voting", ("voting",), {"rule": "approval", "utilities": "1,1/2,0", "tally-cap": "1"}),
+    ],
+)
+def test_flag_reports_end_with_the_game_of_the_same_scenario(
+    tmp_path, capsys, kind, command, fields
+):
+    """A flag command's fields are the scenario kind's: its report ends with
+    the exact ``export --scenario`` text of a scenario holding them."""
+    flags = [arg for key, value in fields.items() for arg in (f"--{key}", value)]
+    code, report, _ = run(capsys, *command, *flags)
+    assert code == 0
+    body = "".join(f"{key}: {value}\n" for key, value in fields.items())
+    path = _write_scenario(tmp_path, f"scenario v1\nkind: {kind}\n{body}")
+    code, game, _ = run(capsys, "export", "--scenario", path)
+    assert code == 0
+    assert report.endswith("\n" + game)
+
+
+def test_flags_the_kind_does_not_take_are_ignored(capsys):
+    dfpa = ("auction", "dfpa", "--value", "1", "--epsilon", "3/10")
+    assert run(capsys, *dfpa, "--bid", "1") == run(capsys, *dfpa)
+    witness = ("auction", "fpa-witness", "--value", "1", "--bid", "1/2")
+    assert run(capsys, *witness, "--epsilon", "0", "--cap", "x") == run(capsys, *witness)
 
 
 # sha256 of `vcg run --curated NAME --epsilon STEP --payment-rule RULE` stdout,

@@ -4,8 +4,9 @@ Scenario files of every kind and game documents are generated from a
 small pool of field values: valid rationals, 0, negatives, ``1/0``,
 garbage tokens, a literal beyond the integer digit limit and wrong table
 lengths.  They run through ``analyze``, ``vcg run|classify|adversary``
-and ``export``.  Sizes stay at most 2 items, 2 bids and 5 facility
-agents, so each input runs in milliseconds.
+and ``export``.  The ``auction``, ``facility`` and ``voting`` commands
+draw their flags from the same pools.  Sizes stay at most 2 items, 2 bids
+and 5 facility agents, so each input runs in milliseconds.
 """
 import contextlib
 import io
@@ -46,6 +47,7 @@ FIELDS = {
     "format": ("structured", "csv", "table", "x"),
     "items": ("2", "1") * 4 + ("0", "-1", "x", "9"),
 }
+DECIMALS = (None, -1, 2, 0, -2, 3, 1)
 COMMANDS = (
     ("analyze", "--scenario", "{scn}"),
     ("analyze", "--game", "{game}"),
@@ -131,7 +133,7 @@ def _run(argv):
 @given(
     scenario=_scenarios(),
     game=_game_documents(),
-    decimal=st.sampled_from((None, -1, 2, 0, -2, 3, 1)),
+    decimal=st.sampled_from(DECIMALS),
 )
 def test_every_input_ends_in_a_documented_exit_code(scenario, game, decimal):
     """Each scenario and game document goes through every command."""
@@ -148,6 +150,38 @@ def test_every_input_ends_in_a_documented_exit_code(scenario, game, decimal):
             code, out, err = _run(argv)
             assert code in EXIT_CODES, (argv, scenario, err)
             assert "Traceback" not in out + err
+
+
+# Each flag command and the flags it offers; a kind ignores the ones it does not take.
+FLAG_COMMANDS = {
+    ("auction", "dfpa"): ("value", "epsilon", "cap", "bid"),
+    ("auction", "allpay"): ("value", "epsilon", "cap", "bid"),
+    ("auction", "fpa-witness"): ("value", "epsilon", "cap", "bid"),
+    ("facility",): ("agents", "type", "grid-step"),
+    ("voting",): ("rule", "utilities", "tally-cap"),
+}
+
+
+@st.composite
+def _flag_argvs(draw):
+    """A flag command with values from the field pools; each flag may be missing."""
+    command = draw(st.sampled_from(sorted(FLAG_COMMANDS)))
+    argv = list(command)
+    for key in FLAG_COMMANDS[command]:
+        if draw(st.integers(0, 9)) < 9:
+            argv.append(f"--{key}={draw(st.sampled_from(FIELDS[key]))}")
+    decimal = draw(st.sampled_from(DECIMALS))
+    if decimal is not None:
+        argv += ["--decimal", str(decimal)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=_flag_argvs())
+def test_every_flag_command_ends_in_a_documented_exit_code(argv):
+    code, out, err = _run(argv)
+    assert code in EXIT_CODES, (argv, err)
+    assert "Traceback" not in out + err
 
 
 def test_tally_cap_below_the_top_score_warns_and_still_reports():

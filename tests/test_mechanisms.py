@@ -13,7 +13,7 @@ from robustgames.concepts import (
 )
 from robustgames.concepts import FalsifyVerdict
 from robustgames.core import MixedAction, format_scalar, mixed_utility
-from robustgames.errors import InternalConsistencyError, ValidationError
+from robustgames.errors import CapacityError, InternalConsistencyError, ValidationError
 from robustgames.mechanisms import (
     FacilitySpec,
     approval_min_max_regret_top_k,
@@ -162,6 +162,27 @@ def test_psr_game_tally_cap_growth():
     small = psr_game(plurality_spec(2, (F(1), F(0)), tally_cap=1))
     large = psr_game(plurality_spec(2, (F(1), F(0)), tally_cap=3))
     assert len(small.states) == 4 and len(large.states) == 16
+
+
+def test_voting_builders_count_ballots_and_cells_before_building(monkeypatch):
+    counted = []
+    monkeypatch.setattr(mechanisms, "check_game_cells", lambda *shape: counted.append(shape))
+    for build, kind in ((plurality_spec, "plurality ballots"), (approval_spec, "approval ballots")):
+        spec = build(3, (F(1), F(1, 2), F(0)), tally_cap=1)
+        assert counted.pop() == (kind, len(spec.permissible_vectors), 3)
+        game = psr_game(spec)
+        assert counted.pop() == ("psr", len(game.actions), len(game.states))
+
+
+def test_voting_builders_refuse_shapes_above_the_cell_budget():
+    # 2 ballots x 708^2 tallies is 1,002,528 cells; 2^16 ballots of 16 entries is 1,048,576.
+    spec = plurality_spec(2, (F(1), F(0)), tally_cap=707)
+    with pytest.raises(CapacityError, match="psr game of 2 x 501264 cells"):
+        psr_game(spec)
+    with pytest.raises(CapacityError, match="approval ballots game of 65536 x 16 cells"):
+        approval_spec(16, [F(16 - k, 16) for k in range(16)])
+    with pytest.raises(CapacityError, match="psr game of 2 x over 1000000 cells"):
+        psr_game(plurality_spec(2, (F(1), F(0)), tally_cap=10**4000))
 
 
 def test_facility_builder_counts_the_cells_it_builds(monkeypatch):

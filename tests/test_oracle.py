@@ -759,3 +759,16 @@ def test_oracle_is_an_independent_second_route():
         path.name for path in package.glob("*.py") if "oracle" in _package_imports(path)
     }
     assert readers == {"verification.py"}
+
+
+def test_no_engine_module_holds_a_float():
+    """The engine is exact: no module under the package calls ``float`` or
+    holds a float literal."""
+    found = []
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            called = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"
+            literal = isinstance(node, ast.Constant) and isinstance(node.value, float)
+            if called or literal:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
