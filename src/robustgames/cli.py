@@ -631,6 +631,26 @@ def _cmd_voting(args: argparse.Namespace) -> str:
     rule, spec = _psr_spec(_flag_scenario("voting", args))
     utilities = spec.cardinal_utilities
     game = mechanisms.psr_game(spec)
+    # The rule's own lines build games at tally cap 2, which the cell budget
+    # may refuse, so they run before the frontier's loop over ballot pairs.
+    if rule == "plurality":
+        mixture = mechanisms.plurality_mixed_loss_averse(utilities)
+        equalization = mechanisms.plurality_mixed_equalization(utilities)
+        truthful = mechanisms.plurality_min_max_regret(utilities)
+        rule_lines = [
+            "mixed-loss-averse "
+            + " ".join(f"{label}:{format_scalar(p)}" for label, p in mixture.entries),
+            f"pivotal-expected-utility {_scalar_cell(equalization.level, args.decimal)}",
+            f"min-max-regret-ballot {mechanisms.ballot_label(truthful)}",
+            f"max-regret {_scalar_cell(concepts.max_regret(game, mechanisms.ballot_label(truthful)), args.decimal)}",
+        ]
+    else:
+        k = mechanisms.approval_min_max_regret_top_k(utilities)
+        ballot = mechanisms.approval_top_k_ballot(len(utilities), k)
+        rule_lines = [
+            f"min-max-regret-top-k {k}",
+            f"min-max-regret-ballot {mechanisms.ballot_label(ballot)}",
+        ]
     frontier = mechanisms.voting_pareto_frontier_loss_averse(spec)
     engine_la = concepts.loss_averse_actions(game)
     lines = [
@@ -640,26 +660,9 @@ def _cmd_voting(args: argparse.Namespace) -> str:
         f"tally-cap {spec.tally_cap}",
         "frontier " + " ".join(mechanisms.ballot_label(v) for v in frontier),
         f"engine-loss-averse {_set_line(game, engine_la)}",
+        *rule_lines,
+        "",
     ]
-    if rule == "plurality":
-        mixture = mechanisms.plurality_mixed_loss_averse(utilities)
-        equalization = mechanisms.plurality_mixed_equalization(utilities)
-        lines.append(
-            "mixed-loss-averse "
-            + " ".join(f"{label}:{format_scalar(p)}" for label, p in mixture.entries)
-        )
-        lines.append(f"pivotal-expected-utility {_scalar_cell(equalization.level, args.decimal)}")
-        truthful = mechanisms.plurality_min_max_regret(utilities)
-        lines.append(f"min-max-regret-ballot {mechanisms.ballot_label(truthful)}")
-        lines.append(
-            f"max-regret {_scalar_cell(concepts.max_regret(game, mechanisms.ballot_label(truthful)), args.decimal)}"
-        )
-    else:
-        k = mechanisms.approval_min_max_regret_top_k(utilities)
-        ballot = mechanisms.approval_top_k_ballot(len(utilities), k)
-        lines.append(f"min-max-regret-top-k {k}")
-        lines.append(f"min-max-regret-ballot {mechanisms.ballot_label(ballot)}")
-    lines.append("")
     return "\n".join(lines) + format_game(game)
 
 

@@ -10,12 +10,18 @@ actions actually disagree; minima over empty sets are the top element
 from the rational table at the states it names.
 
 A verdict reports, for each action, the first rival in table order that
-refutes it.  By default that rival is found by testing the rivals in
-turn.  Leximin and multi-leximin are total preorders on one key per row,
-so a running maximum of the keys and a bisection find it instead.
-Loss aversion and loss aversion* refute exactly the same pairs (see
-``_LossAverse``), so when one call asks for both, the second takes its
-first rivals from the first one's scan.
+refutes it, found by testing the action's rivals in turn.  By default
+those are all other actions.  For leximin, multi-leximin, loss aversion,
+loss aversion* and strict dominance, a refuting rival's key (its
+ascending row, or for strict dominance its row sum) is always strictly
+larger than the action's own, so only those rivals are tested: a running
+maximum of the keys and a bisection skip to the first of them, and the
+rest follow in table order.  For the two leximins the first such rival
+always refutes; for the others the docstrings of ``_LossAverse`` and
+``_StrictlyDominated`` give the lemmas, and the worst case stays
+quadratic.  Loss aversion and loss aversion* refute exactly the same
+pairs (see ``_LossAverse``), so when one call asks for both, the second
+takes its first rivals from the first one's scan.
 Either way the reported witness is the concept's own ``pair`` rule on
 the one reported pair.
 
@@ -32,7 +38,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, compress, islice, repeat
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -120,30 +126,41 @@ class _Inequality:
     ``pair(i, k)`` is the canonical refutation of action ``i`` by rival
     ``k``, or None when the inequality holds for that pair.  ``rivals(i)``
     lists, in order, the rivals action ``i`` is tested against: every
-    other action in table order unless a concept says otherwise.  What a
-    concept reads from the whole table is computed once, on construction.
-    ``rows`` are the integer-scaled rows every comparison reads; ``values``
-    is the rational table the reported values come from.
+    other action in table order, or, once a concept has ranked the rows
+    by ``rank``, the rivals whose key is strictly larger than row ``i``'s.
+    What a concept reads from the whole table is computed once, on
+    construction.  ``rows`` are the integer-scaled rows every comparison
+    reads; ``values`` is the rational table the reported values come from.
     """
+
+    keys: Sequence | None = None
 
     def __init__(self, game: AgentGame):
         self.actions, self.states, self.values = game.actions, game.states, game.rows
         self.denominator, self.rows = game.scaled
 
+    def rank(self, keys: Sequence) -> None:
+        """Test each action only against the rivals with a strictly larger
+        key, for a concept where every refuting rival has one."""
+        self.keys, self.best = keys, list(accumulate(keys, max))
+
     def rivals(self, i: int) -> Iterable[int | None]:
-        return (k for k in range(len(self.rows)) if k != i)
+        if self.keys is None:
+            return (k for k in range(len(self.rows)) if k != i)
+        key, n = self.keys[i], len(self.keys)
+        start = bisect_right(self.best, key)  # the first row whose key is larger
+        return compress(range(start, n), map(key.__lt__, islice(self.keys, start, None)))
 
     def refutations(self) -> list[Refutation | None]:
-        """Each action's refutation by its first refuting rival, or None:
-        the rivals tested in turn, unless a concept knows a shorter route."""
+        """Each action's refutation by its first refuting rival, or None."""
         return [
-            next((ref for k in self.rivals(i) if (ref := self.pair(i, k))), None)
+            next(filter(None, map(self.pair, repeat(i), self.rivals(i))), None)
             for i in range(len(self.rows))
         ]
 
     def witnessed(self, first_rivals: Sequence[int | None]) -> list[Refutation | None]:
-        """Each action's refutation by the first rival a shorter route found
-        for it (None: no rival refutes it), read from ``pair``."""
+        """Each action's refutation by the first refuting rival another
+        route found for it (None: no rival refutes it), read from ``pair``."""
         refutations = []
         for i, k in enumerate(first_rivals):
             ref = None if k is None else self.pair(i, k)
@@ -189,13 +206,30 @@ class _LossAverse(_Inequality):
     ``INF``.  The two concepts separate only where infima over a continuum
     of states are not attained, as in ``instances.aim_big_exact_verdicts``.
 
-    Each row's ``_state_order`` is built the first time a pair reads it.
+    Where b refutes a, b's ascending row is strictly larger than a's, so
+    only those rivals are tested (``rank``).  Let E be the states where
+    a = c.  Below c the two rows hold the same values at the same states,
+    and b holds no other value below c.  Every entry of b equal to c sits
+    at a state of E, and b > c at one of them, so b holds fewer than |E|
+    entries equal to c while a holds |E|.  So the sorted rows agree up to
+    a's values below c, and then first differ where a has c and b has
+    more than c.  The converse fails: many rivals with a larger key may
+    not refute, so the worst case is still quadratic in the actions.
+
+    Each row's ``_state_order`` is built the first time a pair reads it,
+    and the keys the first time rivals are listed (never, where
+    ``concept_verdicts`` takes the first rivals from the other variant).
     """
 
     def __init__(self, game: AgentGame, one_sided: bool = False):
         super().__init__(game)
         self.one_sided = one_sided
         self.orders: list[list[int] | None] = [None] * len(self.rows)
+
+    def rivals(self, i):
+        if self.keys is None:
+            self.rank([tuple(sorted(row)) for row in self.rows])
+        return super().rivals(i)
 
     def order(self, i: int) -> list[int]:
         if self.orders[i] is None:
@@ -262,7 +296,26 @@ class _StrictlyDominated(_WeaklyDominant):
 
     The pair is a certificate, not a refutation: the action's refutation
     of weak dominance by a rival that is nowhere worse.
+
+    Two lemmas narrow the rivals.  A dominator's row sum is strictly
+    larger, since it adds a positive amount to the action's at one state
+    and a nonnegative amount at every other (``rank`` on the sums).  And
+    a row that is the unique strict maximum of some column has no
+    dominator, since a dominator would have to reach that maximum there
+    too; such rows test no rival.
     """
+
+    def __init__(self, game: AgentGame):
+        super().__init__(game)
+        self.rank([sum(row) for row in self.rows])
+        self.unbeaten = set()
+        for column in zip(*self.rows):
+            top = max(column)
+            if column.count(top) == 1:
+                self.unbeaten.add(column.index(top))
+
+    def rivals(self, i):
+        return () if i in self.unbeaten else super().rivals(i)
 
     def pair(self, i, k):
         if not all(map(operator.le, self.rows[i], self.rows[k])):
@@ -278,23 +331,22 @@ class _Leximin(_Inequality):
 
     So each row has one key, its ascending sequence, and the larger key
     wins.  The set version ends every key with ``top``, an integer above
-    every entry, which plays the top element.  The first rival beating
-    row i is the first row where the running maximum of the keys exceeds
-    row i's.
+    every entry, which plays the top element.  Every rival with a larger
+    key refutes, so row i's first refuting rival is the first row where
+    the running maximum of the keys exceeds row i's.
     """
 
     def __init__(self, game: AgentGame, multiset: bool = False):
         super().__init__(game)
         self.top = max(map(max, self.rows)) + 1
         if multiset:
-            self.keys = [tuple(sorted(row)) for row in self.rows]
+            self.rank([tuple(sorted(row)) for row in self.rows])
         else:
-            self.keys = [(*sorted(set(row)), self.top) for row in self.rows]
+            self.rank([(*sorted(set(row)), self.top) for row in self.rows])
 
     def refutations(self):
-        best = list(accumulate(self.keys, max))
-        found = [bisect_right(best, key) for key in self.keys]
-        return self.witnessed([None if k == len(best) else k for k in found])
+        found = [bisect_right(self.best, key) for key in self.keys]
+        return self.witnessed([None if k == len(self.best) else k for k in found])
 
     def pair(self, i, k):
         xs, ys = self.keys[i], self.keys[k]

@@ -624,6 +624,40 @@ def test_analyze_on_the_201_bid_auction_matches_its_recorded_digest(tmp_path, ca
     )
 
 
+def test_analyze_on_the_501_bid_auction_matches_its_recorded_digest(tmp_path, capsys):
+    """The 501 x 504 auction at value 1 and step 1/500, where loss
+    aversion and strict dominance test only the rivals with a larger key;
+    the digest was recorded while both still tested every rival."""
+    game = singleitem.dfpa_game(singleitem.default_dfpa_spec(Fraction(1), Fraction(1, 500)))
+    assert (len(game.actions), len(game.states)) == (501, 504)
+    path = tmp_path / "dfpa-501.game"
+    path.write_text(format_game(game))
+    code, out, _ = run(capsys, "analyze", "--game", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "de85e6994f1acc3e4a19f9a7e103097dc4e814ea445cfa97c67fd61cd5c0eb51"
+    )
+
+
+def test_approval_over_the_budget_is_refused_before_the_frontier(capsys, monkeypatch):
+    """Approval over 11 candidates at tally cap 0: the report's own cap-2
+    game is over the cell budget, so the run exits 4 without the frontier's
+    loop over all 2,048 x 2,048 ballot pairs."""
+    utilities = ",".join(["1", *(f"{k}/11" for k in range(9, 0, -1)), "0"])
+    args = ("voting", "--rule", "approval", "--utilities", utilities, "--tally-cap", "0")
+
+    def frontier(spec):
+        raise AssertionError("the frontier ran")
+
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(mechanisms, "voting_pareto_frontier_loss_averse", frontier)
+        with pytest.warns(UserWarning, match="below the top ballot score"):
+            code, out, err = run(capsys, *args)
+        assert (code, out) == (4, "")
+        assert err == "error: psr game of 2048 x 177147 cells exceeds the budget of 1000000\n"
+
+
 def _tie_heavy_table():
     """Eight actions over three values: two copied rows, two constant ones."""
     half = Fraction(1, 2)

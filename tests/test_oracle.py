@@ -16,6 +16,7 @@ from robustgames.concepts import (
     Refutation,
     _Leximin,
     _LossAverse,
+    _StrictlyDominated,
     concept_verdict,
     concept_verdicts,
     hierarchy_report,
@@ -389,6 +390,66 @@ def test_loss_aversion_and_its_star_refute_the_same_pairs(game):
 def test_rerouted_concepts_match_the_definition_on_tie_heavy_tables(game):
     _assert_loss_averse_witnesses_are_literal(game)
     _assert_first_rivals_are_literal(game)
+
+
+def test_loss_aversion_falls_through_a_larger_key_that_does_not_refute():
+    """a1's ascending row (0, 3, 4) is the first above a0's (0, 3, 3), but
+    both rows' worst difference value is 0; a2 (1, 1, 1) refutes a0."""
+    rows = tuple(tuple(map(F, row)) for row in ((0, 3, 3), (3, 0, 4), (1, 1, 1)))
+    game = AgentGame("t", ("a0", "a1", "a2"), ("s0", "s1", "s2"), rows)
+    for concept in (Concept.LOSS_AVERSE, Concept.LOSS_AVERSE_STAR):
+        inequality = _LossAverse(game, one_sided=concept is Concept.LOSS_AVERSE_STAR)
+        assert list(inequality.rivals(0)) == [1, 2]
+        assert inequality.pair(0, 1) is None
+        first = concept_verdict(game, concept).refutations[0]
+        assert (first.action, first.competitor) == ("a0", "a2")
+        assert first == _naive_loss_averse_witness(game, concept, 0, 2)
+
+
+def test_strict_dominance_skips_only_unique_column_maxima():
+    """a0 and a1 are the same row and tie with a2 at column s0's maximum,
+    so they are still tested, and a2 dominates both; a2 and a3 are the
+    unique maxima of columns s1 and s2, so no rival is tested for them.
+    Two identical rows that share a column's maximum are not unique there
+    either."""
+    rows = tuple(
+        tuple(map(F, row)) for row in ((3, 0, 1), (3, 0, 1), (3, 1, 1), (0, 0, 2))
+    )
+    game = AgentGame("t", ("a0", "a1", "a2", "a3"), ("s0", "s1", "s2"), rows)
+    inequality = _StrictlyDominated(game)
+    assert inequality.unbeaten == {2, 3}
+    assert list(inequality.rivals(0)) == [2] and list(inequality.rivals(1)) == [2]
+    assert list(inequality.rivals(2)) == [] and list(inequality.rivals(3)) == []
+    verdict = concept_verdict(game, Concept.STRICTLY_DOMINATED)
+    assert verdict.satisfying == ("a0", "a1")
+    assert [(r.action, r.competitor) for r in verdict.refutations] == [("a0", "a2"), ("a1", "a2")]
+    assert oracle.naive_strictly_dominated(game) == {"a0", "a1"}
+    # Two identical rows alone at column s0's maximum: neither is unique there.
+    rows = tuple(tuple(map(F, row)) for row in ((3, 0), (3, 0), (0, 1)))
+    game = AgentGame("t", ("a0", "a1", "a2"), ("s0", "s1"), rows)
+    assert _StrictlyDominated(game).unbeaten == {2}
+    assert concept_verdict(game, Concept.STRICTLY_DOMINATED).satisfying == ()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_tie_heavy_games(), _wide_games(n_actions=4)))
+def test_refuting_rivals_have_strictly_larger_keys(game):
+    """The lemmas the rival routes rest on, read off the literal
+    definitions: every LA and LA* competitor's ascending row is strictly
+    larger than the action's, every strict dominator's row sum is, and no
+    row that is the unique maximum of a column is dominated."""
+    rows = game.rows
+    unique_maxima = {
+        column.index(max(column)) for column in zip(*rows) if column.count(max(column)) == 1
+    }
+    for i in range(len(rows)):
+        for k in range(len(rows)):
+            for concept in (Concept.LOSS_AVERSE, Concept.LOSS_AVERSE_STAR):
+                if _naive_loss_averse_witness(game, concept, i, k):
+                    assert sorted(rows[k]) > sorted(rows[i]), (concept, i, k)
+            if _naive_domination_certificate(game, Concept.STRICTLY_DOMINATED, i, k):
+                assert sum(rows[k]) > sum(rows[i]), (i, k)
+                assert i not in unique_maxima, (i, k)
 
 
 def test_a_routed_rival_that_does_not_refute_is_an_internal_error():
