@@ -104,10 +104,13 @@ def _parse_concepts(raw: str | None) -> tuple[Concept, ...]:
         if not token:
             continue
         try:
-            out.append(Concept(token))
+            concept = Concept(token)
         except ValueError:
             known = ", ".join(c.value for c in Concept)
             raise ValidationError(f"unknown concept {token!r}; known: {known}") from None
+        if concept in out:
+            raise ValidationError(f"concept {token!r} is listed twice")
+        out.append(concept)
     if not out:
         raise ParseError("empty concept list")
     return tuple(out)

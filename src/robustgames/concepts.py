@@ -9,21 +9,22 @@ actions actually disagree; minima over empty sets are the top element
 (``AgentGame.scaled``); the values a refutation reports are read back
 from the rational table at the states it names.
 
-A verdict reports, for each action, the first rival in table order that
-refutes it, found by testing the action's rivals in turn.  By default
-those are all other actions.  For leximin, multi-leximin, loss aversion,
-loss aversion* and strict dominance, a refuting rival's key (its
-ascending row, or for strict dominance its row sum) is always strictly
-larger than the action's own, so only those rivals are tested: a running
-maximum of the keys and a bisection skip to the first of them, and the
-rest follow in table order.  For the two leximins the first such rival
-always refutes; for the others the docstrings of ``_LossAverse`` and
-``_StrictlyDominated`` give the lemmas, and the worst case stays
+A verdict reports, for each action, the first rival in its ``rivals``
+order that refutes it: a plain loop calls the concept's ``pair`` on each
+rival in turn and stops at the first refutation.  By default the rivals
+are all other actions in table order.  For leximin, multi-leximin, loss
+aversion, loss aversion* and strict dominance, a refuting rival's key
+(its ascending row, or for strict dominance its row sum) is always
+strictly larger than the action's own, so only those rivals are tested:
+a running maximum of the keys and a bisection skip to the first of them,
+and the rest follow in table order.  For the two leximins the first such
+rival always refutes; for the others the docstrings of ``_LossAverse``
+and ``_StrictlyDominated`` give the lemmas, and the worst case stays
 quadratic.  Loss aversion and loss aversion* refute exactly the same
 pairs (see ``_LossAverse``), so when one call asks for both, the second
-takes its first rivals from the first one's scan.
-Either way the reported witness is the concept's own ``pair`` rule on
-the one reported pair.
+takes its first rivals from the first one's scan.  Either way the
+reported witness is the concept's own ``pair`` rule on the one reported
+pair.
 
 All operations return plain data; ties inside any argmin or argmax are
 resolved towards the first-listed label so output is deterministic.
@@ -38,7 +39,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -64,8 +65,15 @@ class Concept(enum.Enum):
     MULTI_LEXIMIN = "multi-leximin"
     MIN_MAX_REGRET = "min-max-regret"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # valid, and it skips ``Enum.__hash__``'s Python frame on every lookup.
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
+
+_ZERO = Fraction(0)
+
+
+@dataclass(frozen=True, init=False)
 class Refutation:
     """Evidence that ``action`` violates a concept's defining inequality.
 
@@ -80,6 +88,18 @@ class Refutation:
     states: tuple[str, ...]
     self_value: ExtendedScalar
     other_value: ExtendedScalar | None
+
+    def __init__(self, action, competitor, states, self_value, other_value):
+        # The generated frozen __init__ makes one object.__setattr__ call per
+        # field; one dict update costs half as much, and a verdict builds one
+        # refutation per rejected action.
+        self.__dict__.update(
+            action=action,
+            competitor=competitor,
+            states=states,
+            self_value=self_value,
+            other_value=other_value,
+        )
 
 
 @dataclass(frozen=True)
@@ -113,10 +133,14 @@ def _loss_averse_refutation(
     A failure is given by the first states attaining the two worst values:
     the first state in each row's ``_state_order`` where the rows differ.
     """
-    ja = next((j for j in order_a if ra[j] != rb[j]), None)
-    if ja is None:
+    for ja in order_a:
+        if ra[ja] != rb[ja]:
+            break
+    else:
         return None
-    jb = next(j for j in order_b if ra[j] != rb[j])
+    for jb in order_b:
+        if ra[jb] != rb[jb]:
+            break
     return (ja, jb) if ra[ja] < rb[jb] else None
 
 
@@ -128,8 +152,12 @@ class _Inequality:
     lists, in order, the rivals action ``i`` is tested against: every
     other action in table order, or, once a concept has ranked the rows
     by ``rank``, the rivals whose key is strictly larger than row ``i``'s.
-    What a concept reads from the whole table is computed once, on
-    construction.  ``rows`` are the integer-scaled rows every comparison
+    ``refutations`` calls ``pair`` on those rivals in that order and keeps
+    the first refutation, so the witness is always ``pair``'s own; a
+    concept that overrides it (leximin) or that reads its first rivals
+    from another scan (``witnessed``) still reads the witness from
+    ``pair``.  What a concept reads from the whole table is computed once,
+    on construction.  ``rows`` are the integer-scaled rows every comparison
     reads; ``values`` is the rational table the reported values come from.
     """
 
@@ -146,17 +174,22 @@ class _Inequality:
 
     def rivals(self, i: int) -> Iterable[int | None]:
         if self.keys is None:
-            return (k for k in range(len(self.rows)) if k != i)
+            return chain(range(i), range(i + 1, len(self.rows)))
         key, n = self.keys[i], len(self.keys)
         start = bisect_right(self.best, key)  # the first row whose key is larger
         return compress(range(start, n), map(key.__lt__, islice(self.keys, start, None)))
 
     def refutations(self) -> list[Refutation | None]:
         """Each action's refutation by its first refuting rival, or None."""
-        return [
-            next(filter(None, map(self.pair, repeat(i), self.rivals(i))), None)
-            for i in range(len(self.rows))
-        ]
+        pair, found = self.pair, []
+        for i in range(len(self.rows)):
+            ref = None
+            for k in self.rivals(i):
+                ref = pair(i, k)
+                if ref is not None:
+                    break
+            found.append(ref)
+        return found
 
     def witnessed(self, first_rivals: Sequence[int | None]) -> list[Refutation | None]:
         """Each action's refutation by the first refuting rival another
@@ -175,7 +208,7 @@ class _Inequality:
     def refutation(self, i, k, states, self_value, other_value) -> Refutation:
         """The refutation of action ``i`` by rival ``k`` at state indices ``states``."""
         competitor = None if k is None else self.actions[k]
-        labels = tuple(self.states[j] for j in states)
+        labels = tuple([self.states[j] for j in states])
         return Refutation(self.actions[i], competitor, labels, self_value, other_value)
 
 
@@ -276,8 +309,10 @@ class _IndividuallyRational(_Inequality):
         return (None,)
 
     def pair(self, i, k):
-        j = next((j for j, v in enumerate(self.rows[i]) if v < 0), None)
-        return None if j is None else self.refutation(i, None, (j,), self.values[i][j], Fraction(0))
+        for j, v in enumerate(self.rows[i]):
+            if v < 0:
+                return self.refutation(i, None, (j,), self.values[i][j], _ZERO)
+        return None
 
 
 class _WeaklyDominant(_Inequality):
@@ -285,10 +320,10 @@ class _WeaklyDominant(_Inequality):
 
     def pair(self, i, k):
         ra, rb = self.rows[i], self.rows[k]
-        j = next((j for j in range(len(ra)) if rb[j] > ra[j]), None)
-        if j is None:
-            return None
-        return self.refutation(i, k, (j,), self.values[i][j], self.values[k][j])
+        for j in range(len(ra)):
+            if rb[j] > ra[j]:
+                return self.refutation(i, k, (j,), self.values[i][j], self.values[k][j])
+        return None
 
 
 class _StrictlyDominated(_WeaklyDominant):
@@ -349,11 +384,13 @@ class _Leximin(_Inequality):
         return self.witnessed([None if k == len(self.best) else k for k in found])
 
     def pair(self, i, k):
-        xs, ys = self.keys[i], self.keys[k]
-        p = next((p for p, (x, y) in enumerate(zip(xs, ys)) if x != y), None)
-        if p is None or xs[p] >= ys[p]:
+        for own, other in zip(self.keys[i], self.keys[k]):
+            if own != other:
+                break
+        else:
             return None
-        own, other = xs[p], ys[p]
+        if own > other:
+            return None
         ja = self.rows[i].index(own)
         if other == self.top:
             return self.refutation(i, k, (ja,), self.values[i][ja], INF)
@@ -414,7 +451,7 @@ def concept_verdicts(game: AgentGame, chosen: Iterable[Concept]) -> list[Concept
     verdicts = []
     for concept in chosen:
         inequality = _INEQUALITIES[concept](game)
-        if isinstance(inequality, _LossAverse) and relation is not None:
+        if relation is not None and isinstance(inequality, _LossAverse):
             inequality.orders, scanned = relation
             refutations = inequality.witnessed(
                 [None if ref is None else game.action_index(ref.competitor) for ref in scanned]
@@ -423,13 +460,9 @@ def concept_verdicts(game: AgentGame, chosen: Iterable[Concept]) -> list[Concept
             refutations = inequality.refutations()
             if isinstance(inequality, _LossAverse):
                 relation = inequality.orders, refutations
-        inverted = concept is Concept.STRICTLY_DOMINATED
-        satisfying = tuple(
-            a for a, ref in zip(game.actions, refutations) if (ref is not None) is inverted
-        )
-        verdicts.append(
-            ConceptVerdict(concept, satisfying, tuple(ref for ref in refutations if ref))
-        )
+        keep = operator.is_not if concept is Concept.STRICTLY_DOMINATED else operator.is_
+        satisfying = tuple(compress(game.actions, map(keep, refutations, repeat(None))))
+        verdicts.append(ConceptVerdict(concept, satisfying, tuple(filter(None, refutations))))
     return verdicts
 
 
@@ -526,6 +559,14 @@ _REPORT_CONCEPTS: tuple[Concept, ...] = (
     Concept.MIN_MAX_REGRET,
 )
 
+# The ordered pairs of distinct reported concepts without an arrow.
+_UNRELATED: tuple[tuple[Concept, Concept], ...] = tuple(
+    (src, dst)
+    for src in _REPORT_CONCEPTS
+    for dst in _REPORT_CONCEPTS
+    if src is not dst and (src, dst) not in _HIERARCHY_ARROWS
+)
+
 
 @dataclass(frozen=True)
 class HierarchyReport:
@@ -558,13 +599,7 @@ def hierarchy_report(game: AgentGame) -> HierarchyReport:
                 f"{src.value} {sorted(computed[src])} is not contained in "
                 f"{dst.value} {sorted(computed[dst])}"
             )
-    noninclusions = []
-    for src in _REPORT_CONCEPTS:
-        for dst in _REPORT_CONCEPTS:
-            if src is dst or (src, dst) in _HIERARCHY_ARROWS:
-                continue
-            if not computed[src] <= computed[dst]:
-                noninclusions.append((src, dst))
+    noninclusions = [(src, dst) for src, dst in _UNRELATED if not computed[src] <= computed[dst]]
     return HierarchyReport(
         sets=tuple(ordered.items()),
         arrows=_HIERARCHY_ARROWS,
@@ -827,24 +862,15 @@ def augment_with_mixed_nature(game: AgentGame, aug: MixtureAugmentation) -> Agen
 
 def format_verdict(game: AgentGame, verdict: ConceptVerdict) -> str:
     """Serialize a concept verdict to the structured text schema."""
-    lines = [
-        "verdict v1",
-        f"concept {verdict.concept.value}",
-        "actions " + (" ".join(verdict.satisfying) if verdict.satisfying else "-"),
-    ]
+    satisfying = " ".join(verdict.satisfying) if verdict.satisfying else "-"
+    lines = [f"verdict v1\nconcept {verdict.concept.value}\nactions {satisfying}"]
     for ref in verdict.refutations:
-        parts = [
-            "refutation",
-            ref.action,
-            "vs",
-            ref.competitor if ref.competitor is not None else "-",
-            "states",
-            ",".join(ref.states) if ref.states else "-",
-            "self",
-            format_extended(ref.self_value),
-            "other",
-            format_extended(ref.other_value) if ref.other_value is not None else "-",
-        ]
-        lines.append(" ".join(parts))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+        competitor = "-" if ref.competitor is None else ref.competitor
+        states = ",".join(ref.states) if ref.states else "-"
+        other = "-" if ref.other_value is None else format_extended(ref.other_value)
+        lines.append(
+            f"refutation {ref.action} vs {competitor} states {states} "
+            f"self {format_extended(ref.self_value)} other {other}"
+        )
+    lines.append("end\n")
+    return "\n".join(lines)

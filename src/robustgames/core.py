@@ -130,7 +130,8 @@ ExtendedScalar = Fraction | _Infinite
 
 
 def format_extended(value: ExtendedScalar) -> str:
-    return "inf" if isinstance(value, _Infinite) else format_scalar(value)
+    """Render ``p/q``, ``p`` or ``inf``: the ``str`` of a Fraction or of ``INF``."""
+    return str(value)
 
 
 def scale_rows(

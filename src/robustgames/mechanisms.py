@@ -256,11 +256,16 @@ def voting_pareto_frontier_loss_averse(spec: PsrSpec) -> tuple[tuple[Fraction, .
 
 
 def plurality_mixed_loss_averse(cardinal_utilities: Sequence[Fraction]) -> MixedAction:
-    """The unique loss-averse mixture over plurality ballots.
+    """The mixture over plurality ballots with weights inverse to the
+    candidates' values.
 
-    Weights are inversely proportional to each candidate's value so the
-    expected utility at every pivotal state equalizes at 1/N; the worst
-    candidate gets probability 0.
+    The ballot for candidate j gets (1/f_j) / N with N = sum of 1/f_k over
+    every candidate but the worst, who gets probability 0.  This is the
+    mixture meant to equalize the expected utility at the pivotal states
+    (``plurality_pivotal_state``), and ``plurality_mixed_equalization``
+    checks that it does, at 1/N.  Nothing here proves it loss-averse or
+    unique: ``mixed_loss_averse_falsify`` can only refute a mixture, never
+    certify one, and an exact decision is ROADMAP.md item 6.
     """
     f = tuple(scalar(v) for v in cardinal_utilities)
     n = len(f)

@@ -98,6 +98,23 @@ def test_analyze_rejects_auction_instances_and_unknown_concepts(capsys):
     assert code == 2
 
 
+def test_a_repeated_concept_is_a_validation_error(tmp_path, capsys):
+    """A concept listed twice, by the flag or by a scenario's ``concepts:``
+    line, exits 3 and names the repeat instead of printing its block twice."""
+    scenario = tmp_path / "twice.scn"
+    scenario.write_text(
+        "scenario v1\nkind: curated\nname: aim-big\nconcepts: leximin, loss-averse,leximin\n"
+    )
+    for args, repeated in (
+        (("analyze", "--curated", "aim-big", "--concepts", "loss-averse,loss-averse"), "loss-averse"),
+        (("analyze", "--scenario", str(scenario)), "leximin"),
+        (("export", "--scenario", str(scenario)), "leximin"),
+    ):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (3, ""), args
+        assert err == f"error: concept {repeated!r} is listed twice\n", args
+
+
 def test_dfpa_report_contract_values(capsys):
     code, out, _ = run(capsys, "auction", "dfpa", "--value", "1", "--epsilon", "3/10")
     assert code == 0

@@ -1,4 +1,6 @@
 """Solution concept solvers, refutations, hierarchy, and mixed machinery."""
+import hashlib
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -168,6 +170,55 @@ def test_tampered_refutations_do_not_verify():
                 assert verify_refutation(game, verdict.concept, tampered) is False, tampered
                 checked += 1
     assert checked > 1000
+
+
+def _tiny_games():
+    """Seeded tie-heavy tables up to 4 x 4 over {-1, 0, 1}, then seeded
+    ``instances.random_game`` tables (up to 6 x 6 over -5..5)."""
+    rng = random.Random(21)
+    for _ in range(400):
+        n_actions, n_states = rng.randint(1, 4), rng.randint(1, 4)
+        yield _game([[rng.choice((-1, 0, 1)) for _ in range(n_states)] for _ in range(n_actions)])
+    for _ in range(400):
+        yield instances.random_game(rng)
+
+
+# sha256 of the transcript below, recorded before the concept scans became
+# plain loops: every verdict one concept per call and all nine in one call
+# (loss aversion* first), then the hierarchy report's sets and non-inclusions.
+_TINY_TABLES_SHA256 = "906cf44e027f0aa8deb0811d63e10a2a0194445060f8bfe23cabcefed10e36ae"
+
+
+def test_tiny_tables_match_their_recorded_digest():
+    parts = []
+    for game in _tiny_games():
+        singles = [concept_verdict(game, concept) for concept in Concept]
+        for verdict in singles + concept_verdicts(game, tuple(reversed(Concept))):
+            parts.append(format_verdict(game, verdict))
+        report = hierarchy_report(game)
+        parts.extend(f"{c.value}: {' '.join(members)}\n" for c, members in report.sets)
+        parts.extend(f"{src.value} !<= {dst.value}\n" for src, dst in report.noninclusions)
+    digest = hashlib.sha256("".join(parts).encode()).hexdigest()
+    assert digest == _TINY_TABLES_SHA256
+
+
+def test_concepts_hash_by_identity_and_look_up_as_before():
+    """``Concept`` hashes by identity: a member built from its value, or
+    read back from a pickle, is the same object, so it finds every dict and
+    set entry its name finds."""
+    table = {concept: concept.value for concept in Concept}
+    members = set(Concept)
+    for concept in Concept:
+        for again in (Concept(concept.value), pickle.loads(pickle.dumps(concept))):
+            assert again is concept and hash(again) == hash(concept)
+            assert table[again] == concept.value and again in members
+        assert concepts._INEQUALITIES[Concept(concept.value)] is concepts._INEQUALITIES[concept]
+    assert len(members) == len(table) == len(concepts._INEQUALITIES) == 9
+    game = instances.curated_game("leximin-proof-game")
+    report = hierarchy_report(game)
+    for concept, satisfying in report.sets:
+        assert report.actions(Concept(concept.value)) == satisfying
+        assert satisfying == concept_verdict(game, Concept(concept.value)).satisfying
 
 
 def test_hierarchy_arrows_on_random_games():

@@ -66,8 +66,16 @@ def test_parse_scalar_rejects_whitespace():
 def test_inf_is_the_top_element():
     assert INF > Fraction(10**9)
     assert not INF < INF
-    assert format_extended(INF) == "inf"
-    assert format_extended(Fraction(1, 2)) == "1/2"
+    assert format_extended(INF) == str(INF) == "inf"
+    for value, text in (
+        (Fraction(1, 2), "1/2"),
+        (Fraction(-7, 3), "-7/3"),
+        (Fraction(-4), "-4"),
+        (Fraction(0), "0"),
+        (Fraction(5), "5"),
+        (Fraction(6, 4), "3/2"),
+    ):
+        assert format_extended(value) == str(value) == format_scalar(value) == text
 
 
 def _toy():
