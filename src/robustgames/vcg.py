@@ -15,12 +15,12 @@ the table of every other bid.  The winning *assignment* is found
 once per mechanism run by an exhaustive search with a documented total
 tie-break order, so every result is deterministic and exactly optimal.
 One scan loop (``_scan``) holds that rule.  It reads entries in one
-fixed order, each carrying the welfare of every bid but the last, the
-last bid's bundle, the size profile, the bundles and the owners, so an
-entry costs one lookup in the last bid's table.  For spaces up to
-``PRECOMPUTED_ORDER_BOUND`` each assignment's bundles and size profile
-are listed once per (bid count, items) and reused by every run; larger
-spaces generate the same entries as they are scanned.  The search hands
+fixed order, each the welfare of every bid but the last next to the
+assignment (the last bid's bundle, the size profile, the bundles and the
+owners), so an entry costs one lookup in the last bid's table.  For
+spaces up to ``PRECOMPUTED_ORDER_BOUND`` the assignments are listed once
+per (bid count, items) and reused by every run; larger spaces generate
+the same entries as they are scanned.  The search hands
 back the winning entry's bundles with its owners, so the mechanism and
 the case-1 adversary read them instead of rebuilding them.
 
@@ -47,15 +47,18 @@ per-item shares) is an integer too.  Classification, the refutation loop,
 the family scan and truth's certificates are steps on that set-up.
 ``certify_attack`` picks the steps by the attack's kind in one place; the
 public step functions run one step each.  ``Fraction``s and validated bid
-tables are built only for what a report carries.  Truth needs no
+tables are built only for what a report carries, from integer tables
+checked as integers (``_unscaled``).  Truth needs no
 mechanism run: by Clarke's pivot rule (Public Choice, 1971) a truthful
 bidder's utility is the optimal welfare of all bids less the others'
 optimum, whichever optimal allocation the tie-break picks
 (``_truth_utility``).  Only the false-name side (Yokoo, Sakurai &
 Matsubara, GEB 2004) needs the tie-broken search, and its side of every
-run is built once per attack (``_attack_runs``): the scan entries with
-the Sybil bids' welfare in each, and for each Sybil bid the partition
-table of the others, so a state costs one scan with one lookup per entry.
+run (``_sybil_side``) depends only on the Sybil bids' scaled tables: their
+welfare in each scan entry, and for each Sybil bid the partition table of
+the others, so a state costs one scan with one lookup per entry.  The
+lattices pair each bid vector with every valuation, so that side is built
+once per bid vector and scale and kept, as ints only, in a bounded memo.
 """
 
 from __future__ import annotations
@@ -78,6 +81,12 @@ SEARCH_BUDGET = 10**7
 # few hundred bytes per assignment); the attack lattices search at most
 # 256 assignments per run, and the order must not grow with the budget.
 PRECOMPUTED_ORDER_BOUND = 4096
+
+# The exact value of an integer over a scale, for what the per-attack steps
+# report.  An attack lattice reports few distinct values, each many times
+# (the classifications and adversary reports of the 2-item lattice build
+# 46 values 122 thousand times), so each is built once.
+_fraction = functools.lru_cache(maxsize=128)(Fraction)
 
 
 def full_mask(item_count: int) -> int:
@@ -127,10 +136,15 @@ class BundleTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _check_table(self.item_count, self.values))
 
-    @functools.cached_property
-    def _integers(self) -> tuple[int, tuple[int, ...]]:
-        """The entries' common denominator and the entries as integers over it."""
+    def __getattr__(self, name: str) -> tuple[int, tuple[int, ...]]:
+        """``_integers``: the entries' common denominator and the entries as
+        integers over it, built at the first read.  It is stored in the
+        instance ``__dict__``, where later reads find it without this call,
+        outside the fields, so ``==`` and ``hash`` do not read it."""
+        if name != "_integers":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         denominator, (integers,) = scale_rows([self.values])
+        self.__dict__["_integers"] = denominator, integers
         return denominator, integers
 
 
@@ -219,8 +233,26 @@ class SybilProfile:
 
 
 def _unscaled(item_count: int, table: Sequence[int], scale: int) -> BundleTable:
-    """The validated bundle table of integers over ``scale``."""
-    return BundleTable(item_count, tuple([Fraction(v, scale) for v in table]))
+    """The validated bundle table of integers over ``scale``.
+
+    The integers are checked against ``_check_table``'s rules: a positive
+    scale keeps every sign, so 2^m entries, 0 for the empty bundle and
+    none negative make a valid table, and its ``Fraction``s are built
+    once.  A table that breaks a rule goes through the public constructor,
+    which raises its own error.
+    """
+    values = tuple([_fraction(v, scale) for v in table])
+    if not (
+        1 <= item_count <= MAX_ITEMS
+        and len(table) == 1 << item_count
+        and table[0] == 0
+        and min(table) >= 0
+        and scale > 0
+    ):
+        return BundleTable(item_count, values)
+    out = object.__new__(BundleTable)
+    out.__dict__.update(item_count=item_count, values=values)
+    return out
 
 
 def _scaled(tables: Sequence[BundleTable], scale: int = 0) -> tuple[int, list[Sequence[int]]]:
@@ -260,19 +292,21 @@ def _partition_table(tables: Sequence[Sequence[int]], item_count: int) -> Sequen
     return best
 
 
-_Assignment = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+# An assignment in scan order: the last bid's bundle, the descending
+# bundle-size profile, each bid's bundle and each item's owner.
+_Assignment = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 def _assignment_order(n: int, items: tuple[int, ...]) -> Iterator[_Assignment]:
     """Each assignment of ``items`` to ``n`` bids in ascending lexicographic
-    order: its bundles, its descending bundle-size profile, its owners."""
+    order of its owners."""
     bits = [1 << i for i in items]
     for choice in itertools.product(range(n), repeat=len(items)):
         bundles = [0] * n
         for bit, owner in zip(bits, choice):
             bundles[owner] |= bit
         profile = sorted([b.bit_count() for b in bundles], reverse=True)
-        yield tuple(bundles), tuple(profile), choice
+        yield bundles[-1], tuple(profile), tuple(bundles), choice
 
 
 @functools.cache
@@ -294,17 +328,16 @@ def _search_order(n: int, items: tuple[int, ...]) -> Iterable[_Assignment]:
     return _assignment_order(n, items)
 
 
-# A scan entry: the welfare of every bid but the last in the assignment,
-# the last bid's bundle, then the assignment's size profile, bundles and
-# owners.
-_Entry = tuple[int, int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+# A scan entry: the welfare of every bid but the last in an assignment,
+# and the assignment.
+_Entry = tuple[int, _Assignment]
 
 
 def _entries(fixed: Sequence[Sequence[int]], order: Iterable[_Assignment]) -> Iterator[_Entry]:
     """Each assignment of ``order`` as a scan entry; ``fixed`` are the
     tables of every bid but the last."""
-    for bundles, profile, choice in order:
-        yield sum(map(getitem, fixed, bundles)), bundles[-1], profile, bundles, choice
+    for assignment in order:
+        yield sum(map(getitem, fixed, assignment[2])), assignment
 
 
 def _scan(
@@ -321,7 +354,7 @@ def _scan(
     best_profile: tuple[int, ...] = ()
     best_bundles: tuple[int, ...] = ()
     best_choice: tuple[int, ...] = ()
-    for fixed, bundle, profile, bundles, choice in entries:
+    for fixed, (bundle, profile, bundles, choice) in entries:
         welfare = fixed + last[bundle]
         if welfare < best_welfare:
             continue
@@ -424,15 +457,26 @@ class VcgOutcome:
 
 
 def _is_multiple(value: Fraction, step: Fraction) -> bool:
-    return (value / step).denominator == 1
+    """Whether ``value`` is an integer multiple of ``step``: a/b over c/d is
+    an integer exactly when b·c divides a·d."""
+    return value.numerator * step.denominator % (value.denominator * step.numerator) == 0
 
 
 def bid_grid_step(epsilon: Fraction, item_count: int) -> Fraction:
     """Bids live on a grid 2·m! times finer than valuations, whose step is positive."""
+    return Fraction(*_bid_grid(epsilon, item_count))
+
+
+def _bid_grid(epsilon: Fraction, item_count: int) -> tuple[int, int]:
+    """``bid_grid_step``'s numerator and denominator, in lowest terms:
+    ``epsilon`` is in lowest terms, so only its numerator can share a
+    factor with 2·m!."""
     epsilon = scalar(epsilon)
-    if epsilon <= 0:
+    if epsilon.numerator <= 0:
         raise ValidationError(f"grid step must be positive, got {epsilon}")
-    return epsilon / (2 * math.factorial(item_count))
+    finer = 2 * math.factorial(item_count)
+    common = math.gcd(epsilon.numerator, finer)
+    return epsilon.numerator // common, epsilon.denominator * (finer // common)
 
 
 def run_vcg(
@@ -530,30 +574,63 @@ def _truth_utility(value: Sequence[int], nature: Sequence[int], item_count: int)
     return welfare - nature[every]
 
 
+def _others_tables(own: Sequence[Sequence[int]], item_count: int) -> tuple[tuple[int, ...], ...]:
+    """For each of two or more bids, the partition table of the other bids."""
+    if len(own) < 2:
+        return ()
+    return tuple(
+        [tuple(_partition_table([*own[:j], *own[j + 1:]], item_count)) for j in range(len(own))]
+    )
+
+
+# The attack lattices pair every bid vector with each valuation in turn,
+# and the 2-item lattice runs 405 bid vectors per valuation.  An attack's
+# refutation and its scans share one scale (``_Attack``), so a bid vector
+# takes one entry, and a few family scans with finer candidates one more:
+# at most 409 other entries come between two uses of one.  The memo holds
+# that cycle, since an LRU smaller than the cycle evicts every entry
+# before its next use.
+@functools.lru_cache(maxsize=512)
+def _sybil_side(
+    own: tuple[tuple[int, ...], ...], item_count: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The Sybil bids' side of every run against one nature bid: their
+    welfare in each assignment of the kept scan order, and for each bid
+    the partition table of the others.  Both depend only on the bids'
+    scaled tables, so they are built once per bid vector and scale."""
+    order = _precomputed_order(len(own) + 1, tuple(range(item_count)))
+    return tuple([welfare for welfare, _ in _entries(own, order)]), _others_tables(own, item_count)
+
+
 def _attack_runs(
     value: Sequence[int], own: Sequence[Sequence[int]], item_count: int
 ) -> Callable[[Sequence[int]], int]:
     """The agent's Clarke utility with the ``own`` bids against one nature bid.
 
-    The own bids' side of every run is built once: the scan entries of
-    the own bids and one nature bid, each carrying the own bids' welfare
-    in it, and for each own bid the partition table of the other own
-    bids.  A run against a nature table is then one scan with one lookup
-    per entry, plus one split scan per own bid for the others' optimum
-    without it.  Nature's own payment, which nothing reads, is not
-    computed.  Above ``PRECOMPUTED_ORDER_BOUND`` the entries stream anew
-    for each run.
+    The own bids' side of every run comes from ``_sybil_side``, built once
+    per bid vector and scale: their welfare in each scan entry, and for
+    each own bid the partition table of the other own bids.  A run
+    against a nature table is then one scan with one lookup per entry,
+    plus one split scan per own bid for the others' optimum without it.
+    Nature's own payment, which nothing reads, is not computed.  Above
+    ``PRECOMPUTED_ORDER_BOUND`` the entries stream anew for each run, and
+    nothing is kept beyond this attack.
     """
     k = len(own)
     every = full_mask(item_count)
     items = tuple(range(item_count))
     splits = _splits(item_count)[every]
     order = _search_order(k + 1, items)
-    kept = tuple(_entries(own, order)) if isinstance(order, tuple) else None
-    others = [_partition_table([*own[:j], *own[j + 1:]], item_count) for j in range(k) if k > 1]
+    if isinstance(order, tuple):
+        welfares, others = _sybil_side(tuple(map(tuple, own)), item_count)
+    else:
+        welfares, others = None, _others_tables(own, item_count)
 
     def utility(nature: Sequence[int]) -> int:
-        entries = kept if kept is not None else _entries(own, _search_order(k + 1, items))
+        if welfares is None:
+            entries = _entries(own, _search_order(k + 1, items))
+        else:
+            entries = zip(welfares, order)
         welfare, bundles, _ = _scan(entries, nature)
         won = bundles[k]
         own_welfare = sum(map(getitem, own, bundles))
@@ -606,9 +683,11 @@ def classify_attack(valuation: CombValuation, bids: Sequence[CombBid]) -> Attack
     are every bundle of the winning kind, in ascending order, and the
     witness is the first of them.
     """
-    attack = _Attack(valuation, bids)
-    kind, masks, value = attack.classification()
-    return AttackClassification(kind, masks, tuple([Fraction(v, attack.scale) for v in value]))
+    item_count = valuation.item_count
+    _check_bids(item_count, bids)
+    scale, (target, *tables) = _scaled([valuation, *bids])
+    kind, masks, value = _classify(target, tables, item_count)
+    return AttackClassification(kind, masks, tuple([_fraction(v, scale) for v in value]))
 
 
 def _classify(
@@ -746,8 +825,7 @@ def overbidding_adversary(
     pins the bid grid the adversary's amounts are snapped to; without it
     the unit-grid step is used.
     """
-    grid = Fraction(1) if epsilon is None else epsilon
-    return _Attack(valuation, bids, grid=grid).refute(AttackKind.OVERBIDDING)
+    return _Attack(valuation, bids, grid=epsilon).refute(AttackKind.OVERBIDDING)
 
 
 def underbidding_adversary(
@@ -761,8 +839,7 @@ def underbidding_adversary(
     pins the bid grid the adversary's amounts are snapped to; without
     it the unit-grid step is used.
     """
-    grid = Fraction(1) if epsilon is None else epsilon
-    return _Attack(valuation, bids, grid=grid).refute(AttackKind.UNDERBIDDING)
+    return _Attack(valuation, bids, grid=epsilon).refute(AttackKind.UNDERBIDDING)
 
 
 def nature_state_family(item_count: int, levels: Sequence[Fraction]) -> tuple[CombBid, ...]:
@@ -853,8 +930,8 @@ def _family_check(
     return FamilyCheck(
         len(utilities),
         diff,
-        None if truth_min is None else Fraction(truth_min, scale),
-        None if attack_min is None else Fraction(attack_min, scale),
+        None if truth_min is None else _fraction(truth_min, scale),
+        None if attack_min is None else _fraction(attack_min, scale),
         None if reversal is None else state(reversal),
         None if zero_truth is None else state(zero_truth),
     )
@@ -960,11 +1037,13 @@ class _Attack:
 
     The set-up checks the tables and puts the valuation, the bids and the
     nature states on one integer scale.  Given the valuation grid step
-    ``grid``, the scale also makes the bid-grid step an integer, with a
-    factor 2 for the snapped midpoint and lcm(1..m) for the additive
-    shares, so every adversary candidate is an integer table on it.  The
-    states are multiplied out only when scanned; the classification and
-    the Sybil side of every run (``_attack_runs``) are built when first used.
+    ``grid`` (the unit grid by default), the scale also makes the bid-grid
+    step an integer, with a factor 2 for the snapped midpoint and
+    lcm(1..m) for the additive shares, so every adversary candidate is an
+    integer table on it.  An attack's refutation and its scans thus share
+    one scale, and the memo of the Sybil side one entry.  The states are
+    multiplied out only when scanned; the classification and the runs
+    (``_attack_runs``) are set up when first used.
     """
 
     _classification = _runs = None
@@ -979,10 +1058,9 @@ class _Attack:
         m = self.item_count = valuation.item_count
         _check_bids(m, bids, states)
         scale = math.lcm(*[table._integers[0] for table in (valuation, *bids, *states)])
-        if grid is not None:
-            step = bid_grid_step(grid, m)
-            scale = 2 * math.lcm(*range(1, m + 1)) * math.lcm(scale, step.denominator)
-            self.grid = step.numerator * (scale // step.denominator)
+        numerator, denominator = _bid_grid(Fraction(1) if grid is None else grid, m)
+        scale = 2 * math.lcm(*range(1, m + 1)) * math.lcm(scale, denominator)
+        self.grid = numerator * (scale // denominator)
         self.scale, (self.value, *self.own) = _scaled([valuation, *bids], scale)
         self.states = states
 
@@ -1024,10 +1102,10 @@ class _Attack:
                 if over or truth_u > 0:
                     return AdversaryReport(
                         mask,
-                        Fraction(tilde, scale),
+                        _fraction(tilde, scale),
                         _unscaled(m, adversary, scale),
-                        Fraction(attack_u, scale),
-                        Fraction(truth_u, scale),
+                        _fraction(attack_u, scale),
+                        _fraction(truth_u, scale),
                         True,
                         form,
                         tuple(tried),
@@ -1035,7 +1113,7 @@ class _Attack:
                     )
         first = _candidate_forms(kind, value[masks[0]], best[masks[0]], grid)[0][0]
         return AdversaryReport(
-            masks[0], Fraction(first, scale), None, None, None, False, "none", tuple(tried), scale
+            masks[0], _fraction(first, scale), None, None, None, False, "none", tuple(tried), scale
         )
 
     def scan(self, tried: Sequence[Sequence[int]] = ()) -> FamilyCheck:
@@ -1079,8 +1157,8 @@ class _Attack:
                     family_size=len(family),
                     witness_mask=mask,
                     adversary=_unscaled(m, adversary, scale),
-                    attack_utility=Fraction(attack_u, scale),
-                    truth_utility=Fraction(truth_u, scale),
+                    attack_utility=_fraction(attack_u, scale),
+                    truth_utility=_fraction(truth_u, scale),
                 )
 
         # One scan of the family serves case 2 and the fallback.
@@ -1120,7 +1198,7 @@ def certify_attack(
     and every candidate tried unless an overbid was refuted.  Each equals
     what the public step of its name returns on the attack.
     """
-    attack = _Attack(valuation, bids, family, Fraction(1) if epsilon is None else epsilon)
+    attack = _Attack(valuation, bids, family, epsilon)
     kind = attack.classification()[0]
     if kind is AttackKind.EXACT_BIDDING:
         return kind, attack.truth_certificate(), None

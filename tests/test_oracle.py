@@ -45,13 +45,16 @@ from robustgames.vcg import (
     _attack_runs,
     _partition_table,
     _scaled,
+    _sybil_side,
     _tie_broken_assignment,
     _truth_utility,
     best_partition_value,
     bid_grid_step,
+    certify_attack,
     claim_family_check,
     classify_attack,
     enumerate_attacks,
+    enumerate_valuations,
     mask_items,
     nature_state_family,
     overbidding_adversary,
@@ -642,6 +645,7 @@ def test_attack_kernel_streams_above_the_precomputed_order_bound():
 
     flat = CombBid(8, tuple(F(mask.bit_count()) for mask in range(size)))
     valuation = table()
+    memo = _sybil_side.cache_info()
     for bids, nature in (((table(), table()), [table(), flat]), ((flat, flat), [flat, table()])):
         scale, (value, *tables) = _scaled([valuation, *bids, *nature])
         attack = _attack_runs(value, tables[:2], 8)
@@ -649,6 +653,67 @@ def test_attack_kernel_streams_above_the_precomputed_order_bound():
             expected = utility_against(valuation, bids, [state])
             assert F(attack(state_table), scale) == expected
             assert expected == _naive_clarke_utility(valuation, bids, [state])
+    assert _sybil_side.cache_info() == memo  # streamed orders are not memoised
+
+
+def _table(item_count, *values):
+    return CombBid(item_count, tuple(F(v) for v in values))
+
+
+def test_attack_kernel_memo_serves_each_bid_vector_by_value_and_scale():
+    """The Sybils' side is built once per bid vector and scale: a second
+    kernel on the same bids reads it from the memo, next to another
+    valuation too, and a second scale builds its own.  Every utility
+    matches the mechanism run and the oracle's searches."""
+    _sybil_side.cache_clear()
+    bids = (_table(2, 0, 1, 2, 2), _table(2, 0, "1/2", 1, "5/2"))
+    nature = [_table(2, 0, 1, 1, 3), _table(2, 0, 2, "1/2", 2)]
+    first, second = _table(2, 0, 1, 1, 2), _table(2, 0, 2, 2, "7/2")
+
+    def utilities(valuation, scale=0):
+        scale, (value, *tables) = _scaled([valuation, *bids, *nature], scale)
+        attack = _attack_runs(value, tables[:2], 2)
+        return scale, [F(attack(table), scale) for table in tables[2:]]
+
+    def expected(valuation):
+        profiles = [SybilProfile(valuation, bids)]
+        out = []
+        for state in nature:
+            run = run_vcg([*profiles, SybilProfile.truthful(state)], 2)
+            assert run.agent_utilities[0] == _naive_clarke_utility(valuation, bids, [state])
+            out.append(run.agent_utilities[0])
+        return out
+
+    scale, cold = utilities(first)
+    assert _sybil_side.cache_info()[:2] == (0, 1)  # (hits, misses)
+    assert utilities(first) == (scale, cold) and cold == expected(first)
+    assert _sybil_side.cache_info()[:2] == (1, 1)
+    assert utilities(second, scale)[1] == expected(second)
+    assert _sybil_side.cache_info()[:2] == (2, 1)
+    assert utilities(first, 3 * scale) == (3 * scale, cold)
+    assert _sybil_side.cache_info()[:2] == (2, 2)
+    for at in (scale, 3 * scale):
+        welfares, others = _sybil_side(tuple(map(tuple, _scaled(bids, at)[1])), 2)
+        assert type(welfares) is tuple and type(others) is tuple
+        assert all(type(w) is int for w in welfares)
+        assert all(type(t) is tuple and all(type(v) is int for v in t) for t in others)
+
+
+def test_attack_kernel_memo_stays_within_its_bound_over_the_lattice():
+    """Every attack of the 2-item cap-2 lattice certified in lattice order:
+    the memo holds one valuation's 405 bid vectors, each on the one scale
+    its refutation and its scans share, so the bid vectors met again one
+    valuation later are served from it."""
+    _sybil_side.cache_clear()
+    family = nature_state_family(2, tuple(F(k, 2) for k in range(6)))
+    attacks = tuple(enumerate_attacks(2, F(1), F(2), 2))
+    assert len(attacks) == 405 and _sybil_side.cache_info().maxsize >= 405
+    for valuation in enumerate_valuations(2, F(1), F(2)):
+        for bids in attacks:
+            certify_attack(valuation, bids, family, F(1))
+    hits, misses, maxsize, currsize = _sybil_side.cache_info()
+    assert currsize <= maxsize
+    assert hits > 10 * misses
 
 
 def test_naive_tie_break_prefers_concentration_then_lexicographic_order():
@@ -833,3 +898,76 @@ def test_no_engine_module_holds_a_float():
             if called or literal:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# Caches keyed by a shape (an item count, a bid count, nothing at all) hold
+# a fixed few entries however long a run is; a memo keyed by value grows
+# with its inputs, so it must name a bound.
+_SHAPE_KEYED_CACHES = {"vcg.py:_splits", "vcg.py:_precomputed_order", "cli.py:build_parser"}
+
+
+def _is_unbounded_cache(node):
+    """``functools.cache``, or ``functools.lru_cache`` with maxsize None."""
+    def named(expr, name):
+        return getattr(expr, "attr", getattr(expr, "id", None)) == name
+
+    if named(node, "cache"):
+        return True
+    if isinstance(node, ast.Call) and named(node.func, "lru_cache"):
+        sizes = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "maxsize")]
+        return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+    return False
+
+
+def _unbounded_caches(source, filename):
+    """``file:name`` of every function or name an unbounded cache wraps."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(_is_unbounded_cache(d) for d in node.decorator_list):
+                found.append(f"{filename}:{node.name}")
+        elif isinstance(node, ast.Assign):
+            if any(_is_unbounded_cache(n) for n in ast.walk(node.value)):
+                found += [f"{filename}:{t.id}" for t in node.targets if isinstance(t, ast.Name)]
+    return found
+
+
+def test_unbounded_cache_detector_sees_each_spelling():
+    source = """
+import functools
+from functools import cache, lru_cache
+
+@functools.cache
+def a(x): ...
+
+@cache
+def b(x): ...
+
+@functools.lru_cache(maxsize=None)
+def c(x): ...
+
+@lru_cache(None)
+def d(x): ...
+
+e = functools.lru_cache(maxsize=None)(int)
+f = functools.cache(int)
+
+@functools.lru_cache(maxsize=810)
+def bounded(x): ...
+
+@functools.lru_cache
+def default_bound(x): ...
+
+g = functools.lru_cache(maxsize=256)(int)
+"""
+    assert _unbounded_caches(source, "m.py") == [f"m.py:{n}" for n in "abcdef"]
+
+
+def test_only_shape_keyed_caches_are_unbounded():
+    """No engine module adds an unbounded ``functools.cache`` or
+    ``lru_cache(maxsize=None)`` outside the shape-keyed caches: a memo
+    keyed by value must be bounded."""
+    found = []
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        found += _unbounded_caches(path.read_text(), path.name)
+    assert sorted(found) == sorted(_SHAPE_KEYED_CACHES)

@@ -1,4 +1,5 @@
 """Combinatorial auction mechanism, Sybil attack classification, adversaries."""
+import math
 import random
 from fractions import Fraction
 
@@ -130,6 +131,120 @@ def test_run_vcg_grid_validation():
 def test_bid_grid_is_finer_than_valuation_grid():
     assert bid_grid_step(F(1), 2) == F(1, 4)
     assert bid_grid_step(F(1, 10), 3) == F(1, 120)
+
+
+def test_run_vcg_grid_checks_keep_their_messages():
+    """The grid checks test multiples on integers and name the entry and
+    the grid as before; a multiple of the step passes on either grid."""
+    valuation = _val(0, "1/3", "2/3", 1)
+    with pytest.raises(ValidationError) as raised:
+        run_vcg([SybilProfile.truthful(valuation)], 2, epsilon=F(2, 3))
+    assert str(raised.value) == "valuation entry 1/3 is off the 2/3 grid"
+    off_grid = SybilProfile(valuation, (_bid(0, "1/6", "1/9", 1),))
+    with pytest.raises(ValidationError) as raised:
+        run_vcg([off_grid], 2, epsilon=F(1, 3))
+    assert str(raised.value) == "bid entry 1/9 is off the 1/12 bid grid"
+    on_grid = SybilProfile(valuation, (_bid(0, "1/6", "1/12", "5/4"),))
+    assert run_vcg([on_grid], 2, epsilon=F(1, 3)).real_welfare == 1
+    rng = random.Random(9)
+    for _ in range(300):
+        value = F(rng.randint(-40, 40), rng.randint(1, 12))
+        step = F(rng.randint(1, 12), rng.randint(1, 12))
+        assert vcg._is_multiple(value, step) is ((value / step).denominator == 1)
+
+
+@pytest.mark.parametrize("epsilon", [F(1), F(1, 10), F(3, 4), F(6), 2, "5/7"])
+@pytest.mark.parametrize("item_count", [1, 2, 3])
+def test_attack_grid_step_is_the_bid_grid_step_on_its_scale(epsilon, item_count):
+    size = 1 << item_count
+    valuation = CombValuation(item_count, tuple(F(mask.bit_count(), 3) for mask in range(size)))
+    attack = vcg._Attack(valuation, (valuation,), grid=epsilon)
+    assert F(attack.grid, attack.scale) == bid_grid_step(epsilon, item_count)
+    # The step is a multiple of twice the lcm of 1..m on the scale, so the
+    # snapped midpoint and the equal per-item shares are integers too.
+    assert attack.grid % (2 * math.lcm(*range(1, item_count + 1))) == 0
+
+
+def test_an_attack_without_a_grid_takes_the_unit_grid_scale():
+    # The refutation and the scans of one attack share one scale, and so
+    # one entry in the memo of the Sybil side.
+    valuation, bids = _val(0, 1, 1, 2), (_bid(0, "1/2", 1, 1), _bid(0, 1, 0, 1))
+    family = nature_state_family(2, tuple(F(k, 2) for k in range(6)))
+    scanned = vcg._Attack(valuation, bids, family)
+    assert scanned.scale == vcg._Attack(valuation, bids, grid=F(1)).scale
+    assert F(scanned.grid, scanned.scale) == bid_grid_step(F(1), 2)
+
+
+@pytest.mark.parametrize("epsilon", [F(0), F(-1, 2), -3])
+def test_a_grid_step_that_is_not_positive_is_refused_with_one_message(epsilon):
+    valuation = _val(0, 1, 1, 2)
+    with pytest.raises(ValidationError) as public:
+        bid_grid_step(epsilon, 2)
+    for route in (
+        lambda: overbidding_adversary(valuation, [_bid(0, 2, 1, 2)], epsilon),
+        lambda: underbidding_adversary(valuation, [_bid(0, 1, 1, 1)], epsilon),
+        lambda: certify_attack(valuation, [_bid(0, 2, 1, 2)], (), epsilon),
+    ):
+        with pytest.raises(ValidationError) as raised:
+            route()
+        assert str(raised.value) == str(public.value)
+
+
+def test_unscaled_tables_equal_the_public_constructor():
+    """Every candidate the adversaries try, and the adversary reported, as
+    the checked integer route builds them: the same values, equal and of
+    equal hash to ``BundleTable`` on the same ``Fraction``s."""
+    tables = 0
+    for valuation in enumerate_valuations(2, F(1), F(2)):
+        for bids in list(enumerate_attacks(2, F(1), F(2), 2))[::37]:
+            kind, report, _ = certify_attack(valuation, bids, (), F(1, 2))
+            if kind is AttackKind.EXACT_BIDDING:
+                continue
+            for table in report._tried:
+                built = vcg._unscaled(2, table, report._scale)
+                public = CombBid(2, tuple(F(v, report._scale) for v in table))
+                assert built.values == public.values
+                assert built == public and hash(built) == hash(public)
+                assert built._integers == public._integers
+                tables += 1
+    assert tables > 100
+
+
+@pytest.mark.parametrize(
+    "item_count, table",
+    [
+        (2, (0, 3, -1, 2)),  # a negative entry
+        (2, (5, 1, 1, 2)),  # a nonzero empty bundle
+        (2, (0, 1, 2)),  # the wrong length
+        (1, (0, 1, 2, 3)),  # the wrong length for the item count
+        (0, (0,)),  # an item count below the range
+        (9, (0,) * 512),  # an item count above the range
+    ],
+)
+def test_unscaled_refuses_a_bad_table_with_the_public_message(item_count, table):
+    with pytest.raises((ValidationError, CapacityError)) as public:
+        CombBid(item_count, tuple(F(v, 4) for v in table))
+    with pytest.raises(type(public.value)) as raised:
+        vcg._unscaled(item_count, table, 4)
+    assert str(raised.value) == str(public.value)
+
+
+def test_unscaled_keeps_a_negative_scale_valid_through_the_constructor():
+    # A negative scale over negative integers gives non-negative values;
+    # the public constructor, not the integer check, decides.
+    assert vcg._unscaled(1, (0, -3), -2).values == (F(0), F(3, 2))
+
+
+def test_integer_entries_are_stored_outside_the_fields():
+    table = _bid(0, "1/2", "1/3", 1)
+    fresh = _bid(0, "1/2", "1/3", 1)
+    assert "_integers" not in vars(table)
+    assert table._integers == (6, (0, 3, 2, 6))
+    assert vars(table)["_integers"] is table._integers
+    assert table == fresh and hash(table) == hash(fresh)
+    assert repr(table) == repr(fresh)
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        table.missing
 
 
 def test_clarke_pivot_never_charges_more_than_the_bid():
