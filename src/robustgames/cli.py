@@ -2,9 +2,12 @@
 
 Subcommands cover game analysis, the auction and mechanism testbeds,
 the verification battery, and game export.  All output is byte-stable
-for fixed inputs, flags, and seed: rationals print as p/q, reports
-carry no timestamps, and every structured report embeds the serialized
-instance it talks about so verdicts can be re-checked offline.
+for fixed inputs, flags, and seed: rationals print as p/q and reports
+carry no timestamps.  Each report opens with a line naming its kind and
+version (see ``_report``).  The ``dfpa``, ``all-pay``, ``facility`` and
+``voting`` reports and the structured ``analyze`` report end with the
+serialized game they talk about, so verdicts can be re-checked offline;
+the ``vcg``, ``vcg-attack`` and ``fpa-witness`` reports embed no game.
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 capacity
 error, 5 internal consistency error (a violated theorem; the message
@@ -17,6 +20,7 @@ import functools
 import os
 import sys
 from fractions import Fraction
+from typing import Sequence
 
 from . import concepts, instances, mechanisms, singleitem, vcg, verification
 from .concepts import Concept
@@ -52,6 +56,18 @@ def _decimal_suffix(value: Fraction, places: int | None) -> str:
 
 def _scalar_cell(value: Fraction, places: int | None) -> str:
     return format_scalar(value) + _decimal_suffix(value, places)
+
+
+def _letters(first: str, count: int) -> tuple[str, ...]:
+    """``count`` labels from ``first`` on: item letters ``a b ...``, agent letters ``A B ...``."""
+    return tuple(chr(ord(first) + i) for i in range(count))
+
+
+def _report(kind: str, lines: list[str], game: AgentGame | None = None) -> str:
+    """The report of ``kind``: its versioned header line, then ``lines``,
+    then ``game`` when the report embeds the game it talks about."""
+    text = "\n".join([f"{kind} report v1", *lines]) + "\n"
+    return text if game is None else text + format_game(game)
 
 
 def _set_line(game: AgentGame, actions: set[str]) -> str:
@@ -132,6 +148,7 @@ SCENARIO_SCHEMA = {
     "curated": ({"name"}, set()),
 }
 SCENARIO_COMMON = {"concepts", "format"}
+_ANALYZE_FORMATS = ("structured", "csv", "table")
 
 
 class Scenario:
@@ -193,7 +210,7 @@ def parse_scenario(path: str) -> Scenario:
     # The common fields are checked here, so every command refuses a bad one.
     _parse_concepts(scenario.optional("concepts"))
     fmt = scenario.optional("format")
-    if fmt not in (None, "structured", "csv", "table"):
+    if fmt is not None and fmt not in _ANALYZE_FORMATS:
         raise ValidationError(f"unknown format {fmt!r}")
     return scenario
 
@@ -250,17 +267,18 @@ def _facility_spec(scenario: Scenario) -> mechanisms.FacilitySpec:
     return mechanisms.FacilitySpec(agents, parse_scalar(my_type), step)
 
 
+_VOTING_RULES = {"plurality": mechanisms.plurality_spec, "approval": mechanisms.approval_spec}
+
+
 def _psr_spec(scenario: Scenario) -> tuple[str, mechanisms.PsrSpec]:
     """The voting rule's name and its spec."""
     rule, utilities = scenario.single("rule"), scenario.single("utilities")
     cap = scenario.optional("tally-cap")
     cap = _parse_int(cap, "tally-cap") if cap is not None else None
     values = tuple(parse_scalar(tok) for tok in utilities.replace(",", " ").split())
-    if rule == "plurality":
-        return rule, mechanisms.plurality_spec(len(values), values, cap)
-    if rule == "approval":
-        return rule, mechanisms.approval_spec(len(values), values, cap)
-    raise ValidationError(f"unknown voting rule {rule!r}; known: plurality, approval")
+    if rule not in _VOTING_RULES:
+        raise ValidationError(f"unknown voting rule {rule!r}; known: {', '.join(_VOTING_RULES)}")
+    return rule, _VOTING_RULES[rule](len(values), values, cap)
 
 
 def _payment_rule(name: str) -> vcg.PaymentRule:
@@ -364,7 +382,6 @@ def _dfpa_text(spec: singleitem.DfpaSpec, decimal: int | None) -> str:
     _check_formula("regret", engine_regret, regret_set)
     _check_formula("leximin", engine_leximin, leximin_set)
     lines = [
-        "dfpa report v1",
         f"value {format_scalar(spec.value)}",
         f"step {format_scalar(spec.epsilon)}",
         f"cap {format_scalar(spec.nature_bid_cap)}",
@@ -374,9 +391,8 @@ def _dfpa_text(spec: singleitem.DfpaSpec, decimal: int | None) -> str:
         f"engine-loss-averse {_set_line(game, engine_la)}",
         f"engine-min-max-regret {_set_line(game, engine_regret)}",
         f"engine-leximin {_set_line(game, engine_leximin)}",
-        "",
     ]
-    return "\n".join(lines) + format_game(game)
+    return _report("dfpa", lines, game)
 
 
 def _allpay_text(value: Fraction, epsilon: Fraction, cap: Fraction, decimal: int | None) -> str:
@@ -385,15 +401,13 @@ def _allpay_text(value: Fraction, epsilon: Fraction, cap: Fraction, decimal: int
     engine_la = concepts.loss_averse_actions(game)
     _check_formula("loss-averse", engine_la, (closed,))
     lines = [
-        "all-pay report v1",
         f"value {format_scalar(value)}",
         f"step {format_scalar(epsilon)}",
         f"cap {format_scalar(cap)}",
         f"loss-averse-bid {_scalar_cell(closed, decimal)}",
         f"engine-loss-averse {_set_line(game, engine_la)}",
-        "",
     ]
-    return "\n".join(lines) + format_game(game)
+    return _report("all-pay", lines, game)
 
 
 def _fpa_witness_text(value: Fraction, bid: Fraction) -> str:
@@ -401,7 +415,6 @@ def _fpa_witness_text(value: Fraction, bid: Fraction) -> str:
     if not singleitem.verify_fpa_witness(witness):
         raise InternalConsistencyError(f"witness failed re-derivation: {witness}")
     lines = [
-        "fpa-witness report v1",
         f"value {format_scalar(witness.value)}",
         f"bid {format_scalar(witness.bid)}",
         f"deviation {format_scalar(witness.deviation)}",
@@ -410,7 +423,7 @@ def _fpa_witness_text(value: Fraction, bid: Fraction) -> str:
         f"deviation-min {format_scalar(witness.deviation_min)}",
         "verified strict",
     ]
-    return "\n".join(lines) + "\n"
+    return _report("fpa-witness", lines)
 
 
 _AUCTION_KINDS = {"dfpa": "dfpa", "allpay": "all-pay", "fpa-witness": "fpa-witness"}
@@ -429,76 +442,75 @@ def _cmd_auction(args: argparse.Namespace) -> str:
 # vcg
 
 
-def _bid_labels(profiles: tuple[vcg.SybilProfile, ...]) -> list[str]:
+def _bid_labels(profiles: Sequence[vcg.SybilProfile]) -> list[str]:
+    """Agent ``A``'s one bid is ``A``; its several bids are ``A1 A2 ...``."""
     labels = []
-    for i, profile in enumerate(profiles):
-        agent = chr(ord("A") + i)
-        if len(profile.bids) == 1:
-            labels.append(agent)
-        else:
-            labels.extend(f"{agent}{j + 1}" for j in range(len(profile.bids)))
+    for agent, profile in zip(_letters("A", len(profiles)), profiles):
+        count = len(profile.bids)
+        labels += [agent] if count == 1 else [f"{agent}{j}" for j in range(1, count + 1)]
     return labels
-
-
-def _outcome_lines(
-    outcome: vcg.VcgOutcome, labels: list[str], items: tuple[str, ...], decimal: int | None
-) -> list[str]:
-    lines = [f"payment-rule {outcome.payment_rule.value}"]
-    for i, label in enumerate(labels):
-        bundle = vcg.bundle_label(outcome.bundles[i], items)
-        lines.append(
-            f"allocation {label} {bundle} payment {_scalar_cell(outcome.payments[i], decimal)}"
-        )
-    lines.append(f"observed-welfare {_scalar_cell(outcome.observed_welfare, decimal)}")
-    lines.append(f"real-welfare {_scalar_cell(outcome.real_welfare, decimal)}")
-    for agent, utility in enumerate(outcome.agent_utilities):
-        lines.append(f"agent-utility {chr(ord('A') + agent)} {_scalar_cell(utility, decimal)}")
-    return lines
 
 
 def _classification_lines(
     classification: vcg.AttackClassification, items: tuple[str, ...]
 ) -> list[str]:
     lines = [f"classification {classification.kind.value}"]
-    if classification.witness_mask is not None:
-        lines.append(
-            f"classification-witness {vcg.bundle_label(classification.witness_mask, items)}"
-        )
+    mask = classification.witness_mask
+    if mask is not None:
+        lines.append(f"classification-witness {vcg.bundle_label(mask, items)}")
     return lines
 
 
-def _attack_outcome(report: vcg.WorkedInstance, rule: vcg.PaymentRule) -> vcg.VcgOutcome:
-    if rule is vcg.PaymentRule.CLARKE_PIVOT:
-        return report.attack_outcome
-    return report.attack_outcome_literal
+def _vcg_text(
+    head: list[str], classification: vcg.AttackClassification, outcome: vcg.VcgOutcome,
+    labels: list[str], decimal: int | None, tail: list[str],
+) -> str:
+    """The ``vcg`` report of one run: ``head``, the attack's class, each
+    bid's bundle and payment under ``labels``, the welfare, each agent's
+    utility, then ``tail``."""
+    items = _letters("a", outcome.item_count)
+    lines = head + _classification_lines(classification, items)
+    lines.append(f"payment-rule {outcome.payment_rule.value}")
+    for label, bundle, payment in zip(labels, outcome.bundles, outcome.payments):
+        bundle = vcg.bundle_label(bundle, items)
+        lines.append(f"allocation {label} {bundle} payment {_scalar_cell(payment, decimal)}")
+    lines.append(f"observed-welfare {_scalar_cell(outcome.observed_welfare, decimal)}")
+    lines.append(f"real-welfare {_scalar_cell(outcome.real_welfare, decimal)}")
+    utilities = outcome.agent_utilities
+    for agent, utility in zip(_letters("A", len(utilities)), utilities):
+        lines.append(f"agent-utility {agent} {_scalar_cell(utility, decimal)}")
+    return _report("vcg", lines + tail)
 
 
-def _split_pair_text(epsilon: Fraction, rule: vcg.PaymentRule, decimal: int | None) -> str:
-    report = vcg.build_split_pair_instance(epsilon)
-    labels = _bid_labels(report.profiles)
-    lines = ["vcg report v1", "instance example-e1", f"step {format_scalar(epsilon)}"]
-    lines += _classification_lines(report.classification, report.items)
-    lines += _outcome_lines(_attack_outcome(report, rule), labels, report.items, decimal)
+def _curated_vcg_text(
+    name: str, epsilon: Fraction, rule: vcg.PaymentRule, decimal: int | None
+) -> str:
+    """The run of the worked instance ``name`` under ``rule``; its truthful
+    run is scored under the Clarke rule."""
+    if name not in AUCTION_REGISTRY:
+        known = ", ".join(AUCTION_REGISTRY)
+        raise ValidationError(f"unknown auction instance {name!r}; known: {known}")
+    split_pair = name == "example-e1"
+    build = vcg.build_split_pair_instance if split_pair else vcg.build_singleton_split_instance
+    report = build(epsilon)
+    clarke = rule is vcg.PaymentRule.CLARKE_PIVOT
+    outcome = report.attack_outcome if clarke else report.attack_outcome_literal
     truth = report.truthful_outcome
-    lines.append(f"truthful-welfare {_scalar_cell(truth.observed_welfare, decimal)}")
-    lines.append(f"truthful-agent-utility A {_scalar_cell(truth.agent_utilities[0], decimal)}")
-    for note in report.discrepancies:
-        lines.append(f"source-discrepancy {note}")
-    return "\n".join(lines) + "\n"
-
-
-def _singleton_split_text(epsilon: Fraction, rule: vcg.PaymentRule, decimal: int | None) -> str:
-    report = vcg.build_singleton_split_instance(epsilon)
-    outcome = _attack_outcome(report, rule)
-    labels = [f"A{j + 1}" for j in range(len(report.profiles[0].bids))] + ["nature"]
-    lines = ["vcg report v1", "instance example-e2", f"step {format_scalar(epsilon)}"]
-    lines += _classification_lines(report.classification, report.items)
-    lines += _outcome_lines(outcome, labels, report.items, decimal)
-    attack_utility = outcome.agent_utilities[0]
-    lines.append(f"attack-utility {_scalar_cell(attack_utility, decimal)}")
-    truth_utility = report.truthful_outcome.agent_utilities[0]
-    lines.append(f"truth-utility {_scalar_cell(truth_utility, decimal)}")
-    return "\n".join(lines) + "\n"
+    if split_pair:
+        labels = _bid_labels(report.profiles)
+        tail = [
+            f"truthful-welfare {_scalar_cell(truth.observed_welfare, decimal)}",
+            f"truthful-agent-utility A {_scalar_cell(truth.agent_utilities[0], decimal)}",
+            *(f"source-discrepancy {note}" for note in report.discrepancies),
+        ]
+    else:
+        labels = _bid_labels(report.profiles[:1]) + ["nature"]
+        tail = [
+            f"attack-utility {_scalar_cell(outcome.agent_utilities[0], decimal)}",
+            f"truth-utility {_scalar_cell(truth.agent_utilities[0], decimal)}",
+        ]
+    head = [f"instance {name}", f"step {format_scalar(epsilon)}"]
+    return _vcg_text(head, report.classification, outcome, labels, decimal, tail)
 
 
 def _vcg_run_scenario_text(scenario: Scenario, rule_name: str, decimal: int | None) -> str:
@@ -509,55 +521,36 @@ def _vcg_run_scenario_text(scenario: Scenario, rule_name: str, decimal: int | No
     if nature is not None:
         profiles.append(vcg.SybilProfile.truthful(nature))
     outcome = vcg.run_vcg(profiles, valuation.item_count, epsilon=epsilon, payment_rule=rule)
-    items = tuple(chr(ord("a") + i) for i in range(valuation.item_count))
+    head = ["instance scenario", f"items {valuation.item_count}"]
     classification = vcg.classify_attack(valuation, bids)
-    labels = _bid_labels(tuple(profiles))
-    lines = ["vcg report v1", "instance scenario", f"items {valuation.item_count}"]
-    lines += _classification_lines(classification, items)
-    lines += _outcome_lines(outcome, labels, items, decimal)
-    return "\n".join(lines) + "\n"
+    return _vcg_text(head, classification, outcome, _bid_labels(profiles), decimal, [])
 
 
 def _cmd_vcg(args: argparse.Namespace) -> str:
     epsilon = parse_scalar(args.epsilon) if args.epsilon else Fraction(1, 10)
-    if args.action == "run":
-        if args.curated == "example-e1":
-            return _split_pair_text(epsilon, _payment_rule(args.payment_rule), args.decimal)
-        if args.curated == "example-e2":
-            return _singleton_split_text(epsilon, _payment_rule(args.payment_rule), args.decimal)
-        if args.curated:
-            raise ValidationError(
-                f"unknown auction instance {args.curated!r}; known: "
-                + ", ".join(AUCTION_REGISTRY)
-            )
-        if not args.scenario:
-            raise ParseError("vcg run needs --curated or --scenario")
-        scenario = parse_scenario(args.scenario)
-        if scenario.kind != "vcg-attack":
-            raise ValidationError(f"vcg run needs a vcg-attack scenario, got {scenario.kind!r}")
+    action = args.action
+    if action == "verify-theorem":
+        return _verify_theorem_text(args.budget, args.seed)
+    if action == "run" and args.curated:
+        rule = _payment_rule(args.payment_rule)
+        return _curated_vcg_text(args.curated, epsilon, rule, args.decimal)
+    # run, classify and adversary read their vcg-attack scenario alike.
+    if not args.scenario:
+        what = "--curated or --scenario" if action == "run" else "--scenario"
+        raise ParseError(f"vcg {action} needs {what}")
+    scenario = parse_scenario(args.scenario)
+    if scenario.kind != "vcg-attack":
+        raise ValidationError(f"vcg {action} needs a vcg-attack scenario, got {scenario.kind!r}")
+    if action == "run":
         return _vcg_run_scenario_text(scenario, args.payment_rule, args.decimal)
-    if args.action in ("classify", "adversary"):
-        if not args.scenario:
-            raise ParseError(f"vcg {args.action} needs --scenario")
-        scenario = parse_scenario(args.scenario)
-        if scenario.kind != "vcg-attack":
-            raise ValidationError(
-                f"vcg {args.action} needs a vcg-attack scenario, got {scenario.kind!r}"
-            )
-        valuation, bids, _, eps = _vcg_attack_from(scenario)
-        items = tuple(chr(ord("a") + i) for i in range(valuation.item_count))
-        classification = vcg.classify_attack(valuation, bids)
-        lines = ["vcg-attack report v1", f"items {valuation.item_count}"]
-        lines += _classification_lines(classification, items)
-        lines.append(
-            "best-partition "
-            + " ".join(format_scalar(v) for v in classification.best_partition)
-        )
-        if args.action == "classify":
-            return "\n".join(lines) + "\n"
+    valuation, bids, _, eps = _vcg_attack_from(scenario)
+    items = _letters("a", valuation.item_count)
+    classification = vcg.classify_attack(valuation, bids)
+    lines = [f"items {valuation.item_count}", *_classification_lines(classification, items)]
+    lines.append("best-partition " + " ".join(map(format_scalar, classification.best_partition)))
+    if action == "adversary":
         lines += _adversary_lines(valuation, bids, classification, eps, items)
-        return "\n".join(lines) + "\n"
-    return _verify_theorem_text(args.budget, args.seed)
+    return _report("vcg-attack", lines)
 
 
 def _adversary_lines(
@@ -617,7 +610,6 @@ def _cmd_facility(args: argparse.Namespace) -> str:
     engine_sl = concepts.safety_level_actions(game)
     demo = mechanisms.facility_welfare_loss_demo(agents)
     lines = [
-        "facility report v1",
         f"agents {agents}",
         f"type {format_scalar(my_type)}",
         f"grid-step {format_scalar(step)}",
@@ -625,9 +617,8 @@ def _cmd_facility(args: argparse.Namespace) -> str:
         f"engine-loss-averse {_set_line(game, engine_la)}",
         f"engine-safety-level {_set_line(game, engine_sl)}",
         f"worst-case-welfare-loss {_scalar_cell(demo.welfare_loss, args.decimal)}",
-        "",
     ]
-    return "\n".join(lines) + format_game(game)
+    return _report("facility", lines, game)
 
 
 def _cmd_voting(args: argparse.Namespace) -> str:
@@ -657,16 +648,14 @@ def _cmd_voting(args: argparse.Namespace) -> str:
     frontier = mechanisms.voting_pareto_frontier_loss_averse(spec)
     engine_la = concepts.loss_averse_actions(game)
     lines = [
-        "voting report v1",
         f"rule {rule}",
         "utilities " + " ".join(format_scalar(u) for u in utilities),
         f"tally-cap {spec.tally_cap}",
         "frontier " + " ".join(mechanisms.ballot_label(v) for v in frontier),
         f"engine-loss-averse {_set_line(game, engine_la)}",
         *rule_lines,
-        "",
     ]
-    return "\n".join(lines) + format_game(game)
+    return _report("voting", lines, game)
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> str:
@@ -737,18 +726,20 @@ def build_parser() -> argparse.ArgumentParser:
                 help="append approximate decimals to exact values (display only)",
             )
 
+    def add_battery(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--budget", choices=tuple(sorted(verification.BUDGETS)), default="default")
+        p.add_argument("--seed", type=int, default=0)
+
     p = sub.add_parser("analyze", help="concept analysis of a finite game")
     p.add_argument("--curated", help="curated game name: " + ", ".join(GAME_REGISTRY))
     p.add_argument("--game", help="path to an agentgame v1 file")
     p.add_argument("--scenario", help="path to a scenario v1 file")
     p.add_argument("--concepts", help="comma-separated concept list (default: all)")
-    p.add_argument(
-        "--format", choices=("structured", "csv", "table"), default="structured"
-    )
+    p.add_argument("--format", choices=_ANALYZE_FORMATS, default="structured")
     add_common(p)
 
     p = sub.add_parser("auction", help="single-item auction testbeds")
-    p.add_argument("mechanism", choices=("dfpa", "allpay", "fpa-witness"))
+    p.add_argument("mechanism", choices=tuple(_AUCTION_KINDS))
     p.add_argument("--value", help="agent's value for the item")
     p.add_argument("--epsilon", help="bid grid step")
     p.add_argument("--cap", help="top rival bid cap")
@@ -762,12 +753,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", help="valuation grid step (default 1/10 for curated)")
     p.add_argument(
         "--payment-rule",
-        choices=("clarke", "paper"),
+        choices=tuple(rule.value for rule in vcg.PaymentRule),
         default="clarke",
         help="pivot payments or the source text's literal formula",
     )
-    p.add_argument("--budget", choices=tuple(sorted(verification.BUDGETS)), default="default")
-    p.add_argument("--seed", type=int, default=0)
+    add_battery(p)
     add_common(p)
 
     p = sub.add_parser("facility", help="facility location under the mean rule")
@@ -777,15 +767,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("voting", help="positional scoring rule testbeds")
-    p.add_argument("--rule", choices=("plurality", "approval"))
+    p.add_argument("--rule", choices=tuple(_VOTING_RULES))
     p.add_argument("--utilities", help="comma-separated cardinal utilities, 1 down to 0")
     p.add_argument("--tally-cap", help="max aggregate score from other voters")
     add_common(p)
 
     # verify-all and export print no value that a decimal could follow.
     p = sub.add_parser("verify-all", help="run the full verification battery")
-    p.add_argument("--budget", choices=tuple(sorted(verification.BUDGETS)), default="default")
-    p.add_argument("--seed", type=int, default=0)
+    add_battery(p)
     add_common(p, decimal=False)
 
     p = sub.add_parser("export", help="serialize a game to the canonical document")
@@ -820,12 +809,8 @@ def main(argv: list[str] | None = None) -> int:
         text = _HANDLERS[args.command](args)
         _emit(text, args.out)
     except EngineError as error:
-        for kind, code in _EXIT_CODES:
-            if isinstance(error, kind):
-                print(f"error: {error}", file=sys.stderr)
-                return code
         print(f"error: {error}", file=sys.stderr)
-        return 1
+        return next((code for kind, code in _EXIT_CODES if isinstance(error, kind)), 1)
     return 0
 
 

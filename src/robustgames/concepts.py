@@ -47,7 +47,7 @@ from .core import (
     AgentGame,
     ExtendedScalar,
     MixedAction,
-    format_extended,
+    format_scalar,
     mixed_utility,
     scalar,
 )
@@ -408,17 +408,17 @@ class _MinMaxRegret(_Inequality):
         self.shortfalls = [[b - u for b, u in zip(best, row)] for row in self.rows]
         self.regrets = [max(shortfall) for shortfall in self.shortfalls]
         self.anchor = self.regrets.index(min(self.regrets))
+        self.floor = self.value(self.regrets[self.anchor])
 
     def rivals(self, i):
         return (self.anchor,)
 
     def pair(self, i, k):
-        own, floor = self.regrets[i], self.regrets[k]
-        if own <= floor:
+        # k is the anchor, whose regret is read back once per verdict.
+        own = self.regrets[i]
+        if own <= self.regrets[k]:
             return None
-        return self.refutation(
-            i, k, (self.shortfalls[i].index(own),), self.value(own), self.value(floor)
-        )
+        return self.refutation(i, k, (self.shortfalls[i].index(own),), self.value(own), self.floor)
 
     def value(self, scaled: int) -> Fraction:
         """A regret read back over the table's denominator."""
@@ -867,10 +867,10 @@ def format_verdict(game: AgentGame, verdict: ConceptVerdict) -> str:
     for ref in verdict.refutations:
         competitor = "-" if ref.competitor is None else ref.competitor
         states = ",".join(ref.states) if ref.states else "-"
-        other = "-" if ref.other_value is None else format_extended(ref.other_value)
+        other = "-" if ref.other_value is None else format_scalar(ref.other_value)
         lines.append(
             f"refutation {ref.action} vs {competitor} states {states} "
-            f"self {format_extended(ref.self_value)} other {other}"
+            f"self {format_scalar(ref.self_value)} other {other}"
         )
     lines.append("end\n")
     return "\n".join(lines)

@@ -33,8 +33,9 @@ from typing import Mapping, Sequence
 
 from .errors import CapacityError, ParseError, UnknownLabelError, ValidationError
 
-_SCALAR_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
-_LABEL_RE = re.compile(r"^\S+$")
+# Matched with ``fullmatch``: ``$`` would also match before a final newline.
+_SCALAR_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_LABEL_RE = re.compile(r"\S+")
 
 # The most cells (actions x states) a builder lays out on its grid, or a
 # game document may declare: about 80 MB of ``Fraction``s and 3 s to
@@ -69,7 +70,7 @@ def scalar(value: int | str | Fraction) -> Fraction:
 
 def parse_scalar(text: str) -> Fraction:
     """Parse ``p/q`` or integer text into a Fraction."""
-    if not _SCALAR_RE.match(text):
+    if not _SCALAR_RE.fullmatch(text):
         raise ParseError(f"not a rational literal: {text!r}")
     num, slash, den = text.partition("/")
     try:
@@ -83,8 +84,9 @@ def parse_scalar(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def format_scalar(value: Fraction) -> str:
-    """Render a Fraction as ``p/q`` (or ``p`` when integral), which is its ``str``."""
+def format_scalar(value: ExtendedScalar) -> str:
+    """Render a Fraction as ``p/q`` (or ``p`` when integral), or ``INF`` as
+    ``inf``: the value's ``str``."""
     return str(value)
 
 
@@ -129,11 +131,6 @@ INF = _Infinite()
 ExtendedScalar = Fraction | _Infinite
 
 
-def format_extended(value: ExtendedScalar) -> str:
-    """Render ``p/q``, ``p`` or ``inf``: the ``str`` of a Fraction or of ``INF``."""
-    return str(value)
-
-
 def scale_rows(
     rows: Sequence[Sequence[Fraction]],
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -156,7 +153,7 @@ def _check_labels(kind: str, labels: Sequence[str]) -> None:
         raise ValidationError(f"a game needs at least one {kind}")
     seen = set()
     for label in labels:
-        if not isinstance(label, str) or not _LABEL_RE.match(label):
+        if not isinstance(label, str) or not _LABEL_RE.fullmatch(label):
             raise ValidationError(f"bad {kind} label {label!r}: labels are non-empty tokens without whitespace")
         if label in seen:
             raise ValidationError(f"duplicate {kind} label {label!r}")
@@ -177,7 +174,7 @@ class AgentGame:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.type_label, str) or not _LABEL_RE.match(self.type_label):
+        if not isinstance(self.type_label, str) or not _LABEL_RE.fullmatch(self.type_label):
             raise ValidationError(f"bad type label {self.type_label!r}")
         _check_labels("action", self.actions)
         _check_labels("state", self.states)
@@ -257,7 +254,7 @@ class MixedAction:
         total = Fraction(0)
         seen = set()
         for label, p in self.entries:
-            if not _LABEL_RE.match(label):
+            if not isinstance(label, str) or not _LABEL_RE.fullmatch(label):
                 raise ValidationError(f"bad action label {label!r} in mixed action")
             if label in seen:
                 raise ValidationError(f"duplicate action {label!r} in mixed action")

@@ -4,8 +4,10 @@ Scenario files of every kind and game documents are generated from a
 small pool of field values: valid rationals, 0, negatives, ``1/0``,
 garbage tokens, a literal beyond the integer digit limit and wrong table
 lengths.  They run through ``analyze``, ``vcg run|classify|adversary``
-and ``export``.  The ``auction``, ``facility`` and ``voting`` commands
-draw their flags from the same pools.  Sizes stay at most 2 items, 2 bids
+and ``export``, next to ``vcg run --curated`` with a step and a payment
+rule from the pools and ``vcg classify|adversary`` without a scenario.
+The ``auction``, ``facility`` and ``voting`` commands draw their flags
+from the same pools.  Sizes stay at most 2 items, 2 bids
 and 5 facility agents, so each input runs in milliseconds.
 """
 import contextlib
@@ -55,7 +57,11 @@ COMMANDS = (
     ("vcg", "classify", "--scenario", "{scn}"),
     ("vcg", "adversary", "--scenario", "{scn}"),
     ("export", "--scenario", "{scn}"),
+    ("vcg", "run", "--curated", "{curated}", "--epsilon", "{epsilon}", "--payment-rule", "{rule}"),
+    ("vcg", "classify"),
+    ("vcg", "adversary"),
 )
+AUCTIONS = ("example-e1", "example-e2", "x")
 
 
 def _line(values):
@@ -134,8 +140,13 @@ def _run(argv):
     scenario=_scenarios(),
     game=_game_documents(),
     decimal=st.sampled_from(DECIMALS),
+    curated=st.sampled_from(AUCTIONS),
+    epsilon=st.sampled_from(FIELDS["epsilon"]),
+    rule=st.sampled_from(FIELDS["payment-rule"]),
 )
-def test_every_input_ends_in_a_documented_exit_code(scenario, game, decimal):
+def test_every_input_ends_in_a_documented_exit_code(
+    scenario, game, decimal, curated, epsilon, rule
+):
     """Each scenario and game document goes through every command."""
     with tempfile.TemporaryDirectory() as directory:
         scn, game_path = os.path.join(directory, "case.scn"), os.path.join(directory, "g.game")
@@ -144,7 +155,8 @@ def test_every_input_ends_in_a_documented_exit_code(scenario, game, decimal):
         with open(game_path, "w", encoding="utf-8") as handle:
             handle.write(game)
         for command in COMMANDS:
-            argv = [arg.format(scn=scn, game=game_path) for arg in command]
+            fields = dict(scn=scn, game=game_path, curated=curated, epsilon=epsilon, rule=rule)
+            argv = [arg.format(**fields) for arg in command]
             if decimal is not None and command[0] != "export":
                 argv += ["--decimal", str(decimal)]
             code, out, err = _run(argv)

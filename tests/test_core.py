@@ -13,7 +13,6 @@ from robustgames.core import (
     MAX_GAME_CELLS,
     MixedAction,
     check_game_cells,
-    format_extended,
     format_game,
     format_scalar,
     game_from_table,
@@ -63,10 +62,35 @@ def test_parse_scalar_rejects_whitespace():
         parse_scalar(" 1/2")
 
 
+def test_parse_scalar_rejects_a_trailing_newline():
+    for text in ("3\n", "1/2\n"):
+        with pytest.raises(ParseError):
+            parse_scalar(text)
+
+
+def test_labels_with_a_trailing_newline_are_refused():
+    rows = ((Fraction(1),), (Fraction(2),))
+    with pytest.raises(ValidationError):
+        AgentGame("t", ("a\n", "b"), ("s",), rows)
+    with pytest.raises(ValidationError):
+        AgentGame("t\n", ("a", "b"), ("s",), rows)
+    with pytest.raises(ValidationError):
+        AgentGame("t", ("a", "b"), ("s\n",), rows)
+    game = AgentGame("t", ("a", "b"), ("s",), rows)
+    assert parse_game(format_game(game)) == game
+
+
+def test_mixed_action_labels_must_be_tokens():
+    with pytest.raises(ValidationError):
+        MixedAction(((1, Fraction(1)),))
+    with pytest.raises(ValidationError):
+        MixedAction((("a\n", Fraction(1)),))
+
+
 def test_inf_is_the_top_element():
     assert INF > Fraction(10**9)
     assert not INF < INF
-    assert format_extended(INF) == str(INF) == "inf"
+    assert format_scalar(INF) == str(INF) == "inf"
     for value, text in (
         (Fraction(1, 2), "1/2"),
         (Fraction(-7, 3), "-7/3"),
@@ -75,7 +99,7 @@ def test_inf_is_the_top_element():
         (Fraction(5), "5"),
         (Fraction(6, 4), "3/2"),
     ):
-        assert format_extended(value) == str(value) == format_scalar(value) == text
+        assert str(value) == format_scalar(value) == text
 
 
 def _toy():
