@@ -527,11 +527,11 @@ def _vcg_run_scenario_text(scenario: Scenario, rule_name: str, decimal: int | No
 
 
 def _cmd_vcg(args: argparse.Namespace) -> str:
-    epsilon = parse_scalar(args.epsilon) if args.epsilon else Fraction(1, 10)
     action = args.action
     if action == "verify-theorem":
         return _verify_theorem_text(args.budget, args.seed)
     if action == "run" and args.curated:
+        epsilon = parse_scalar(args.epsilon) if args.epsilon else Fraction(1, 10)
         rule = _payment_rule(args.payment_rule)
         return _curated_vcg_text(args.curated, epsilon, rule, args.decimal)
     # run, classify and adversary read their vcg-attack scenario alike.
@@ -750,7 +750,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("run", "classify", "adversary", "verify-theorem"))
     p.add_argument("--curated", help="auction instance: " + ", ".join(AUCTION_REGISTRY))
     p.add_argument("--scenario", help="path to a vcg-attack scenario file")
-    p.add_argument("--epsilon", help="valuation grid step (default 1/10 for curated)")
+    p.add_argument(
+        "--epsilon",
+        help="valuation grid step of a curated run (default 1/10); a scenario sets its own",
+    )
     p.add_argument(
         "--payment-rule",
         choices=tuple(rule.value for rule in vcg.PaymentRule),

@@ -165,9 +165,6 @@ def _additive_table(per_item: Sequence) -> list:
     return table
 
 
-additive_valuation = additive_bid
-
-
 def single_minded_bid(item_count: int, mask: int, amount: Fraction) -> CombBid:
     """Bid ``amount`` on every bundle containing ``mask``, 0 elsewhere."""
     amount = scalar(amount)
@@ -176,41 +173,6 @@ def single_minded_bid(item_count: int, mask: int, amount: Fraction) -> CombBid:
         for code in range(1 << item_count)
     )
     return CombBid(item_count, values)
-
-
-@dataclass(frozen=True)
-class XosValuation:
-    """Max over additive clauses; covers all submodular valuations and more."""
-
-    item_count: int
-    clauses: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.clauses:
-            raise ValidationError("expected at least one additive clause")
-        clauses = []
-        for clause in self.clauses:
-            clause = tuple(scalar(v) for v in clause)
-            if len(clause) != self.item_count:
-                raise ValidationError(
-                    f"clause length {len(clause)} does not match {self.item_count} items"
-                )
-            if any(v < 0 for v in clause):
-                raise ValidationError("clause entries must be non-negative")
-            clauses.append(clause)
-        object.__setattr__(self, "clauses", tuple(clauses))
-
-
-def xos_to_valuation(x: XosValuation) -> CombValuation:
-    values = []
-    for mask in range(1 << x.item_count):
-        items = mask_items(mask)
-        values.append(
-            max(sum((clause[i] for i in items), Fraction(0)) for clause in x.clauses)
-            if mask
-            else Fraction(0)
-        )
-    return CombValuation(x.item_count, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -1074,6 +1036,11 @@ class _Attack:
             self._runs = _attack_runs(self.value, self.own, self.item_count)
         return self._runs
 
+    def utilities(self, tables: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
+        """Each scaled nature table's (attack, truth) utilities."""
+        attack, value, m = self.runs(), self.value, self.item_count
+        return [(attack(table), _truth_utility(value, table, m)) for table in tables]
+
     def refute(self, kind: AttackKind) -> AdversaryReport:
         """The refutation loop of both adversaries: every bundle the attack
         over- or underbids (by ``kind``), in ascending mask order, gets each
@@ -1118,12 +1085,8 @@ class _Attack:
 
     def scan(self, tried: Sequence[Sequence[int]] = ()) -> FamilyCheck:
         """The family check over the states, then the ``tried`` tables on this scale."""
-        m, scale, value, attack = self.item_count, self.scale, self.value, self.runs()
-        states, count = self.states, len(self.states)
-        utilities = [
-            (attack(table), _truth_utility(value, table, m))
-            for table in (*_scaled(states, scale)[1], *tried)
-        ]
+        m, scale, states, count = self.item_count, self.scale, self.states, len(self.states)
+        utilities = self.utilities((*_scaled(states, scale)[1], *tried))
 
         def state(i: int) -> CombBid:
             return states[i] if i < count else _unscaled(m, tried[i - count], scale)
@@ -1144,13 +1107,11 @@ class _Attack:
         if every in case1_masks:
             case1_masks.remove(every)
             case1_masks.insert(0, every)
-        attack = self.runs()
         for mask in case1_masks:
             adversary = _case1_adversary(value, own, m, mask)
             if adversary is None:
                 continue
-            attack_u = attack(adversary)
-            truth_u = _truth_utility(value, adversary, m)
+            ((attack_u, truth_u),) = self.utilities([adversary])
             if attack_u == 0 and truth_u > 0:
                 return TruthCertificate(
                     mode="case-1",
@@ -1163,7 +1124,7 @@ class _Attack:
 
         # One scan of the family serves case 2 and the fallback.
         states = _scaled(family, scale)[1]
-        utilities = [(attack(state), _truth_utility(value, state, m)) for state in states]
+        utilities = self.utilities(states)
         if not case1_masks:
             matches = [sum(1 for mask in range(1 << m) if t[mask] == value[mask]) for t in own]
             best_j = max(range(len(own)), key=lambda j: (matches[j], -j))
@@ -1248,28 +1209,28 @@ def _worked_instance(
 
 
 def build_split_pair_instance(epsilon: Fraction) -> WorkedInstance:
-    """Four items, one additive attacker against two XOS bidders.
+    """Four items, one additive attacker against two rivals.
 
-    The attacker bids 10 per item through two Sybils, one covering the
-    first two items and one the last two, while truly valuing only the
-    last two at 3 times the grid step each.  Its two high bids sweep all
-    four items away from the two unit-demand-like agents.  The source
-    states an optimal welfare of 18 + 2 steps, a per-bid payment of
+    Each rival values a bundle at the most that any of three additive
+    clauses gives it: 9 for item a, 9 for item b, or one grid step for
+    each of a and b plus 9 for its own item (c for the first rival, d for
+    the second).  The attacker bids 10 per item through two Sybils, one
+    covering the first two items and one the last two, while truly valuing
+    only the last two at 3 times the grid step each.  Its two high bids
+    sweep all four items away from the two unit-demand-like rivals.  The
+    source states an optimal welfare of 18 + 2 steps, a per-bid payment of
     2 steps and an attack utility of 2 steps; each figure that disagrees
     with the exact outcomes is listed as a discrepancy.
     """
     eps = scalar(epsilon)
     bid_grid_step(eps, 4)  # refuses a step that is not positive
-    val_a = additive_valuation([Fraction(0), Fraction(0), 3 * eps, 3 * eps])
-    nine = Fraction(9)
-    val_b = xos_to_valuation(
-        XosValuation(4, ((nine, 0, 0, 0), (0, nine, 0, 0), (eps, eps, nine, 0)))
+    val_b, val_c = (
+        CombValuation(4, tuple(map(max, *map(_additive_table, ((9, 0, 0, 0), (0, 9, 0, 0), own)))))
+        for own in ((eps, eps, 9, 0), (eps, eps, 0, 9))
     )
-    val_c = xos_to_valuation(
-        XosValuation(4, ((nine, 0, 0, 0), (0, nine, 0, 0), (eps, eps, 0, nine)))
-    )
-    sybil_one = additive_bid([Fraction(10), Fraction(10), Fraction(0), Fraction(0)])
-    sybil_two = additive_bid([Fraction(0), Fraction(0), Fraction(10), Fraction(10)])
+    val_a = additive_bid([0, 0, 3 * eps, 3 * eps])
+    sybil_one = additive_bid([10, 10, 0, 0])
+    sybil_two = additive_bid([0, 0, 10, 10])
     instance = _worked_instance(
         eps,
         ("a", "b", "c", "d"),
@@ -1315,33 +1276,10 @@ def build_singleton_split_instance(epsilon: Fraction) -> WorkedInstance:
     """
     eps = scalar(epsilon)
     bid_grid_step(eps, 3)  # refuses a step that is not positive
-    one = Fraction(1)
-    values = {
-        0: Fraction(0),
-        1: one,
-        2: one,
-        3: Fraction(2),
-        4: one,
-        5: one + eps,
-        6: one + eps,
-        7: Fraction(2) + eps,
-    }
-    valuation = CombValuation(3, tuple(values[mask] for mask in range(8)))
-    attack_bids = (
-        additive_bid([one, Fraction(0), Fraction(0)]),
-        additive_bid([Fraction(0), one, Fraction(0)]),
-        additive_bid([Fraction(0), Fraction(0), eps]),
-    )
-    big = Fraction(1000)
-    nature_values = {0: Fraction(0), 3: Fraction(2) - eps, 4: big}
-    completed = []
-    for mask in range(8):
-        total = Fraction(0)
-        for base, amount in nature_values.items():
-            if mask & base == base:
-                total += amount
-        completed.append(total)
-    nature = CombBid(3, tuple(completed))
+    valuation = CombValuation(3, (0, 1, 1, 2, 1, 1 + eps, 1 + eps, 2 + eps))
+    attack_bids = (additive_bid([1, 0, 0]), additive_bid([0, 1, 0]), additive_bid([0, 0, eps]))
+    # Nature asks 2 - eps for the pair {a, b} and 1000 for item c.
+    nature = CombBid(3, tuple(_adversary_table(3, 0b011, 2 - eps, "bundle", 1000)))
     return _worked_instance(
         eps,
         ("a", "b", "c"),
@@ -1354,8 +1292,11 @@ def _grid_tables(
 ) -> tuple[int, int, Iterator[BundleTable]]:
     """The step grid's level count up to the cap, the non-empty bundle
     count, and every table on the grid in ascending order, built lazily."""
-    step = scalar(step)
-    levels = [step * k for k in range(int(scalar(value_cap) / step) + 1)]
+    step, value_cap = scalar(step), scalar(value_cap)
+    _bid_grid(step, item_count)  # refuses a step that is not positive
+    if value_cap < 0:
+        raise ValidationError(f"value cap must be non-negative, got {value_cap}")
+    levels = [step * k for k in range(int(value_cap / step) + 1)]
     slots = (1 << item_count) - 1
     tables = (
         BundleTable(item_count, (Fraction(0), *combo))

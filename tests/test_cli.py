@@ -879,6 +879,23 @@ def test_flags_the_kind_does_not_take_are_ignored(capsys):
     assert run(capsys, *witness, "--epsilon", "0", "--cap", "x") == run(capsys, *witness)
 
 
+def test_vcg_parses_the_step_flag_only_where_it_is_read(tmp_path, capsys):
+    # A curated run reads --epsilon; a scenario brings its own step and
+    # verify-theorem reads none, so there the flag is ignored like --seed.
+    code, _, err = run(capsys, "vcg", "run", "--curated", "example-e1", "--epsilon", "x")
+    assert code == 2 and "not a rational literal" in err
+    path = _write_scenario(
+        tmp_path,
+        "scenario v1\nkind: vcg-attack\nitems: 2\nepsilon: 1\n"
+        "valuation: 0 0 1 0\nbid: 0 0 1 1\n",
+    )
+    for action in ("run", "classify", "adversary"):
+        command = ("vcg", action, "--scenario", path)
+        assert run(capsys, *command, "--epsilon", "x") == run(capsys, *command)
+    theorem = ("vcg", "verify-theorem", "--budget", "tiny")
+    assert run(capsys, *theorem, "--epsilon", "x") == run(capsys, *theorem)
+
+
 # sha256 of `vcg run --curated NAME --epsilon STEP --payment-rule RULE` stdout,
 # recorded before `run_vcg` stopped calling `winner_determination` and the
 # worked-instance reports stopped copying their outcomes' values.

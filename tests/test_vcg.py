@@ -1,4 +1,5 @@
 """Combinatorial auction mechanism, Sybil attack classification, adversaries."""
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -15,9 +16,7 @@ from robustgames.vcg import (
     FamilyCheck,
     PaymentRule,
     SybilProfile,
-    XosValuation,
     additive_bid,
-    additive_valuation,
     best_partition_value,
     bid_grid_step,
     build_singleton_split_instance,
@@ -38,7 +37,6 @@ from robustgames.vcg import (
     utility_against,
     verify_exact_bidding_optimal,
     winner_determination,
-    xos_to_valuation,
 )
 
 F = Fraction
@@ -86,12 +84,6 @@ def test_winner_determination_search_budget_guard():
         winner_determination([zero] * 8, 8)
     with pytest.raises(CapacityError, match=r"assignment space 8\^8"):
         run_vcg([SybilProfile(zero, (zero,) * 8)], 8)
-
-
-def test_xos_is_pointwise_max_of_additive():
-    x = XosValuation(2, ((F(2), F(0)), (F(0), F(3))))
-    v = xos_to_valuation(x)
-    assert v.values == (F(0), F(2), F(3), F(3))
 
 
 def test_winner_determination_assigns_every_item():
@@ -445,6 +437,21 @@ def test_singleton_split_regression_constants():
         build_singleton_split_instance(F(0))
 
 
+def test_worked_instance_tables_match_their_recorded_digest():
+    # sha256 over every table of every profile, one line of entries each,
+    # recorded before the builders took their tables from the module's
+    # own table builders.
+    lines = []
+    for build in (build_split_pair_instance, build_singleton_split_instance):
+        for epsilon in (F(1, 10), F(1, 100), F(1, 3)):
+            for profile in build(epsilon).profiles:
+                for table in (profile.valuation, *profile.bids):
+                    assert all(type(v) is Fraction for v in table.values)
+                    lines.append(" ".join(map(str, table.values)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1ae8ea2e4d1d7bd9dc75b8f75cb98a8f6ae0f1a24e569ef8bd4726a6e111d5a4"
+
+
 def test_worked_instances_rerun_from_their_profiles():
     for build in (build_split_pair_instance, build_singleton_split_instance):
         for epsilon in (F(1, 10), F(1, 100)):
@@ -503,7 +510,7 @@ def test_snap_picks_a_grid_point_strictly_inside():
 def test_attack_classification_census_on_unit_grid():
     # Frozen census: all two-Sybil attacks on the 0..2 unit grid against
     # the additive (1, 1) valuation.
-    valuation = additive_valuation([F(1), F(1)])
+    valuation = additive_bid([F(1), F(1)])
     counts = {kind: 0 for kind in AttackKind}
     for bids in enumerate_attacks(2, F(1), F(2), 2):
         counts[classify_attack(valuation, bids).kind] += 1
@@ -525,6 +532,22 @@ def test_enumeration_budget_guard():
         next(enumerate_attacks(4, F(1), F(2), 1))
     with pytest.raises(CapacityError, match="attack lattice of 12076154 vectors"):
         next(enumerate_attacks(2, F(1, 8), F(2), 2))
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_valuations, enumerate_attacks])
+@pytest.mark.parametrize(
+    "step, cap, message",
+    [
+        (F(0), F(2), "grid step must be positive, got 0"),
+        (F(-1), F(2), "grid step must be positive, got -1"),
+        (F(1), F(-1), "value cap must be non-negative, got -1"),
+    ],
+    ids=["zero-step", "negative-step", "negative-cap"],
+)
+def test_enumerators_refuse_a_step_or_cap_they_cannot_use(enumerate_, step, cap, message):
+    args = (2, step, cap, 2) if enumerate_ is enumerate_attacks else (2, step, cap)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        next(enumerate_(*args))
 
 
 def test_certify_attack_scans_unless_an_overbid_is_refuted():
