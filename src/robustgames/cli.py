@@ -629,12 +629,12 @@ def _cmd_voting(args: argparse.Namespace) -> str:
     # may refuse, so they run before the frontier's loop over ballot pairs.
     if rule == "plurality":
         mixture = mechanisms.plurality_mixed_loss_averse(utilities)
-        equalization = mechanisms.plurality_mixed_equalization(utilities)
+        level = mechanisms.plurality_mixed_equalization(utilities)
         truthful = mechanisms.plurality_min_max_regret(utilities)
         rule_lines = [
             "mixed-loss-averse "
             + " ".join(f"{label}:{format_scalar(p)}" for label, p in mixture.entries),
-            f"pivotal-expected-utility {_scalar_cell(equalization.level, args.decimal)}",
+            f"pivotal-expected-utility {_scalar_cell(level, args.decimal)}",
             f"min-max-regret-ballot {mechanisms.ballot_label(truthful)}",
             f"max-regret {_scalar_cell(concepts.max_regret(game, mechanisms.ballot_label(truthful)), args.decimal)}",
         ]

@@ -225,20 +225,6 @@ class AgentGame:
         return self.rows[self.action_index(action)]
 
 
-def game_from_table(
-    type_label: str,
-    actions: Sequence[str],
-    states: Sequence[str],
-    table: Mapping[tuple[str, str], int | str | Fraction],
-) -> AgentGame:
-    """Build a game from a complete ``(action, state) -> utility`` mapping."""
-    missing = [(a, s) for a in actions for s in states if (a, s) not in table]
-    if missing:
-        raise ValidationError(f"utility table is missing entries, first: {missing[0]!r}")
-    rows = tuple(tuple(scalar(table[(a, s)]) for s in states) for a in actions)
-    return AgentGame(type_label, tuple(actions), tuple(states), rows)
-
-
 @dataclass(frozen=True)
 class MixedAction:
     """A probability distribution over action labels.

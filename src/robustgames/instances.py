@@ -10,10 +10,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .concepts import MixtureAugmentation
-from .core import AgentGame, format_scalar, game_from_table
+from .core import AgentGame, format_scalar, scalar
 from .errors import ValidationError
+
+
+def _game(
+    type_label: str,
+    actions: tuple[str, ...],
+    states: tuple[str, ...],
+    rows: Sequence[Sequence[int | Fraction]],
+) -> AgentGame:
+    """A game from its utility rows, each entry made exact by ``scalar``."""
+    return AgentGame(type_label, actions, states, tuple(tuple(map(scalar, row)) for row in rows))
 
 
 def leximin_proof_game() -> AgentGame:
@@ -23,17 +34,7 @@ def leximin_proof_game() -> AgentGame:
     loss-averse against the other, yet b's outcome multiset (0, 10)
     lexicographically beats a's (0, 5).
     """
-    return game_from_table(
-        "leximin-proof-game",
-        ("a", "b"),
-        ("opp-a", "opp-b"),
-        {
-            ("a", "opp-a"): 5,
-            ("a", "opp-b"): 0,
-            ("b", "opp-a"): 0,
-            ("b", "opp-b"): 10,
-        },
-    )
+    return _game("leximin-proof-game", ("a", "b"), ("opp-a", "opp-b"), ((5, 0), (0, 10)))
 
 
 def dominant_leximin_game() -> AgentGame:
@@ -42,34 +43,12 @@ def dominant_leximin_game() -> AgentGame:
     a's distinct outcomes are {0, 1, 5} and b's are {0, 3}; after both
     drop the shared 0, b's next value 3 beats a's 1.
     """
-    return game_from_table(
-        "dominant-leximin",
-        ("a", "b"),
-        ("A", "B", "C"),
-        {
-            ("a", "A"): 0,
-            ("a", "B"): 1,
-            ("a", "C"): 5,
-            ("b", "A"): 0,
-            ("b", "B"): 0,
-            ("b", "C"): 3,
-        },
-    )
+    return _game("dominant-leximin", ("a", "b"), ("A", "B", "C"), ((0, 1, 5), (0, 0, 3)))
 
 
 def minmaxreg_safety_game() -> AgentGame:
     """Min-max regret {b} while the safety level is attained only by {a}."""
-    return game_from_table(
-        "minmaxreg-safety",
-        ("a", "b"),
-        ("A", "B"),
-        {
-            ("a", "A"): 0,
-            ("a", "B"): 0,
-            ("b", "A"): -1,
-            ("b", "B"): 100,
-        },
-    )
+    return _game("minmaxreg-safety", ("a", "b"), ("A", "B"), ((0, 0), (-1, 100)))
 
 
 def safety_wrong_monotone_game() -> AgentGame:
@@ -78,17 +57,7 @@ def safety_wrong_monotone_game() -> AgentGame:
     The optimal mixture puts more weight on the action with the lower
     best case; both pure guarantees are 0.
     """
-    return game_from_table(
-        "safety-wrong-monotone",
-        ("a", "b"),
-        ("A", "B"),
-        {
-            ("a", "A"): 1,
-            ("a", "B"): 0,
-            ("b", "A"): 0,
-            ("b", "B"): 3,
-        },
-    )
+    return _game("safety-wrong-monotone", ("a", "b"), ("A", "B"), ((1, 0), (0, 3)))
 
 
 AIM_BIG_PRIZE = Fraction(1000)
@@ -104,18 +73,8 @@ def aim_big_grid_game() -> AgentGame:
     """
     smalls = [Fraction(k, 10) for k in range(1, 11)]
     states = tuple(format_scalar(f) for f in smalls) + ("big",)
-    table = {}
-    for f in smalls:
-        table[("S", format_scalar(f))] = f
-        table[("B", format_scalar(f))] = Fraction(0)
-    table[("S", "big")] = Fraction(1)
-    table[("B", "big")] = AIM_BIG_PRIZE
-    return AgentGame(
-        "aim-big",
-        ("B", "S"),
-        states,
-        tuple(tuple(table[(a, s)] for s in states) for a in ("B", "S")),
-    )
+    rows = ((*[0] * len(smalls), AIM_BIG_PRIZE), (*smalls, 1))
+    return _game("aim-big", ("B", "S"), states, rows)
 
 
 @dataclass(frozen=True)
@@ -175,21 +134,10 @@ def collapse_demo_game(k: int) -> tuple[AgentGame, MixtureAugmentation]:
     """
     if not 1 <= k <= 20:
         raise ValidationError(f"family index {k} outside 1..20")
-    kk = Fraction(k)
-    rows = {
-        "a": {"bar": kk + 1, "mid": kk / 100, "floor": Fraction(0)},
-        "b": {"bar": kk, "mid": kk + 2, "floor": Fraction(0)},
-    }
+    rows = [(k + 1, Fraction(k, 100), 0), (k, k + 2, 0)]
     if k % 2 == 0:
-        rows["c"] = {"bar": kk + 3, "mid": kk + 4, "floor": Fraction(-1)}
-    actions = tuple(rows)
-    states = ("bar", "mid", "floor")
-    game = game_from_table(
-        f"collapse-demo-{k}",
-        actions,
-        states,
-        {(a, s): rows[a][s] for a in actions for s in states},
-    )
+        rows.append((k + 3, k + 4, -1))
+    game = _game(f"collapse-demo-{k}", ("a", "b", "c")[: len(rows)], ("bar", "mid", "floor"), rows)
     return game, MixtureAugmentation("bar", "floor", COLLAPSE_EPSILONS)
 
 

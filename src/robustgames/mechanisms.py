@@ -260,9 +260,9 @@ def plurality_mixed_loss_averse(cardinal_utilities: Sequence[Fraction]) -> Mixed
     candidates' values.
 
     The ballot for candidate j gets (1/f_j) / N with N = sum of 1/f_k over
-    every candidate but the worst, who gets probability 0.  This is the
-    mixture meant to equalize the expected utility at the pivotal states
-    (``plurality_pivotal_state``), and ``plurality_mixed_equalization``
+    every candidate but the worst, who gets probability 0 (``plurality_spec``
+    requires every other f_k > 0).  The mixture is meant to equalize the
+    expected utility at the pivotal states, and ``plurality_mixed_equalization``
     checks that it does, at 1/N.  Nothing here proves it loss-averse or
     unique: ``mixed_loss_averse_falsify`` can only refute a mixture, never
     certify one, and an exact decision is ROADMAP.md item 6.
@@ -270,8 +270,6 @@ def plurality_mixed_loss_averse(cardinal_utilities: Sequence[Fraction]) -> Mixed
     f = tuple(scalar(v) for v in cardinal_utilities)
     n = len(f)
     spec = plurality_spec(n, f)
-    if any(v == 0 for v in f[:-1]):
-        raise ValidationError("mixture weights need strictly positive values above the worst")
     total = sum((1 / v for v in f[:-1]), Fraction(0))
     mapping = {}
     for j in range(n - 1):
@@ -279,44 +277,26 @@ def plurality_mixed_loss_averse(cardinal_utilities: Sequence[Fraction]) -> Mixed
     return MixedAction.from_mapping(mapping)
 
 
-def plurality_pivotal_state(candidate_count: int, candidate: int, tally_cap: int = 2) -> str:
-    """Tally where the given candidate ties the worst one, others behind."""
-    n = candidate_count
-    if not 0 <= candidate < n - 1:
-        raise ValidationError(f"candidate index {candidate} outside 0..{n - 2}")
-    tally = [0] * n
-    tally[candidate] = tally_cap
-    tally[-1] = tally_cap
-    return ",".join(str(t) for t in tally)
+def plurality_mixed_equalization(cardinal_utilities: Sequence[Fraction]) -> Fraction:
+    """The level 1/N that ``plurality_mixed_loss_averse``'s mixture reaches
+    at every pivotal state, checked at each.
 
-
-@dataclass(frozen=True)
-class PluralityEqualization:
-    """Expected mixture utility at each pivotal state, all equal to 1/N."""
-
-    mixture: MixedAction
-    expected: tuple[tuple[str, Fraction], ...]
-    level: Fraction
-
-
-def plurality_mixed_equalization(
-    cardinal_utilities: Sequence[Fraction],
-) -> PluralityEqualization:
+    The pivotal state of candidate j (every candidate but the worst) is the
+    tally where j ties the worst candidate at 2 votes, the others at 0.
+    """
     f = tuple(scalar(v) for v in cardinal_utilities)
     n = len(f)
     mixture = plurality_mixed_loss_averse(f)
     game = psr_game(plurality_spec(n, f))
     level = 1 / sum((1 / v for v in f[:-1]), Fraction(0))
-    rows = []
     for j in range(n - 1):
-        state = plurality_pivotal_state(n, j)
+        state = ",".join("2" if k in (j, n - 1) else "0" for k in range(n))
         value = mixed_utility(game, mixture, state)
         if value != level:
             raise InternalConsistencyError(
                 f"pivotal state {state} gives {value}, expected {level}"
             )
-        rows.append((state, value))
-    return PluralityEqualization(mixture, tuple(rows), level)
+    return level
 
 
 def plurality_min_max_regret(cardinal_utilities: Sequence[Fraction]) -> tuple[Fraction, ...]:

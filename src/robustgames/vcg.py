@@ -103,9 +103,13 @@ def bundle_label(mask: int, items: Sequence[str]) -> str:
     return ",".join(items[i] for i in mask_items(mask))
 
 
-def _check_table(item_count: int, values: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _check_item_count(item_count: int) -> None:
     if not 1 <= item_count <= MAX_ITEMS:
         raise CapacityError(f"bundle table item count {item_count} outside 1..{MAX_ITEMS}")
+
+
+def _check_table(item_count: int, values: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    _check_item_count(item_count)
     values = tuple(scalar(v) for v in values)
     if len(values) != 1 << item_count:
         raise ValidationError(
@@ -163,16 +167,6 @@ def _additive_table(per_item: Sequence) -> list:
     for value in per_item:
         table += [v + value for v in table]
     return table
-
-
-def single_minded_bid(item_count: int, mask: int, amount: Fraction) -> CombBid:
-    """Bid ``amount`` on every bundle containing ``mask``, 0 elsewhere."""
-    amount = scalar(amount)
-    values = tuple(
-        amount if code & mask == mask and code != 0 else Fraction(0)
-        for code in range(1 << item_count)
-    )
-    return CombBid(item_count, values)
 
 
 @dataclass(frozen=True)
@@ -808,7 +802,8 @@ def nature_state_family(item_count: int, levels: Sequence[Fraction]) -> tuple[Co
     """Deterministic family of single-bid nature states for family checks.
 
     Additive bids over all per-item combinations of ``levels``, plus
-    single-minded bids on every bundle at each positive level.
+    single-minded bids on every bundle at each positive level, built as
+    bundle-form adversary tables that ask nothing outside the bundle.
     """
     levels = tuple(scalar(v) for v in levels)
     out: list[CombBid] = []
@@ -819,7 +814,8 @@ def nature_state_family(item_count: int, levels: Sequence[Fraction]) -> tuple[Co
             continue  # singletons are covered by the additive combos
         for level in levels:
             if level > 0:
-                out.append(single_minded_bid(item_count, mask, level))
+                table = _adversary_table(item_count, mask, level, "bundle", 0)
+                out.append(CombBid(item_count, tuple(table)))
     return tuple(out)
 
 
@@ -960,17 +956,18 @@ class TruthCertificate:
 
 def _case1_adversary(
     value: Sequence[int], tables: Sequence[Sequence[int]], item_count: int, mask: int
-) -> list[int] | None:
+) -> list[int]:
     """Upward-monotone bid matching v on the parts of the witness bundle.
 
     The parts are the bundles the tie-broken search hands the Sybils on
     the witness bundle's items; a superset of any part inherits the
-    largest contained part value.
+    largest contained part value.  There are at least two parts: the
+    search gives every item an owner, and for an exact bid its best split
+    of the bundle is worth v there, which every Sybil bids below on the
+    bundle as a whole.
     """
     _, bundles, _ = _tie_broken_assignment(tables, mask_items(mask))
     parts = [b for b in bundles if b]
-    if len(parts) < 2:
-        return None
     return [
         max([value[part] for part in parts if code & part == part], default=0)
         for code in range(1 << item_count)
@@ -1109,8 +1106,6 @@ class _Attack:
             case1_masks.insert(0, every)
         for mask in case1_masks:
             adversary = _case1_adversary(value, own, m, mask)
-            if adversary is None:
-                continue
             ((attack_u, truth_u),) = self.utilities([adversary])
             if attack_u == 0 and truth_u > 0:
                 return TruthCertificate(
@@ -1292,6 +1287,7 @@ def _grid_tables(
 ) -> tuple[int, int, Iterator[BundleTable]]:
     """The step grid's level count up to the cap, the non-empty bundle
     count, and every table on the grid in ascending order, built lazily."""
+    _check_item_count(item_count)
     step, value_cap = scalar(step), scalar(value_cap)
     _bid_grid(step, item_count)  # refuses a step that is not positive
     if value_cap < 0:
@@ -1320,6 +1316,8 @@ def enumerate_attacks(
 ) -> Iterator[tuple[CombBid, ...]]:
     """All bid vectors (up to Sybil reordering) on the given grid and cap."""
     levels, slots, tables = _grid_tables(item_count, step, value_cap)
+    if max_sybils < 1:
+        raise ValidationError(f"max_sybils must be at least 1, got {max_sybils}")
     total = sum(math.comb(levels**slots + k - 1, k) for k in range(1, max_sybils + 1))
     if total > SEARCH_BUDGET:
         raise CapacityError(f"attack lattice of {total} vectors exceeds the budget")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from robustgames import mechanisms, singleitem, vcg
+from robustgames import mechanisms, singleitem, vcg, verification
 from robustgames.cli import MAX_DECIMAL_PLACES, _decimal_suffix, build_parser, main
 from robustgames.core import AgentGame, format_game, parse_game
 from robustgames.instances import curated_game
@@ -879,9 +879,11 @@ def test_flags_the_kind_does_not_take_are_ignored(capsys):
     assert run(capsys, *witness, "--epsilon", "0", "--cap", "x") == run(capsys, *witness)
 
 
-def test_vcg_parses_the_step_flag_only_where_it_is_read(tmp_path, capsys):
+def test_vcg_parses_the_step_flag_only_where_it_is_read(tmp_path, capsys, monkeypatch):
     # A curated run reads --epsilon; a scenario brings its own step and
     # verify-theorem reads none, so there the flag is ignored like --seed.
+    # The theorem's check is stubbed: its real report is pinned in
+    # _GOLDEN_REPORTS.
     code, _, err = run(capsys, "vcg", "run", "--curated", "example-e1", "--epsilon", "x")
     assert code == 2 and "not a rational literal" in err
     path = _write_scenario(
@@ -892,8 +894,18 @@ def test_vcg_parses_the_step_flag_only_where_it_is_read(tmp_path, capsys):
     for action in ("run", "classify", "adversary"):
         command = ("vcg", action, "--scenario", path)
         assert run(capsys, *command, "--epsilon", "x") == run(capsys, *command)
+    calls = []
+
+    def check(budget, seed):
+        calls.append((budget, seed))
+        return verification.CheckResult("vcg-attack-properties", True, "stubbed")
+
+    monkeypatch.setattr(verification, "check_vcg_attack_properties", check)
     theorem = ("vcg", "verify-theorem", "--budget", "tiny")
-    assert run(capsys, *theorem, "--epsilon", "x") == run(capsys, *theorem)
+    plain = run(capsys, *theorem)
+    assert plain == (0, "PASS vcg-attack-properties -- stubbed\n", "")
+    assert run(capsys, *theorem, "--epsilon", "x") == plain
+    assert calls == [("tiny", 0)] * 2
 
 
 # sha256 of `vcg run --curated NAME --epsilon STEP --payment-rule RULE` stdout,
@@ -942,6 +954,8 @@ _GOLDEN_REPORTS = {
         "4ed34b541fe2681d2492213490bcf36ed017888bc0a20884791ec0ac5daf324c",
     ("vcg", "verify-theorem", "--budget", "tiny"):
         "5cc033861fa6481ef108bf2aff66d4e31e35d503add4de277ff659cc0cc85400",
+    ("vcg", "adversary", "--scenario", "{dominated}"):
+        "926ae6ecbfc299c9c6bd570784586994b14f21eff53bec83a67bfec4df94a24a",
 }
 
 
@@ -951,10 +965,35 @@ def test_report_types_match_their_recorded_digests(tmp_path, capsys):
         "scenario v1\nkind: vcg-attack\nitems: 2\nepsilon: 1\n"
         "valuation: 0 1 1 2\nbid: 0 5/4 0 2\nnature: 0 1 1 1\n",
     )
+    # An unrefuted overbid that truth dominates over the CLI's 35-state family.
+    dominated = tmp_path / "dominated.scn"
+    dominated.write_text(
+        "scenario v1\nkind: vcg-attack\nitems: 2\nepsilon: 1\n"
+        "valuation: 0 1 2 0\nbid: 0 0 2 1\n"
+    )
     for args, expected in _GOLDEN_REPORTS.items():
-        code, out, _ = run(capsys, *(arg.format(attack=attack) for arg in args))
+        argv = (arg.format(attack=attack, dominated=dominated) for arg in args)
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         assert _sha(out) == expected, args
+
+
+def test_verify_all_prints_one_padded_line_per_check(capsys, monkeypatch):
+    names = [check.name for check in verification.ALL_CHECKS]
+    results = [verification.CheckResult(name, True, f"detail {i}") for i, name in enumerate(names)]
+    monkeypatch.setattr(verification, "run_all", lambda budget, seed: tuple(results))
+    width = max(map(len, names))
+    table = [f"PASS {name.ljust(width)}  detail {i}" for i, name in enumerate(names)]
+    code, out, err = run(capsys, "verify-all", "--budget", "tiny", "--seed", "7")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["verification budget=tiny seed=7", *table, "13/13 checks passed"]
+    results[2] = verification.CheckResult(names[2], False, "broken")
+    code, out, err = run(capsys, "verify-all", "--budget", "tiny", "--seed", "7")
+    assert (code, out) == (5, "")
+    table[2] = f"FAIL {names[2].ljust(width)}  broken"
+    assert err.splitlines() == [
+        "error: verification budget=tiny seed=7", *table, "12/13 checks passed"
+    ]
 
 
 def test_example_e2_paper_rule_prints_the_literal_payments(capsys):

@@ -34,7 +34,7 @@ from robustgames.concepts import (
     verify_refutation,
     weakly_dominant_actions,
 )
-from robustgames.core import INF, AgentGame, MixedAction, mixed_utility
+from robustgames.core import INF, AgentGame, MixedAction, format_game, mixed_utility
 from robustgames.errors import InternalConsistencyError, ValidationError
 from robustgames.mechanisms import (
     ballot_label,
@@ -374,6 +374,17 @@ def test_collapse_augmentation_equates_loss_averse_and_safety():
         assert loss_averse_actions(
             augment_with_mixed_nature(game, coarse)
         ) == loss_averse_actions(game)
+
+
+def test_curated_and_collapse_games_match_their_recorded_digest():
+    # sha256 of the game documents, recorded before the games were written
+    # as utility rows.
+    games = [instances.curated_game(name) for name in sorted(instances.CURATED_GAMES)]
+    games += [instances.collapse_demo_game(k)[0] for k in range(1, 21)]
+    assert all(type(v) is Fraction for game in games for row in game.rows for v in row)
+    text = "".join(map(format_game, games))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "ab67a0d2222fa5973d25703a7e22ac62d1eda48eb8ae3f19d36106e3ea8058af"
 
 
 def test_augmentation_adds_labeled_states():

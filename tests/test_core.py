@@ -15,7 +15,6 @@ from robustgames.core import (
     check_game_cells,
     format_game,
     format_scalar,
-    game_from_table,
     mixed_utility,
     parse_game,
     parse_scalar,
@@ -132,15 +131,6 @@ def test_game_rejects_bad_shapes():
         AgentGame("t", ("a b",), ("x",), ((Fraction(0),),))
     with pytest.raises(ValidationError):
         AgentGame("t", ("a",), ("x",), ((0.5,),))
-
-
-def test_game_builders_convert_scalars():
-    game = game_from_table("t", ["a"], ["x", "y"], {("a", "x"): "1/2", ("a", "y"): 0})
-    assert game.row("a") == (Fraction(1, 2), Fraction(0))
-    table = {("a", "x"): 1, ("a", "y"): "2/3"}
-    assert game_from_table("t", ["a"], ["x", "y"], table).utility("a", "y") == Fraction(2, 3)
-    with pytest.raises(ValidationError):
-        game_from_table("t", ["a"], ["x", "y"], {("a", "x"): 1})
 
 
 def _mixed_denominator_game(seed: int) -> AgentGame:

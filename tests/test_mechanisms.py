@@ -26,7 +26,6 @@ from robustgames.mechanisms import (
     plurality_min_max_regret,
     plurality_mixed_equalization,
     plurality_mixed_loss_averse,
-    plurality_pivotal_state,
     plurality_spec,
     psr_game,
     psr_winner,
@@ -111,9 +110,8 @@ def test_approval_frontier_all_but_worst():
 def test_plurality_mixture_inverse_utility_weights():
     mixture = plurality_mixed_loss_averse((F(1), F(1, 2), F(0)))
     assert mixture == MixedAction.from_mapping({"1,0,0": F(1, 3), "0,1,0": F(2, 3)})
-    equalization = plurality_mixed_equalization((F(1), F(1, 2), F(0)))
-    assert equalization.level == F(1, 3)
-    assert all(value == F(1, 3) for _, value in equalization.expected)
+    assert plurality_mixed_equalization((F(1), F(1, 2), F(0))) == F(1, 3)
+    assert plurality_mixed_equalization((F(1), F(1, 2), F(1, 4), F(0))) == F(1, 7)
 
 
 def test_plurality_mixture_survives_where_perturbations_fail():
@@ -132,7 +130,7 @@ def test_plurality_mixture_survives_where_perturbations_fail():
 
 
 def test_pivotal_states_have_expected_structure():
-    state = plurality_pivotal_state(3, 0)
+    state = "2,0,2"
     game = psr_game(plurality_spec(3, (F(1), F(1, 2), F(0))))
     assert state in game.states
     # Voting for the pivotal candidate wins outright; abstaining there

@@ -31,7 +31,6 @@ from robustgames.vcg import (
     nature_state_family,
     overbidding_adversary,
     run_vcg,
-    single_minded_bid,
     truth_loss_averse_witnesses,
     underbidding_adversary,
     utility_against,
@@ -59,7 +58,9 @@ def test_bundle_helpers():
     assert bundle_label(0, ("a", "b")) == "-"
     assert bundle_label(0b11, ("a", "b")) == "a,b"
     assert additive_bid([F(1), F(2)]).values == (F(0), F(1), F(2), F(3))
-    assert single_minded_bid(2, 0b10, F(5)).values == (F(0), F(0), F(5), F(5))
+    # After the 2^3 additive states, the single-minded bid on {0, 1} at level 5.
+    single_minded = nature_state_family(3, (F(0), F(5)))[8]
+    assert single_minded.values == tuple(F(v) for v in (0, 0, 0, 5, 0, 0, 0, 5))
 
 
 def test_table_validation():
@@ -452,6 +453,22 @@ def test_worked_instance_tables_match_their_recorded_digest():
     assert digest == "1ae8ea2e4d1d7bd9dc75b8f75cb98a8f6ae0f1a24e569ef8bd4726a6e111d5a4"
 
 
+def test_nature_state_families_match_their_recorded_digest():
+    # sha256 over every state of the families the CLI and the battery scan,
+    # one line of entries each, recorded before the single-minded states
+    # were built as bundle-form adversary tables.
+    digest = hashlib.sha256()
+    count = 0
+    for m in (1, 2, 3):
+        for levels in ((0, 1, 2), (0, F(1, 2), 1, F(3, 2), 2), tuple(F(k, 2) for k in range(6))):
+            for table in nature_state_family(m, levels):
+                assert all(type(v) is Fraction for v in table.values)
+                digest.update((" ".join(map(str, table.values)) + "\n").encode())
+                count += 1
+    assert count == 507
+    assert digest.hexdigest() == "e5bf03d10a5fab5d90a5c0b4984c048bd135537d15985ea5f84318722da02e03"
+
+
 def test_worked_instances_rerun_from_their_profiles():
     for build in (build_split_pair_instance, build_singleton_split_instance):
         for epsilon in (F(1, 10), F(1, 100)):
@@ -547,6 +564,25 @@ def test_enumeration_budget_guard():
 def test_enumerators_refuse_a_step_or_cap_they_cannot_use(enumerate_, step, cap, message):
     args = (2, step, cap, 2) if enumerate_ is enumerate_attacks else (2, step, cap)
     with pytest.raises(ValidationError, match=f"^{message}$"):
+        next(enumerate_(*args))
+
+
+@pytest.mark.parametrize(
+    "enumerate_, args, error, message",
+    [
+        (enumerate_valuations, (-1, F(1), F(2)), CapacityError,
+         "bundle table item count -1 outside 1..8"),
+        (enumerate_attacks, (-1, F(1), F(2), 2), CapacityError,
+         "bundle table item count -1 outside 1..8"),
+        (enumerate_attacks, (2, F(1), F(2), 0), ValidationError,
+         "max_sybils must be at least 1, got 0"),
+        (enumerate_attacks, (2, F(1), F(2), -1), ValidationError,
+         "max_sybils must be at least 1, got -1"),
+    ],
+    ids=["valuations-negative-items", "attacks-negative-items", "no-sybils", "negative-sybils"],
+)
+def test_enumerators_refuse_a_size_they_cannot_use(enumerate_, args, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
         next(enumerate_(*args))
 
 
