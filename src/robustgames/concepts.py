@@ -9,22 +9,28 @@ actions actually disagree; minima over empty sets are the top element
 (``AgentGame.scaled``); the values a refutation reports are read back
 from the rational table at the states it names.
 
-A verdict reports, for each action, the first rival in its ``rivals``
-order that refutes it: a plain loop calls the concept's ``pair`` on each
-rival in turn and stops at the first refutation.  By default the rivals
-are all other actions in table order.  For leximin, multi-leximin, loss
-aversion, loss aversion* and strict dominance, a refuting rival's key
-(its ascending row, or for strict dominance its row sum) is always
-strictly larger than the action's own, so only those rivals are tested:
-a running maximum of the keys and a bisection skip to the first of them,
-and the rest follow in table order.  For the two leximins the first such
-rival always refutes; for the others the docstrings of ``_LossAverse``
-and ``_StrictlyDominated`` give the lemmas, and the worst case stays
-quadratic.  Loss aversion and loss aversion* refute exactly the same
-pairs (see ``_LossAverse``), so when one call asks for both, the second
-takes its first rivals from the first one's scan.  Either way the
-reported witness is the concept's own ``pair`` rule on the one reported
-pair.
+Each action is tested against the rivals in its ``rivals`` order: a
+plain loop calls the concept's ``pair`` on each rival in turn and stops
+at the first that refutes it.  The loop serves two paths.  A verdict
+(``concept_verdicts``) keeps the refutation ``pair`` builds for that
+first rival, its witness.  A concept set (the ``*_actions`` functions
+and ``hierarchy_report``) runs the same loop with ``pair``'s witness
+builder replaced by a bare mark, so it builds no ``Refutation``.
+
+By default the rivals are all other actions in table order.  For
+leximin, multi-leximin, loss aversion, loss aversion* and strict
+dominance, a refuting rival's key (its ascending row, or for strict
+dominance its row sum) is always strictly larger than the action's own,
+so only those rivals are tested: a running maximum of the keys and a
+bisection skip to the first of them, and the rest follow in table order.
+For the two leximins the first such rival always refutes, so their set
+path is that bisection alone and calls no ``pair``; for the others the
+docstrings of ``_LossAverse`` and ``_StrictlyDominated`` give the
+lemmas, and the worst case stays quadratic.  Loss aversion and loss
+aversion* refute exactly the same pairs (see ``_LossAverse``), so when
+one verdict call asks for both, the second takes its first rivals from
+the first one's scan.  Either way the reported witness is the concept's
+own ``pair`` rule on the one reported pair.
 
 All operations return plain data; ties inside any argmin or argmax are
 resolved towards the first-listed label so output is deterministic.
@@ -148,17 +154,21 @@ class _Inequality:
     """One concept's defining inequality, read off one game's table.
 
     ``pair(i, k)`` is the canonical refutation of action ``i`` by rival
-    ``k``, or None when the inequality holds for that pair.  ``rivals(i)``
-    lists, in order, the rivals action ``i`` is tested against: every
-    other action in table order, or, once a concept has ranked the rows
-    by ``rank``, the rivals whose key is strictly larger than row ``i``'s.
-    ``refutations`` calls ``pair`` on those rivals in that order and keeps
-    the first refutation, so the witness is always ``pair``'s own; a
-    concept that overrides it (leximin) or that reads its first rivals
-    from another scan (``witnessed``) still reads the witness from
-    ``pair``.  What a concept reads from the whole table is computed once,
-    on construction.  ``rows`` are the integer-scaled rows every comparison
-    reads; ``values`` is the rational table the reported values come from.
+    ``k``, built by ``refutation``, or None when the inequality holds for
+    that pair.  ``rivals(i)`` lists, in order, the rivals action ``i`` is
+    tested against: every other action in table order, or, once a
+    concept has ranked the rows by ``rank``, the rivals whose key is
+    strictly larger than row ``i``'s.  ``refutations`` calls ``pair`` on
+    those rivals in that order and keeps the first refutation, so a
+    verdict's witness is always ``pair``'s own; a concept that overrides
+    it (leximin) or that reads its first rivals from another scan
+    (``witnessed``) still reads the witness from ``pair``.  ``refuted``
+    is the set path: the same scan with ``refutation`` shadowed by a bare
+    mark, so ``pair`` decides each pair but builds no witness; leximin's
+    is its bisection alone.  What a concept reads from the whole table is
+    computed once, on construction.  ``rows`` are the integer-scaled rows
+    every comparison reads; ``values`` is the rational table the reported
+    values come from.
     """
 
     keys: Sequence | None = None
@@ -191,6 +201,12 @@ class _Inequality:
             found.append(ref)
         return found
 
+    def refuted(self) -> list:
+        """Each action's mark, None where no rival refutes it: the scan of
+        ``refutations``, after which this object builds no witness."""
+        self.refutation = _refuted
+        return self.refutations()
+
     def witnessed(self, first_rivals: Sequence[int | None]) -> list[Refutation | None]:
         """Each action's refutation by the first refuting rival another
         route found for it (None: no rival refutes it), read from ``pair``."""
@@ -210,6 +226,12 @@ class _Inequality:
         competitor = None if k is None else self.actions[k]
         labels = tuple([self.states[j] for j in states])
         return Refutation(self.actions[i], competitor, labels, self_value, other_value)
+
+
+def _refuted(i, k, states, self_value, other_value) -> bool:
+    """The set path's ``_Inequality.refutation``: the pair is refuted, and
+    no witness is built."""
+    return True
 
 
 class _LossAverse(_Inequality):
@@ -379,9 +401,13 @@ class _Leximin(_Inequality):
         else:
             self.rank([(*sorted(set(row)), self.top) for row in self.rows])
 
-    def refutations(self):
+    def refuted(self):
+        """Each row's first beating rival, or None, by bisection alone."""
         found = [bisect_right(self.best, key) for key in self.keys]
-        return self.witnessed([None if k == len(self.best) else k for k in found])
+        return [None if k == len(self.best) else k for k in found]
+
+    def refutations(self):
+        return self.witnessed(self.refuted())
 
     def pair(self, i, k):
         for own, other in zip(self.keys[i], self.keys[k]):
@@ -460,10 +486,21 @@ def concept_verdicts(game: AgentGame, chosen: Iterable[Concept]) -> list[Concept
             refutations = inequality.refutations()
             if isinstance(inequality, _LossAverse):
                 relation = inequality.orders, refutations
-        keep = operator.is_not if concept is Concept.STRICTLY_DOMINATED else operator.is_
-        satisfying = tuple(compress(game.actions, map(keep, refutations, repeat(None))))
+        satisfying = _satisfying(game, concept, refutations)
         verdicts.append(ConceptVerdict(concept, satisfying, tuple(filter(None, refutations))))
     return verdicts
+
+
+def _satisfying(game: AgentGame, concept: Concept, found: Sequence) -> tuple[str, ...]:
+    """The actions satisfying ``concept``, from each action's refutation or
+    mark (None: not refuted), in table order."""
+    keep = operator.is_not if concept is Concept.STRICTLY_DOMINATED else operator.is_
+    return tuple(compress(game.actions, map(keep, found, repeat(None))))
+
+
+def _concept_set(game: AgentGame, concept: Concept) -> tuple[str, ...]:
+    """One concept's satisfying actions from its scan alone, with no witness."""
+    return _satisfying(game, concept, _INEQUALITIES[concept](game).refuted())
 
 
 def concept_verdict(game: AgentGame, concept: Concept) -> ConceptVerdict:
@@ -495,12 +532,12 @@ def loss_averse_vs(game: AgentGame, action: str, other: str) -> tuple[bool, Refu
 
 def loss_averse_actions(game: AgentGame) -> set[str]:
     """Actions that are loss-averse against every other action."""
-    return set(concept_verdict(game, Concept.LOSS_AVERSE).satisfying)
+    return set(_concept_set(game, Concept.LOSS_AVERSE))
 
 
 def loss_averse_star_actions(game: AgentGame) -> set[str]:
     """One-sided variant: worst case only over states where each action loses."""
-    return set(concept_verdict(game, Concept.LOSS_AVERSE_STAR).satisfying)
+    return set(_concept_set(game, Concept.LOSS_AVERSE_STAR))
 
 
 def safety_level(game: AgentGame) -> Fraction:
@@ -509,26 +546,26 @@ def safety_level(game: AgentGame) -> Fraction:
 
 
 def safety_level_actions(game: AgentGame) -> set[str]:
-    return set(concept_verdict(game, Concept.SAFETY_LEVEL).satisfying)
+    return set(_concept_set(game, Concept.SAFETY_LEVEL))
 
 
 def weakly_dominant_actions(game: AgentGame) -> set[str]:
-    return set(concept_verdict(game, Concept.WEAKLY_DOMINANT).satisfying)
+    return set(_concept_set(game, Concept.WEAKLY_DOMINANT))
 
 
 def strictly_dominated_actions(game: AgentGame) -> set[str]:
     """Actions some other action beats weakly everywhere and strictly somewhere."""
-    return set(concept_verdict(game, Concept.STRICTLY_DOMINATED).satisfying)
+    return set(_concept_set(game, Concept.STRICTLY_DOMINATED))
 
 
 def leximin_actions(game: AgentGame) -> set[str]:
     """Leximin over the set of distinct outcome values of each action."""
-    return set(concept_verdict(game, Concept.LEXIMIN).satisfying)
+    return set(_concept_set(game, Concept.LEXIMIN))
 
 
 def multi_leximin_actions(game: AgentGame) -> set[str]:
     """Leximin over the full outcome multiset (one entry per state)."""
-    return set(concept_verdict(game, Concept.MULTI_LEXIMIN).satisfying)
+    return set(_concept_set(game, Concept.MULTI_LEXIMIN))
 
 
 def max_regret(game: AgentGame, action: str) -> Fraction:
@@ -538,7 +575,7 @@ def max_regret(game: AgentGame, action: str) -> Fraction:
 
 
 def min_max_regret_actions(game: AgentGame) -> set[str]:
-    return set(concept_verdict(game, Concept.MIN_MAX_REGRET).satisfying)
+    return set(_concept_set(game, Concept.MIN_MAX_REGRET))
 
 
 # Implications that must hold on every game.  Violations are engine bugs.
@@ -585,12 +622,12 @@ class HierarchyReport:
         for c, members in self.sets:
             if c is concept:
                 return members
-        raise ValidationError(f"{concept} not in report")
+        raise ValidationError(f"{concept.value} not in report")
 
 
 def hierarchy_report(game: AgentGame) -> HierarchyReport:
     """Compute the reported concept sets and check every implication arrow."""
-    ordered = {v.concept: v.satisfying for v in concept_verdicts(game, _REPORT_CONCEPTS)}
+    ordered = {c: _concept_set(game, c) for c in _REPORT_CONCEPTS}
     computed = {c: set(members) for c, members in ordered.items()}
     for src, dst in _HIERARCHY_ARROWS:
         if not computed[src] <= computed[dst]:

@@ -234,6 +234,50 @@ def test_hierarchy_arrows_on_random_games():
         assert set(report.actions(Concept.MULTI_LEXIMIN))
 
 
+def test_hierarchy_report_names_a_missing_concept_by_its_value():
+    report = hierarchy_report(instances.curated_game("leximin-proof-game"))
+    with pytest.raises(ValidationError) as info:
+        report.actions(Concept.LOSS_AVERSE_STAR)
+    assert str(info.value) == "loss-averse-star not in report"
+
+
+_SET_FUNCTIONS = (
+    loss_averse_actions,
+    loss_averse_star_actions,
+    safety_level_actions,
+    weakly_dominant_actions,
+    strictly_dominated_actions,
+    leximin_actions,
+    multi_leximin_actions,
+    min_max_regret_actions,
+)
+
+
+def test_concept_sets_build_no_refutation(monkeypatch):
+    """The hierarchy and the set functions read only whether each action is
+    refuted, so they build no ``Refutation``; the verdicts of the same
+    concepts on the same games build many, through the same counter."""
+    built = []
+    build = concepts.Refutation.__init__
+
+    def counted(self, *fields):
+        built.append(fields)
+        build(self, *fields)
+
+    monkeypatch.setattr(concepts.Refutation, "__init__", counted)
+    rng = random.Random(29)
+    games = [instances.curated_game(name) for name in sorted(instances.CURATED_GAMES)]
+    games += [instances.random_game(rng) for _ in range(50)]
+    for game in games:
+        hierarchy_report(game)
+        for function in _SET_FUNCTIONS:
+            function(game)
+    assert built == []
+    for game in games:
+        concept_verdicts(game, Concept)
+    assert len(built) > len(games)
+
+
 def test_star_refines_and_never_admits_dominated():
     rng = random.Random(13)
     for _ in range(60):
