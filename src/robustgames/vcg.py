@@ -22,7 +22,11 @@ spaces up to ``PRECOMPUTED_ORDER_BOUND`` the assignments are listed once
 per (bid count, items) and reused by every run; larger spaces generate
 the same entries as they are scanned.  The search hands
 back the winning entry's bundles with its owners, so the mechanism and
-the case-1 adversary read them instead of rebuilding them.
+the case-1 adversary read them instead of rebuilding them.  Entries that
+give the last bid the same bundle move together with its table, so the
+attack kernel runs ``_scan`` once per such bundle, in advance, and keeps
+only its picks (``_candidates``); ``_scan`` over every entry stays the
+reference route.
 
 Two payment rules are provided: the textbook Clarke pivot, and a literal
 reading of the difference-of-welfares formula where the runner-up
@@ -54,11 +58,12 @@ bidder's utility is the optimal welfare of all bids less the others'
 optimum, whichever optimal allocation the tie-break picks
 (``_truth_utility``).  Only the false-name side (Yokoo, Sakurai &
 Matsubara, GEB 2004) needs the tie-broken search, and its side of every
-run (``_sybil_side``) depends only on the Sybil bids' scaled tables: their
-welfare in each scan entry, and for each Sybil bid the partition table of
-the others, so a state costs one scan with one lookup per entry.  The
-lattices pair each bid vector with every valuation, so that side is built
-once per bid vector and scale and kept, as ints only, in a bounded memo.
+run (``_sybil_side``) depends only on the Sybil bids' scaled tables: the
+scan's candidates, one per bundle nature can win, and for each Sybil bid
+the partition table of the others, so a state costs one pass over at
+most 2^m candidates with one lookup each.  The lattices pair each bid
+vector with every valuation, so that side is built once per bid vector
+and scale and kept, as ints only, in a bounded memo.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import getitem
+from operator import add, getitem
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import scalar, scale_rows
@@ -212,13 +217,23 @@ def _unscaled(item_count: int, table: Sequence[int], scale: int) -> BundleTable:
 
 
 def _scaled(tables: Sequence[BundleTable], scale: int = 0) -> tuple[int, list[Sequence[int]]]:
-    """``scale`` (by default the tables' least common denominator) and each table over it."""
+    """``scale`` (by default the tables' least common denominator) and each table over it.
+
+    A table's last rescaled integers are kept in its ``__dict__`` as
+    ``_rescaled`` (scale, integers), beside ``_integers`` and outside the
+    fields, so a table shared by many attacks, such as a nature family
+    state, is multiplied out once per scale it meets in a row.
+    """
     scale = scale or math.lcm(*[table._integers[0] for table in tables])
     out = []
     for table in tables:
         denominator, integers = table._integers
         if denominator != scale:
-            integers = [v * (scale // denominator) for v in integers]
+            kept = table.__dict__.get("_rescaled")
+            if kept is None or kept[0] != scale:
+                kept = scale, tuple([v * (scale // denominator) for v in integers])
+                table.__dict__["_rescaled"] = kept
+            integers = kept[1]
         out.append(integers)
     return scale, out
 
@@ -261,8 +276,12 @@ def _assignment_order(n: int, items: tuple[int, ...]) -> Iterator[_Assignment]:
         bundles = [0] * n
         for bit, owner in zip(bits, choice):
             bundles[owner] |= bit
-        profile = sorted([b.bit_count() for b in bundles], reverse=True)
-        yield bundles[-1], tuple(profile), tuple(bundles), choice
+        yield bundles[-1], _profile(bundles), tuple(bundles), choice
+
+
+def _profile(bundles: Sequence[int]) -> tuple[int, ...]:
+    """The descending bundle-size profile of an assignment's bundles."""
+    return tuple(sorted([b.bit_count() for b in bundles], reverse=True))
 
 
 @functools.cache
@@ -517,17 +536,18 @@ def _truth_utility(value: Sequence[int], nature: Sequence[int], item_count: int)
     """Truthful bidding's Clarke utility against nature, with no mechanism run.
 
     ``nature`` is the partition table of nature's bids (one bid is its
-    own table).  The mechanism allocates every item, so the optimal
-    welfare is W = max over splits (S, rest) of value[S] + nature[rest].
-    A truthful bidder winning S pays the others' optimum without it,
-    nature[every], less their value in the outcome, W − value[S]; its
-    utility value[S] − nature[every] + W − value[S] is W − nature[every].
-    W is the same for every optimal allocation, so the tie-break cannot
-    change the result.
+    own table), and both tables hold the 2^``item_count`` bundles.  The
+    mechanism allocates every item, so the optimal welfare is W = max
+    over splits (S, rest) of value[S] + nature[rest].  A truthful bidder
+    winning S pays the others' optimum without it, nature[every], less
+    their value in the outcome, W − value[S]; its utility
+    value[S] − nature[every] + W − value[S] is W − nature[every].  W is
+    the same for every optimal allocation, so the tie-break cannot change
+    the result.  For rest ⊆ every, every ^ rest is every − rest, so W is
+    the best sum of ``nature`` and ``value`` read backwards, and
+    nature[every] is nature's last entry.
     """
-    every = full_mask(item_count)
-    welfare = max([value[sub] + nature[rest] for sub, rest in _splits(item_count)[every]])
-    return welfare - nature[every]
+    return max(map(add, reversed(value), nature)) - nature[-1]
 
 
 def _others_tables(own: Sequence[Sequence[int]], item_count: int) -> tuple[tuple[int, ...], ...]:
@@ -539,23 +559,56 @@ def _others_tables(own: Sequence[Sequence[int]], item_count: int) -> tuple[tuple
     )
 
 
+# A candidate of the attack kernel: the own bids' welfare in a scan entry,
+# nature's bundle and the own bids' bundles in it.
+_Candidate = tuple[int, int, tuple[int, ...]]
+
+
+def _candidates(
+    own: Sequence[Sequence[int]], order: Iterable[_Assignment]
+) -> tuple[_Candidate, ...]:
+    """The scan entries that can win a run of the ``own`` bids against one
+    nature bid, one per nature bundle, in the order a run tries them.
+
+    Against a nature table N an entry scores its own bids' welfare plus
+    N[b] for nature's bundle b.  The entries that share b all move by the
+    same N[b], so ``_scan`` ranks them among themselves the same way
+    whatever N is: its pick among them is fixed in advance, and it is
+    ``_scan`` over them with N = 0.  ``_scan`` over every entry keeps the
+    first in scan order that maximises (welfare, size profile); that
+    entry is its bundle's pick.  So with the picks listed larger profile
+    first, then earlier entry, the first to reach the highest welfare
+    against N is ``_scan``'s winner.  On m items there are at most 2^m
+    picks, where the scan reads (k+1)^m entries for k own bids.
+    """
+    k = len(own)
+    groups: dict[int, list[_Entry]] = {}
+    for entry in _entries(own, order):
+        groups.setdefault(entry[1][0], []).append(entry)
+    zero = [0] * len(own[0])
+    picks = [_scan(group, zero) for group in groups.values()]
+    picks.sort(key=lambda pick: pick[2])  # scan order: ascending owners
+    picks.sort(key=lambda pick: _profile(pick[1]), reverse=True)  # stable
+    return tuple([(welfare, bundles[k], bundles[:k]) for welfare, bundles, _ in picks])
+
+
 # The attack lattices pair every bid vector with each valuation in turn,
 # and the 2-item lattice runs 405 bid vectors per valuation.  An attack's
 # refutation and its scans share one scale (``_Attack``), so a bid vector
 # takes one entry, and a few family scans with finer candidates one more:
 # at most 409 other entries come between two uses of one.  The memo holds
 # that cycle, since an LRU smaller than the cycle evicts every entry
-# before its next use.
+# before its next use; an entry is at most 2^m candidates and k tables.
 @functools.lru_cache(maxsize=512)
 def _sybil_side(
     own: tuple[tuple[int, ...], ...], item_count: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The Sybil bids' side of every run against one nature bid: their
-    welfare in each assignment of the kept scan order, and for each bid
+) -> tuple[tuple[_Candidate, ...], tuple[tuple[int, ...], ...]]:
+    """The Sybil bids' side of every run against one nature bid: the
+    candidates of the kept scan order (``_candidates``), and for each bid
     the partition table of the others.  Both depend only on the bids'
     scaled tables, so they are built once per bid vector and scale."""
     order = _precomputed_order(len(own) + 1, tuple(range(item_count)))
-    return tuple([welfare for welfare, _ in _entries(own, order)]), _others_tables(own, item_count)
+    return _candidates(own, order), _others_tables(own, item_count)
 
 
 def _attack_runs(
@@ -563,43 +616,41 @@ def _attack_runs(
 ) -> Callable[[Sequence[int]], int]:
     """The agent's Clarke utility with the ``own`` bids against one nature bid.
 
-    The own bids' side of every run comes from ``_sybil_side``, built once
-    per bid vector and scale: their welfare in each scan entry, and for
-    each own bid the partition table of the other own bids.  A run
-    against a nature table is then one scan with one lookup per entry,
-    plus one split scan per own bid for the others' optimum without it.
-    Nature's own payment, which nothing reads, is not computed.  Above
-    ``PRECOMPUTED_ORDER_BOUND`` the entries stream anew for each run, and
-    nothing is kept beyond this attack.
+    The own bids' side of every run is set up once: the candidates of the
+    scan (``_candidates``), and for each own bid the partition table of
+    the other own bids.  Up to ``PRECOMPUTED_ORDER_BOUND`` it comes from
+    the ``_sybil_side`` memo, built once per bid vector and scale; above
+    it the entries stream once, here, and nothing is kept beyond this
+    attack.  A run against a nature table is one pass over at most 2^m
+    candidates that keeps strict improvements, which gives ``_scan``'s
+    winner, plus one split scan per own bid for the others' optimum
+    without it.  Nature's own payment, which nothing reads, is not
+    computed.
     """
     k = len(own)
     every = full_mask(item_count)
-    items = tuple(range(item_count))
-    splits = _splits(item_count)[every]
-    order = _search_order(k + 1, items)
+    order = _search_order(k + 1, tuple(range(item_count)))
     if isinstance(order, tuple):
-        welfares, others = _sybil_side(tuple(map(tuple, own)), item_count)
+        candidates, others = _sybil_side(tuple(map(tuple, own)), item_count)
     else:
-        welfares, others = None, _others_tables(own, item_count)
+        candidates, others = _candidates(own, order), _others_tables(own, item_count)
 
     def utility(nature: Sequence[int]) -> int:
-        if welfares is None:
-            entries = _entries(own, _search_order(k + 1, items))
-        else:
-            entries = zip(welfares, order)
-        welfare, bundles, _ = _scan(entries, nature)
-        won = bundles[k]
-        own_welfare = sum(map(getitem, own, bundles))
+        welfare = -1
+        for fixed, bundle, bundles in candidates:
+            if fixed + nature[bundle] > welfare:
+                welfare, won, own_bundles = fixed + nature[bundle], bundle, bundles
+        own_welfare = sum(map(getitem, own, own_bundles))
         if own_welfare + nature[won] != welfare:
             raise InternalConsistencyError("observed welfare does not match the search value")
         # Each own bid pays the others' optimum without it, less the
         # others' value in the outcome: the welfare less its own value.
+        # The others' optimum is their best split with nature, read as in
+        # ``_truth_utility``.
         if k == 1:
             without = nature[every]
         else:
-            without = sum(
-                [max([table[sub] + nature[rest] for sub, rest in splits]) for table in others]
-            )
+            without = sum([max(map(add, reversed(table), nature)) for table in others])
         # Every item is allocated, so the own bids win all nature does not.
         return value[every ^ won] - (without - k * welfare + own_welfare)
 
@@ -1001,7 +1052,9 @@ class _Attack:
     lcm(1..m) for the additive shares, so every adversary candidate is an
     integer table on it.  An attack's refutation and its scans thus share
     one scale, and the memo of the Sybil side one entry.  The states are
-    multiplied out only when scanned; the classification and the runs
+    multiplied out only when scanned, and each keeps its last rescaled
+    integers (``_scaled``), so a family shared by many attacks is
+    multiplied out once; the classification and the runs
     (``_attack_runs``) are set up when first used.
     """
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustgames import concepts, instances, oracle
+from robustgames import concepts, instances, oracle, vcg
 from robustgames.concepts import (
     Concept,
     FalsifyVerdict,
@@ -43,8 +43,11 @@ from robustgames.vcg import (
     PaymentRule,
     SybilProfile,
     _attack_runs,
+    _entries,
     _partition_table,
+    _precomputed_order,
     _scaled,
+    _scan,
     _sybil_side,
     _tie_broken_assignment,
     _truth_utility,
@@ -656,6 +659,84 @@ def test_attack_kernel_streams_above_the_precomputed_order_bound():
     assert _sybil_side.cache_info() == memo  # streamed orders are not memoised
 
 
+def test_streamed_attack_kernel_streams_its_entries_once_per_attack(monkeypatch):
+    """Above ``PRECOMPUTED_ORDER_BOUND`` the kernel streams the 3^8 entries
+    of two own bids and nature on 8 items once, when it is set up, and
+    none of its runs streams them again."""
+    streams = []
+
+    def counted(fixed, order):
+        streams.append(len(fixed))
+        return _entries(fixed, order)
+
+    monkeypatch.setattr(vcg, "_entries", counted)
+    rng = random.Random(30)
+    size = 1 << 8
+
+    def table():
+        return CombBid(8, (F(0), *[F(rng.randint(0, 3), 2) for _ in range(size - 1)]))
+
+    valuation, bids, nature = table(), (table(), table()), [table() for _ in range(4)]
+    scale, (value, *tables) = _scaled([valuation, *bids, *nature])
+    attack = _attack_runs(value, tables[:2], 8)
+    assert streams == [2]
+    utilities = [F(attack(state), scale) for state in tables[2:]]
+    assert streams == [2]
+    assert utilities == [utility_against(valuation, bids, [state]) for state in nature]
+
+
+def test_attack_kernel_matches_the_mechanism_on_every_tie():
+    """Every 2-item valuation, every vector of one or two Sybil bids (up to
+    reordering) and every nature bid with entries in {0, 1}: 2,816 runs,
+    most of them ties that the tie-break alone decides.  The kernel
+    matches ``run_vcg`` and the oracle's searches, and the closed-form
+    truth matches truthful bidding's run."""
+    tables = tuple(enumerate_valuations(2, F(1), F(1)))
+    attacks = tuple(enumerate_attacks(2, F(1), F(1), 2))
+    assert len(tables) ** 2 * len(attacks) == 2816
+    for valuation in tables:
+        for state in tables:
+            expected = utility_against(valuation, (valuation,), [state])
+            assert _truth_utility(valuation.values, state.values, 2) == expected
+        for bids in attacks:
+            scale, (value, *own) = _scaled([valuation, *bids])
+            attack = _attack_runs(value, own, 2)
+            for state in tables:
+                expected = run_vcg(
+                    [SybilProfile(valuation, bids), SybilProfile.truthful(state)], 2
+                ).agent_utilities[0]
+                assert F(attack(_scaled([state], scale)[1][0]), scale) == expected
+                assert expected == _naive_clarke_utility(valuation, bids, [state])
+
+
+def test_attack_kernel_candidates_give_the_scan_winner():
+    """Against every nature table, the kernel's pass over its candidates
+    (the first to reach the highest welfare) picks what ``_scan`` picks
+    over every entry: the same welfare, own bundles and nature bundle.
+    Seeded tie-heavy integer tables on 1 to 3 items, with 1 to 3 own
+    bids: entries 0..3, and a quarter of the tables additive with equal
+    items, so that every assignment ties."""
+    rng = random.Random(30)
+    for _ in range(4000):
+        m, k = rng.randint(1, 3), rng.randint(1, 3)
+        items = tuple(range(m))
+
+        def table():
+            if rng.randrange(4) == 0:
+                level = rng.randint(0, 3)
+                return tuple([level * mask.bit_count() for mask in range(1 << m)])
+            return (0, *[rng.randint(0, 3) for _ in range((1 << m) - 1)])
+
+        own = tuple(table() for _ in range(k))
+        candidates = _sybil_side(own, m)[0]
+        assert len(candidates) <= 1 << m
+        entries = tuple(_entries(own, _precomputed_order(k + 1, items)))
+        for nature in [table() for _ in range(4)]:
+            welfare, bundles, _ = _scan(entries, nature)
+            fixed, won, own_bundles = max(candidates, key=lambda c: c[0] + nature[c[1]])
+            assert (fixed + nature[won], own_bundles, won) == (welfare, bundles[:k], bundles[k])
+
+
 def _table(item_count, *values):
     return CombBid(item_count, tuple(F(v) for v in values))
 
@@ -693,9 +774,12 @@ def test_attack_kernel_memo_serves_each_bid_vector_by_value_and_scale():
     assert utilities(first, 3 * scale) == (3 * scale, cold)
     assert _sybil_side.cache_info()[:2] == (2, 2)
     for at in (scale, 3 * scale):
-        welfares, others = _sybil_side(tuple(map(tuple, _scaled(bids, at)[1])), 2)
-        assert type(welfares) is tuple and type(others) is tuple
-        assert all(type(w) is int for w in welfares)
+        candidates, others = _sybil_side(tuple(map(tuple, _scaled(bids, at)[1])), 2)
+        assert type(candidates) is tuple and type(others) is tuple
+        assert 0 < len(candidates) <= 1 << 2
+        for welfare, won, own in candidates:
+            assert type(welfare) is int and type(won) is int
+            assert type(own) is tuple and len(own) == 2 and all(type(b) is int for b in own)
         assert all(type(t) is tuple and all(type(v) is int for v in t) for t in others)
 
 

@@ -236,6 +236,12 @@ def test_integer_entries_are_stored_outside_the_fields():
     assert vars(table)["_integers"] is table._integers
     assert table == fresh and hash(table) == hash(fresh)
     assert repr(table) == repr(fresh)
+    # A rescaled copy is kept beside them, one scale at a time.
+    _, (twelfths,) = vcg._scaled([table], 12)
+    assert twelfths == (0, 6, 4, 12) and vcg._scaled([table], 12)[1][0] is twelfths
+    assert vcg._scaled([table], 24)[1][0] == (0, 12, 8, 24)
+    assert table == fresh and hash(table) == hash(fresh)
+    assert repr(table) == repr(fresh)
     with pytest.raises(AttributeError, match="no attribute 'missing'"):
         table.missing
 
