@@ -24,9 +24,9 @@ the same entries as they are scanned.  The search hands
 back the winning entry's bundles with its owners, so the mechanism and
 the case-1 adversary read them instead of rebuilding them.  Entries that
 give the last bid the same bundle move together with its table, so the
-attack kernel runs ``_scan`` once per such bundle, in advance, and keeps
-only its picks (``_candidates``); ``_scan`` over every entry stays the
-reference route.
+attack kernel keeps, from one pass in advance, only ``_scan``'s pick
+for each such bundle (``_candidates``); ``_scan`` over every entry stays
+the reference route.
 
 Two payment rules are provided: the textbook Clarke pivot, and a literal
 reading of the difference-of-welfares formula where the runner-up
@@ -276,12 +276,8 @@ def _assignment_order(n: int, items: tuple[int, ...]) -> Iterator[_Assignment]:
         bundles = [0] * n
         for bit, owner in zip(bits, choice):
             bundles[owner] |= bit
-        yield bundles[-1], _profile(bundles), tuple(bundles), choice
-
-
-def _profile(bundles: Sequence[int]) -> tuple[int, ...]:
-    """The descending bundle-size profile of an assignment's bundles."""
-    return tuple(sorted([b.bit_count() for b in bundles], reverse=True))
+        profile = sorted([b.bit_count() for b in bundles], reverse=True)
+        yield bundles[-1], tuple(profile), tuple(bundles), choice
 
 
 @functools.cache
@@ -532,11 +528,11 @@ def utility_against(
     return run_vcg(profiles, valuation.item_count).agent_utilities[0]
 
 
-def _truth_utility(value: Sequence[int], nature: Sequence[int], item_count: int) -> int:
+def _truth_utility(value: Sequence[int], nature: Sequence[int]) -> int:
     """Truthful bidding's Clarke utility against nature, with no mechanism run.
 
     ``nature`` is the partition table of nature's bids (one bid is its
-    own table), and both tables hold the 2^``item_count`` bundles.  The
+    own table), and both tables hold every bundle of the same items.  The
     mechanism allocates every item, so the optimal welfare is W = max
     over splits (S, rest) of value[S] + nature[rest].  A truthful bidder
     winning S pays the others' optimum without it, nature[every], less
@@ -573,23 +569,26 @@ def _candidates(
     Against a nature table N an entry scores its own bids' welfare plus
     N[b] for nature's bundle b.  The entries that share b all move by the
     same N[b], so ``_scan`` ranks them among themselves the same way
-    whatever N is: its pick among them is fixed in advance, and it is
-    ``_scan`` over them with N = 0.  ``_scan`` over every entry keeps the
-    first in scan order that maximises (welfare, size profile); that
-    entry is its bundle's pick.  So with the picks listed larger profile
-    first, then earlier entry, the first to reach the highest welfare
-    against N is ``_scan``'s winner.  On m items there are at most 2^m
-    picks, where the scan reads (k+1)^m entries for k own bids.
+    whatever N is, and its pick among them is fixed in advance: the first
+    in scan order that maximises (own welfare, size profile).  One pass
+    over the entries keeps each bundle's pick under ``_scan``'s strict
+    rule, so it holds at most 2^m picks on m items while the scan reads
+    (k+1)^m entries for k own bids, and a streamed order is never held.
+    ``_scan`` over every entry keeps the first in scan order that
+    maximises (welfare, size profile), which is its bundle's pick; so
+    with the picks listed larger profile first, then earlier entry, the
+    first to reach the highest welfare against N is ``_scan``'s winner.
     """
     k = len(own)
-    groups: dict[int, list[_Entry]] = {}
+    picks: dict[int, _Entry] = {}
     for entry in _entries(own, order):
-        groups.setdefault(entry[1][0], []).append(entry)
-    zero = [0] * len(own[0])
-    picks = [_scan(group, zero) for group in groups.values()]
-    picks.sort(key=lambda pick: pick[2])  # scan order: ascending owners
-    picks.sort(key=lambda pick: _profile(pick[1]), reverse=True)  # stable
-    return tuple([(welfare, bundles[k], bundles[:k]) for welfare, bundles, _ in picks])
+        fixed, (bundle, profile, _, _) = entry
+        kept = picks.setdefault(bundle, entry)
+        if fixed > kept[0] or fixed == kept[0] and profile > kept[1][1]:
+            picks[bundle] = entry
+    ranked = sorted(picks.values(), key=lambda entry: entry[1][3])  # scan order
+    ranked.sort(key=lambda entry: entry[1][1], reverse=True)  # stable
+    return tuple([(fixed, bundle, bundles[:k]) for fixed, (bundle, _, bundles, _) in ranked])
 
 
 # The attack lattices pair every bid vector with each valuation in turn,
@@ -1088,8 +1087,8 @@ class _Attack:
 
     def utilities(self, tables: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
         """Each scaled nature table's (attack, truth) utilities."""
-        attack, value, m = self.runs(), self.value, self.item_count
-        return [(attack(table), _truth_utility(value, table, m)) for table in tables]
+        attack, value = self.runs(), self.value
+        return [(attack(table), _truth_utility(value, table)) for table in tables]
 
     def refute(self, kind: AttackKind) -> AdversaryReport:
         """The refutation loop of both adversaries: every bundle the attack
@@ -1110,7 +1109,7 @@ class _Attack:
                 attack_u = attack(adversary)
                 if (attack_u >= 0) if over else (attack_u != 0):
                     continue
-                truth_u = _truth_utility(value, adversary, m)
+                truth_u = _truth_utility(value, adversary)
                 if over and truth_u < 0:
                     raise InternalConsistencyError(
                         f"truthful bidding went negative ({Fraction(truth_u, scale)}) against "

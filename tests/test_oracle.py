@@ -2,6 +2,7 @@
 import ast
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -628,11 +629,11 @@ def test_attack_kernel_matches_the_mechanism_run_state_by_state(case):
         assert F(attack(table), scale) == expected
         assert expected == _naive_clarke_utility(valuation, bids, [state])
         expected = utility_against(valuation, truthful, [state])
-        assert F(_truth_utility(value, table, m), scale) == expected
+        assert F(_truth_utility(value, table), scale) == expected
     if nature:
         folded = _partition_table(tables[k:], m)
         expected = utility_against(valuation, truthful, nature)
-        assert F(_truth_utility(value, folded, m), scale) == expected
+        assert F(_truth_utility(value, folded), scale) == expected
         assert expected == _naive_clarke_utility(valuation, truthful, nature)
 
 
@@ -685,6 +686,30 @@ def test_streamed_attack_kernel_streams_its_entries_once_per_attack(monkeypatch)
     assert utilities == [utility_against(valuation, bids, [state]) for state in nature]
 
 
+def test_streamed_attack_kernel_holds_one_pick_per_nature_bundle():
+    """Three own bids and nature on 8 items stream 4^8 = 65,536 entries
+    when the kernel is set up.  The set-up keeps each nature bundle's
+    pick as it reads them, so it holds at most 2^8 candidates and its
+    peak allocation stays far below one entry per assignment (about
+    24 MiB when the entries are kept)."""
+    rng = random.Random(30)
+    size = 1 << 8
+
+    def table():
+        return CombBid(8, (F(0), *[F(rng.randint(0, 3)) for _ in range(size - 1)]))
+
+    valuation, bids, state = table(), (table(), table(), table()), table()
+    scale, (value, *tables) = _scaled([valuation, *bids, state])
+    tracemalloc.start()
+    try:
+        attack = _attack_runs(value, tables[:3], 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert F(attack(tables[3]), scale) == utility_against(valuation, bids, [state])
+
+
 def test_attack_kernel_matches_the_mechanism_on_every_tie():
     """Every 2-item valuation, every vector of one or two Sybil bids (up to
     reordering) and every nature bid with entries in {0, 1}: 2,816 runs,
@@ -697,7 +722,7 @@ def test_attack_kernel_matches_the_mechanism_on_every_tie():
     for valuation in tables:
         for state in tables:
             expected = utility_against(valuation, (valuation,), [state])
-            assert _truth_utility(valuation.values, state.values, 2) == expected
+            assert _truth_utility(valuation.values, state.values) == expected
         for bids in attacks:
             scale, (value, *own) = _scaled([valuation, *bids])
             attack = _attack_runs(value, own, 2)
