@@ -572,8 +572,19 @@ def _adversary_lines(
         if found.refuted:
             lines.append(f"adversary-form {found.form}")
             lines.append(f"adversary-witness {vcg.bundle_label(found.witness_mask, items)}")
-    # A case-1 certificate and a refuting report both carry their nature bid.
+    # A case-1 certificate and a refuting report both carry their nature bid,
+    # and both utilities are run through the mechanism again before they print.
     if found.adversary is not None:
+        for name, attack, printed in (
+            ("attack", bids, found.attack_utility),
+            ("truth", (valuation,), found.truth_utility),
+        ):
+            utility = vcg.utility_against(valuation, attack, [found.adversary])
+            if utility != printed:
+                raise InternalConsistencyError(
+                    f"{name} utility {format_scalar(printed)} against the adversary, "
+                    f"but the mechanism gives {format_scalar(utility)}"
+                )
         lines.append("adversary " + " ".join(format_scalar(v) for v in found.adversary.values))
         lines.append(f"attack-utility {format_scalar(found.attack_utility)}")
         lines.append(f"truth-utility {format_scalar(found.truth_utility)}")

@@ -13,20 +13,21 @@ every bundle at once.  Attack classification reads all 2^m bundles from
 one such table, and each Clarke payment reads the others' optimum from
 the table of every other bid.  The winning *assignment* is found
 once per mechanism run by an exhaustive search with a documented total
-tie-break order, so every result is deterministic and exactly optimal.
-One scan loop (``_scan``) holds that rule.  It reads entries in one
-fixed order, each the welfare of every bid but the last next to the
-assignment (the last bid's bundle, the size profile, the bundles and the
-owners), so an entry costs one lookup in the last bid's table.  For
-spaces up to ``PRECOMPUTED_ORDER_BOUND`` the assignments are listed once
-per (bid count, items) and reused by every run; larger spaces generate
-the same entries as they are scanned.  The search hands
-back the winning entry's bundles with its owners, so the mechanism and
-the case-1 adversary read them instead of rebuilding them.  Entries that
-give the last bid the same bundle move together with its table, so the
-attack kernel keeps, from one pass in advance, only ``_scan``'s pick
-for each such bundle (``_candidates``); ``_scan`` over every entry stays
-the reference route.
+tie-break order, so every result is deterministic and exactly optimal:
+the first assignment in one fixed scan order that maximises (welfare,
+size profile).  The assignments that give the last bid the same bundle
+all move by its value there, so one pass over the other bids' welfares
+(``_candidates``) keeps each such bundle's pick under that rule, at most
+2^m of them, and the winner is the first pick to reach the highest
+welfare once the last bid's table is read.  ``_candidates`` is the one
+place that compares size profiles.  For spaces up to
+``PRECOMPUTED_ORDER_BOUND`` the assignments are listed once per (bid
+count, items) and reused by every run; larger spaces generate the same
+assignments as they are read.  The search hands back the winning
+bundles with their owners, so the mechanism and the case-1 adversary
+read them instead of rebuilding them.  The oracle's naive search
+(``oracle.naive_tie_broken_assignment``) is the reference route the
+search is tested against.
 
 Two payment rules are provided: the textbook Clarke pivot, and a literal
 reading of the difference-of-welfares formula where the runner-up
@@ -42,7 +43,7 @@ over- or underbids; one refutation loop then builds the nature states
 that refute overbidding and underbidding attacks, checking its own
 postconditions against the mechanism's outcomes.  ``run_vcg`` is the one
 full mechanism run, and ``utility_against`` reads the attacker's utility
-from it; they are the reference route the scans are tested against.
+from it.
 
 Each attack is set up once (``_Attack``): its tables are checked and put,
 with the nature states it scans, on one integer scale on which every
@@ -59,7 +60,7 @@ optimum, whichever optimal allocation the tie-break picks
 (``_truth_utility``).  Only the false-name side (Yokoo, Sakurai &
 Matsubara, GEB 2004) needs the tie-broken search, and its side of every
 run (``_sybil_side``) depends only on the Sybil bids' scaled tables: the
-scan's candidates, one per bundle nature can win, and for each Sybil bid
+search's candidates, one per bundle nature can win, and for each Sybil bid
 the partition table of the others, so a state costs one pass over at
 most 2^m candidates with one lookup each.  The lattices pair each bid
 vector with every valuation, so that side is built once per bid vector
@@ -83,8 +84,8 @@ from .errors import CapacityError, InternalConsistencyError, ValidationError
 MAX_ITEMS = 8
 SEARCH_BUDGET = 10**7
 # Assignment spaces up to this size keep their scan order in memory (a
-# few hundred bytes per assignment); the attack lattices search at most
-# 256 assignments per run, and the order must not grow with the budget.
+# few hundred bytes per assignment), so the kept orders do not grow with
+# the budget; larger spaces generate their order as it is read.
 PRECOMPUTED_ORDER_BOUND = 4096
 
 # The exact value of an integer over a scale, for what the per-attack steps
@@ -263,6 +264,15 @@ def _partition_table(tables: Sequence[Sequence[int]], item_count: int) -> Sequen
     return best
 
 
+def _others_tables(own: Sequence[Sequence[int]], item_count: int) -> tuple[tuple[int, ...], ...]:
+    """For each of two or more bids, the partition table of the other bids."""
+    if len(own) < 2:
+        return ()
+    return tuple(
+        [tuple(_partition_table([*own[:j], *own[j + 1:]], item_count)) for j in range(len(own))]
+    )
+
+
 # An assignment in scan order: the last bid's bundle, the descending
 # bundle-size profile, each bid's bundle and each item's owner.
 _Assignment = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -311,30 +321,39 @@ def _entries(fixed: Sequence[Sequence[int]], order: Iterable[_Assignment]) -> It
         yield sum(map(getitem, fixed, assignment[2])), assignment
 
 
-def _scan(
-    entries: Iterable[_Entry], last: Sequence[int]
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """The tie-broken best of ``entries`` once the last bid bids ``last``.
+# A candidate of the search: the welfare of every bid but the last in an
+# assignment, the last bid's bundle, each bid's bundle and each item's owner.
+_Candidate = tuple[int, int, tuple[int, ...], tuple[int, ...]]
 
-    Entries come in ascending lexicographic order of their owners, and
-    only strict improvements are kept: a higher welfare, or the same
-    welfare with a lexicographically larger descending size profile.
-    Returns the welfare, each bid's bundle and each item's owner.
+
+def _candidates(
+    fixed: Sequence[Sequence[int]], order: Iterable[_Assignment]
+) -> tuple[_Candidate, ...]:
+    """The assignments of ``order`` that can win once the last bid's table
+    is read, one per bundle of the last bid, in the order to try them;
+    ``fixed`` are the tables of every bid but the last.
+
+    The search picks the first assignment in scan order that maximises
+    (welfare, size profile).  Against a last table L an assignment scores
+    the fixed bids' welfare plus L[b] for the last bid's bundle b, so the
+    assignments that share b all move by the same L[b] and rank among
+    themselves the same way whatever L is: the first in scan order that
+    maximises (fixed welfare, size profile) is the only one of them that
+    can win.  One pass keeps that pick for each bundle, so it holds at
+    most 2^m picks on m items while it reads n^m assignments for n bids,
+    and a generated order is never held.  The winner is one of the picks,
+    and with the picks listed larger profile first, then earlier in scan
+    order, it is the first to reach the highest welfare against L.
     """
-    best_welfare = -1
-    best_profile: tuple[int, ...] = ()
-    best_bundles: tuple[int, ...] = ()
-    best_choice: tuple[int, ...] = ()
-    for fixed, (bundle, profile, bundles, choice) in entries:
-        welfare = fixed + last[bundle]
-        if welfare < best_welfare:
-            continue
-        if welfare > best_welfare or profile > best_profile:
-            best_welfare = welfare
-            best_profile = profile
-            best_bundles = bundles
-            best_choice = choice
-    return best_welfare, best_bundles, best_choice
+    picks: dict[int, _Entry] = {}
+    for entry in _entries(fixed, order):
+        welfare, (bundle, profile, _, _) = entry
+        kept = picks.setdefault(bundle, entry)
+        if welfare > kept[0] or welfare == kept[0] and profile > kept[1][1]:
+            picks[bundle] = entry
+    ranked = sorted(picks.values(), key=lambda entry: entry[1][3])  # scan order
+    ranked.sort(key=lambda entry: entry[1][1], reverse=True)  # stable
+    return tuple([(w, bundle, bundles, choice) for w, (bundle, _, bundles, choice) in ranked])
 
 
 def _tie_broken_assignment(
@@ -343,10 +362,15 @@ def _tie_broken_assignment(
     """Exhaustive search for the best owners of ``items`` in tie-break order.
 
     Returns the welfare, each bid's bundle and each item's owner, in the
-    order of ``items``.
+    order of ``items``: the first candidate (``_candidates``) to reach the
+    highest welfare once the last bid's table is read.
     """
+    last = tables[-1]
     order = _search_order(len(tables), items)
-    return _scan(_entries(tables[:-1], order), tables[-1])
+    fixed, bundle, bundles, choice = max(
+        _candidates(tables[:-1], order), key=lambda candidate: candidate[0] + last[candidate[1]]
+    )
+    return fixed + last[bundle], bundles, choice
 
 
 def winner_determination(
@@ -358,9 +382,8 @@ def winner_determination(
     index for item i.  Ties are broken first towards the descending-sorted
     bundle-size profile that is lexicographically maximal (concentrating
     items into larger bundles), then towards the lexicographically
-    smallest assignment vector.  The second rule is realized by scanning
-    assignments in ascending lexicographic order and keeping only strict
-    improvements.
+    smallest assignment vector: the search keeps the first assignment in
+    ascending lexicographic order that maximises (welfare, size profile).
     The bid tables are scaled once to integers over the LCM of their
     denominators, the search runs on those, and the welfare is returned
     exactly.  Callers that need only a welfare value use the subset DP
@@ -401,16 +424,12 @@ def _payments(
     Literal: the welfare less the optimum of all bids on the items the bid
     did not win.
     """
-    every = full_mask(item_count)
     if rule is PaymentRule.PAPER_LITERAL:
+        every = full_mask(item_count)
         everyone = _partition_table(tables, item_count)
         return [welfare - everyone[every & ~bundle] for bundle in bundles]
-    out = []
-    for j, (table, bundle) in enumerate(zip(tables, bundles)):
-        others = [*tables[:j], *tables[j + 1:]]
-        without = _partition_table(others, item_count)[every] if others else 0
-        out.append(without - (welfare - table[bundle]))
-    return out
+    without = [table[-1] for table in _others_tables(tables, item_count)] or [0]
+    return [w - (welfare - table[bundle]) for w, table, bundle in zip(without, tables, bundles)]
 
 
 @dataclass(frozen=True)
@@ -546,51 +565,6 @@ def _truth_utility(value: Sequence[int], nature: Sequence[int]) -> int:
     return max(map(add, reversed(value), nature)) - nature[-1]
 
 
-def _others_tables(own: Sequence[Sequence[int]], item_count: int) -> tuple[tuple[int, ...], ...]:
-    """For each of two or more bids, the partition table of the other bids."""
-    if len(own) < 2:
-        return ()
-    return tuple(
-        [tuple(_partition_table([*own[:j], *own[j + 1:]], item_count)) for j in range(len(own))]
-    )
-
-
-# A candidate of the attack kernel: the own bids' welfare in a scan entry,
-# nature's bundle and the own bids' bundles in it.
-_Candidate = tuple[int, int, tuple[int, ...]]
-
-
-def _candidates(
-    own: Sequence[Sequence[int]], order: Iterable[_Assignment]
-) -> tuple[_Candidate, ...]:
-    """The scan entries that can win a run of the ``own`` bids against one
-    nature bid, one per nature bundle, in the order a run tries them.
-
-    Against a nature table N an entry scores its own bids' welfare plus
-    N[b] for nature's bundle b.  The entries that share b all move by the
-    same N[b], so ``_scan`` ranks them among themselves the same way
-    whatever N is, and its pick among them is fixed in advance: the first
-    in scan order that maximises (own welfare, size profile).  One pass
-    over the entries keeps each bundle's pick under ``_scan``'s strict
-    rule, so it holds at most 2^m picks on m items while the scan reads
-    (k+1)^m entries for k own bids, and a streamed order is never held.
-    ``_scan`` over every entry keeps the first in scan order that
-    maximises (welfare, size profile), which is its bundle's pick; so
-    with the picks listed larger profile first, then earlier entry, the
-    first to reach the highest welfare against N is ``_scan``'s winner.
-    """
-    k = len(own)
-    picks: dict[int, _Entry] = {}
-    for entry in _entries(own, order):
-        fixed, (bundle, profile, _, _) = entry
-        kept = picks.setdefault(bundle, entry)
-        if fixed > kept[0] or fixed == kept[0] and profile > kept[1][1]:
-            picks[bundle] = entry
-    ranked = sorted(picks.values(), key=lambda entry: entry[1][3])  # scan order
-    ranked.sort(key=lambda entry: entry[1][1], reverse=True)  # stable
-    return tuple([(fixed, bundle, bundles[:k]) for fixed, (bundle, _, bundles, _) in ranked])
-
-
 # The attack lattices pair every bid vector with each valuation in turn,
 # and the 2-item lattice runs 405 bid vectors per valuation.  An attack's
 # refutation and its scans share one scale (``_Attack``), so a bid vector
@@ -598,15 +572,19 @@ def _candidates(
 # at most 409 other entries come between two uses of one.  The memo holds
 # that cycle, since an LRU smaller than the cycle evicts every entry
 # before its next use; an entry is at most 2^m candidates and k tables.
+# Candidates from a kept order share its tuples; a generated order's are
+# held by the entry alone, about 62 KiB for two bids on 8 items and 71 KiB
+# for three (by ``tracemalloc``), with a key of 4 to 6 KiB.
 @functools.lru_cache(maxsize=512)
 def _sybil_side(
     own: tuple[tuple[int, ...], ...], item_count: int
 ) -> tuple[tuple[_Candidate, ...], tuple[tuple[int, ...], ...]]:
     """The Sybil bids' side of every run against one nature bid: the
-    candidates of the kept scan order (``_candidates``), and for each bid
-    the partition table of the others.  Both depend only on the bids'
-    scaled tables, so they are built once per bid vector and scale."""
-    order = _precomputed_order(len(own) + 1, tuple(range(item_count)))
+    search's candidates with nature's table read last (``_candidates``),
+    and for each bid the partition table of the others.  Both depend only
+    on the bids' scaled tables, so they are built once per bid vector and
+    scale, whether the scan order is kept or generated."""
+    order = _search_order(len(own) + 1, tuple(range(item_count)))
     return _candidates(own, order), _others_tables(own, item_count)
 
 
@@ -615,31 +593,24 @@ def _attack_runs(
 ) -> Callable[[Sequence[int]], int]:
     """The agent's Clarke utility with the ``own`` bids against one nature bid.
 
-    The own bids' side of every run is set up once: the candidates of the
-    scan (``_candidates``), and for each own bid the partition table of
-    the other own bids.  Up to ``PRECOMPUTED_ORDER_BOUND`` it comes from
-    the ``_sybil_side`` memo, built once per bid vector and scale; above
-    it the entries stream once, here, and nothing is kept beyond this
-    attack.  A run against a nature table is one pass over at most 2^m
-    candidates that keeps strict improvements, which gives ``_scan``'s
-    winner, plus one split scan per own bid for the others' optimum
-    without it.  Nature's own payment, which nothing reads, is not
-    computed.
+    The own bids' side of every run comes from the ``_sybil_side`` memo:
+    the search's candidates (``_candidates``), and for each own bid the
+    partition table of the other own bids.  A run against a nature table
+    is one pass over at most 2^m candidates that keeps strict
+    improvements, which gives the tie-broken winner, plus one split scan
+    per own bid for the others' optimum without it.  Nature's own
+    payment, which nothing reads, is not computed.
     """
     k = len(own)
     every = full_mask(item_count)
-    order = _search_order(k + 1, tuple(range(item_count)))
-    if isinstance(order, tuple):
-        candidates, others = _sybil_side(tuple(map(tuple, own)), item_count)
-    else:
-        candidates, others = _candidates(own, order), _others_tables(own, item_count)
+    candidates, others = _sybil_side(tuple(map(tuple, own)), item_count)
 
     def utility(nature: Sequence[int]) -> int:
         welfare = -1
-        for fixed, bundle, bundles in candidates:
+        for fixed, bundle, bundles, _ in candidates:
             if fixed + nature[bundle] > welfare:
-                welfare, won, own_bundles = fixed + nature[bundle], bundle, bundles
-        own_welfare = sum(map(getitem, own, own_bundles))
+                welfare, won, picked = fixed + nature[bundle], bundle, bundles
+        own_welfare = sum(map(getitem, own, picked))  # nature's bundle comes last
         if own_welfare + nature[won] != welfare:
             raise InternalConsistencyError("observed welfare does not match the search value")
         # Each own bid pays the others' optimum without it, less the

@@ -1,4 +1,5 @@
 """Command line surface: reports, scenario files, exit codes, output files."""
+import dataclasses
 import hashlib
 import os
 import random
@@ -826,6 +827,29 @@ def test_vcg_reports_match_their_recorded_digests(tmp_path, capsys):
             code, out, _ = run(capsys, "vcg", action, "--scenario", str(path))
             assert code == 0
             assert _sha(out) == _GOLDEN_VCG[name, action], (name, action)
+
+
+@pytest.mark.parametrize("field", ["attack_utility", "truth_utility"])
+@pytest.mark.parametrize(
+    "name, step", [("overbid-additive", "refute"), ("exact-case-1", "truth_certificate")]
+)
+def test_vcg_adversary_reruns_the_utilities_it_prints(
+    tmp_path, capsys, monkeypatch, name, step, field
+):
+    """A refuting report or a case-1 certificate that carries a utility off
+    by one fails the mechanism's re-run: exit 5 and nothing on stdout."""
+    honest = getattr(vcg._Attack, step)
+
+    def off_by_one(self, *args):
+        found = honest(self, *args)
+        return dataclasses.replace(found, **{field: getattr(found, field) + 1})
+
+    monkeypatch.setattr(vcg._Attack, step, off_by_one)
+    path = tmp_path / f"{name}.scn"
+    path.write_text(_vcg_scenario_text(*_VCG_SCENARIOS[name]))
+    code, out, err = run(capsys, "vcg", "adversary", "--scenario", str(path))
+    assert (code, out) == (5, "")
+    assert err.startswith(f"error: {field.split('_')[0]} utility ")
 
 
 def test_voting_reports_match_their_recorded_digests_and_scenarios(tmp_path, capsys):

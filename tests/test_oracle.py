@@ -46,9 +46,7 @@ from robustgames.vcg import (
     _attack_runs,
     _entries,
     _partition_table,
-    _precomputed_order,
     _scaled,
-    _scan,
     _sybil_side,
     _tie_broken_assignment,
     _truth_utility,
@@ -638,7 +636,8 @@ def test_attack_kernel_matches_the_mechanism_run_state_by_state(case):
 
 
 def test_attack_kernel_streams_above_the_precomputed_order_bound():
-    """Two own bids and one nature bid on 8 items: the 3^8 entries stream."""
+    """Two own bids and one nature bid on 8 items: the 3^8 entries stream,
+    and the memo keeps each bid vector's side as below the bound."""
     assert 3**8 > PRECOMPUTED_ORDER_BOUND
     rng = random.Random(8)
     size = 1 << 8
@@ -649,7 +648,7 @@ def test_attack_kernel_streams_above_the_precomputed_order_bound():
 
     flat = CombBid(8, tuple(F(mask.bit_count()) for mask in range(size)))
     valuation = table()
-    memo = _sybil_side.cache_info()
+    _sybil_side.cache_clear()
     for bids, nature in (((table(), table()), [table(), flat]), ((flat, flat), [flat, table()])):
         scale, (value, *tables) = _scaled([valuation, *bids, *nature])
         attack = _attack_runs(value, tables[:2], 8)
@@ -657,7 +656,7 @@ def test_attack_kernel_streams_above_the_precomputed_order_bound():
             expected = utility_against(valuation, bids, [state])
             assert F(attack(state_table), scale) == expected
             assert expected == _naive_clarke_utility(valuation, bids, [state])
-    assert _sybil_side.cache_info() == memo  # streamed orders are not memoised
+    assert _sybil_side.cache_info()[:2] == (0, 2)  # (hits, misses): streamed sides are memoised
 
 
 def test_streamed_attack_kernel_streams_its_entries_once_per_attack(monkeypatch):
@@ -684,6 +683,33 @@ def test_streamed_attack_kernel_streams_its_entries_once_per_attack(monkeypatch)
     utilities = [F(attack(state), scale) for state in tables[2:]]
     assert streams == [2]
     assert utilities == [utility_against(valuation, bids, [state]) for state in nature]
+
+
+def test_streamed_attack_kernel_side_is_memoised(monkeypatch):
+    """Two attacks on the same two 8-item bids and scale, with different
+    valuations, stream the bids' 3^8 entries once: the second set-up reads
+    the Sybil side from the memo, and both match the mechanism run."""
+    _sybil_side.cache_clear()
+    streams = []
+
+    def counted(fixed, order):
+        streams.append(len(fixed))
+        return _entries(fixed, order)
+
+    monkeypatch.setattr(vcg, "_entries", counted)
+    rng = random.Random(31)
+    size = 1 << 8
+
+    def table():
+        return CombBid(8, (F(0), *[F(rng.randint(0, 3), 2) for _ in range(size - 1)]))
+
+    first, second, bids, state = table(), table(), (table(), table()), table()
+    scale, (value, other, *tables) = _scaled([first, second, *bids, state])
+    attacks = [_attack_runs(value, tables[:2], 8), _attack_runs(other, tables[:2], 8)]
+    assert streams == [2]
+    assert _sybil_side.cache_info()[:2] == (1, 1)  # (hits, misses)
+    for valuation, attack in zip((first, second), attacks):
+        assert F(attack(tables[2]), scale) == utility_against(valuation, bids, [state])
 
 
 def test_streamed_attack_kernel_holds_one_pick_per_nature_bundle():
@@ -735,16 +761,15 @@ def test_attack_kernel_matches_the_mechanism_on_every_tie():
 
 
 def test_attack_kernel_candidates_give_the_scan_winner():
-    """Against every nature table, the kernel's pass over its candidates
-    (the first to reach the highest welfare) picks what ``_scan`` picks
-    over every entry: the same welfare, own bundles and nature bundle.
-    Seeded tie-heavy integer tables on 1 to 3 items, with 1 to 3 own
-    bids: entries 0..3, and a quarter of the tables additive with equal
-    items, so that every assignment ties."""
+    """Against a nature table, the kernel's pass over its candidates (the
+    first to reach the highest welfare) picks what the oracle's naive scan
+    picks over every assignment: the same welfare, own bundles and nature
+    bundle.  Seeded tie-heavy integer tables on 1 to 3 items, with 1 to 3
+    own bids: entries 0..3, and a quarter of the tables additive with
+    equal items, so that every assignment ties."""
     rng = random.Random(30)
     for _ in range(4000):
         m, k = rng.randint(1, 3), rng.randint(1, 3)
-        items = tuple(range(m))
 
         def table():
             if rng.randrange(4) == 0:
@@ -755,11 +780,11 @@ def test_attack_kernel_candidates_give_the_scan_winner():
         own = tuple(table() for _ in range(k))
         candidates = _sybil_side(own, m)[0]
         assert len(candidates) <= 1 << m
-        entries = tuple(_entries(own, _precomputed_order(k + 1, items)))
-        for nature in [table() for _ in range(4)]:
-            welfare, bundles, _ = _scan(entries, nature)
-            fixed, won, own_bundles = max(candidates, key=lambda c: c[0] + nature[c[1]])
-            assert (fixed + nature[won], own_bundles, won) == (welfare, bundles[:k], bundles[k])
+        nature = table()
+        welfare, assignment = naive_tie_broken_assignment([*own, nature], m)
+        bundles = _bundles(assignment, k + 1)
+        fixed, won, picked, _ = max(candidates, key=lambda c: c[0] + nature[c[1]])
+        assert (fixed + nature[won], picked, won) == (welfare, bundles, bundles[k])
 
 
 def _table(item_count, *values):
@@ -802,9 +827,11 @@ def test_attack_kernel_memo_serves_each_bid_vector_by_value_and_scale():
         candidates, others = _sybil_side(tuple(map(tuple, _scaled(bids, at)[1])), 2)
         assert type(candidates) is tuple and type(others) is tuple
         assert 0 < len(candidates) <= 1 << 2
-        for welfare, won, own in candidates:
-            assert type(welfare) is int and type(won) is int
-            assert type(own) is tuple and len(own) == 2 and all(type(b) is int for b in own)
+        for welfare, won, bundles, choice in candidates:
+            assert type(welfare) is int and type(won) is int and bundles[2] == won
+            assert type(bundles) is tuple and len(bundles) == 3
+            assert type(choice) is tuple and len(choice) == 2
+            assert all(type(v) is int for v in (*bundles, *choice))
         assert all(type(t) is tuple and all(type(v) is int for v in t) for t in others)
 
 
